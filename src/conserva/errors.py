@@ -29,9 +29,10 @@ class GraphStructureError(ConservaError):
 class ConservationError(ConservaError):
     """Residuals handed to flux recovery do not sum to zero."""
 
-    def __init__(self, message, defect=None):
+    def __init__(self, message, defect=None, elements=None):
         super().__init__(message)
         self.defect = defect
+        self.elements = elements
 
 
 class CorrectionError(ConservaError):

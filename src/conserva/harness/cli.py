@@ -138,6 +138,7 @@ def _build_run_config(args):
         snapshot_every=pick("snapshot_every", args.snapshot_every) or 0,
         out=pick("out", args.out),
         seed=pick("seed", args.seed),
+        tau_scale=merged.get("tau_scale", 1.0),
     )
     return config.validate()
 

@@ -5,12 +5,13 @@ element whose DOFs form a connected graph, set Psi = Phi - fhat^b.  If the
 Psi sum to zero there exist edge fluxes with A fhat = Psi (A the incidence
 matrix); the minimum-norm choice is fhat = A^T L^+ Psi with L = A A^T the
 graph Laplacian.  This exhibits an equivalent flux-form update for any
-locally conservative residual scheme.
+locally conservative residual scheme.  R = A^T L^+ is built once per graph
+and applied to a whole stack of elements in one product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +21,18 @@ from .mesh import EdgeFluxSet, ElementGraph, element_graph
 SUM_TOLERANCE = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphLaplacian:
-    """L = A A^T with a cached solver on the complement of span{1}."""
+    """L = A A^T with its recovery operator R = A^T L^+ (read-only)."""
 
     graph: ElementGraph
     matrix: np.ndarray
+    operator: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        operator = self.graph.incidence.T @ self.solve(np.eye(self.graph.ndof))
+        operator.setflags(write=False)
+        object.__setattr__(self, "operator", operator)
 
     def solve(self, rhs):
         """Apply L^+ to rhs columns (rhs must be orthogonal to the ones vector).
@@ -44,6 +51,21 @@ class GraphLaplacian:
         y = y - y.mean(axis=0, keepdims=True)
         return y[:, 0] if squeeze else y
 
+    def recover(self, psi, scale):
+        """Edge fluxes R Psi_k, shape (n, nedges, p), of a Psi stack (n, ndof, p).
+
+        Element k must sum to zero within SUM_TOLERANCE * scale[k]; otherwise
+        ConservationError names every element that does not.
+        """
+        defect = psi.sum(axis=1)
+        bad = np.flatnonzero(np.abs(defect).max(axis=1) > SUM_TOLERANCE * scale)
+        if bad.size:
+            raise ConservationError(
+                f"residuals of {bad.size} element(s), first {bad[:5].tolist()}, do not sum "
+                "to zero; no flux form exists", defect=defect[bad], elements=bad,
+            )
+        return self.operator @ psi
+
 
 def build_laplacian(graph):
     """Graph Laplacian of an element graph; rank ndof-1 when connected."""
@@ -58,8 +80,7 @@ class RecoveryProblem:
     """Right-hand side Psi_sigma = Phi_sigma - fhat_sigma^b of one element.
 
     ``scale`` is the magnitude the conservation precondition is judged
-    against; building from residuals uses their size, so elements whose Psi
-    cancels to rounding noise are still accepted.
+    against (by default the size of Psi itself).
     """
 
     psi: np.ndarray
@@ -70,13 +91,6 @@ class RecoveryProblem:
         if self.scale is None:
             self.scale = max(float(np.abs(self.psi).max()), 1e-300)
 
-    @classmethod
-    def from_residuals(cls, phi, boundary_parts):
-        phi = np.asarray(phi, dtype=float)
-        boundary_parts = np.asarray(boundary_parts, dtype=float)
-        scale = max(float(np.abs(phi).max()), float(np.abs(boundary_parts).max()), 1e-300)
-        return cls(phi - boundary_parts, scale=scale)
-
 
 def recover_fluxes(graph, problem, laplacian=None):
     """Minimum-norm edge fluxes with A fhat = Psi (componentwise).
@@ -84,20 +98,12 @@ def recover_fluxes(graph, problem, laplacian=None):
     Raises ConservationError when the residual sum exceeds the relative
     tolerance: such residuals admit no flux form at all.
     """
-    psi = problem.psi
-    defect = psi.sum(axis=0)
-    if np.abs(defect).max() > SUM_TOLERANCE * problem.scale:
-        raise ConservationError(
-            f"residuals sum to {defect}, not zero; no flux form exists", defect=defect
-        )
     if laplacian is None:
         laplacian = build_laplacian(graph)
-    y = laplacian.solve(psi)
-    return EdgeFluxSet(graph, graph.incidence.T @ y)
+    return EdgeFluxSet(graph, laplacian.recover(problem.psi[None], np.array([problem.scale]))[0])
 
 
-_SEGMENT = element_graph("segment")
-_SEGMENT_LAPLACIAN = None
+_SEGMENT_LAPLACIAN = build_laplacian(element_graph("segment"))
 
 
 def reconstruct_scheme(mesh, states, residuals):
@@ -112,18 +118,11 @@ def reconstruct_scheme(mesh, states, residuals):
     Returns (increments, edge_fluxes) with increments shaped (ndof, p) and
     edge_fluxes (ncell, p).
     """
-    global _SEGMENT_LAPLACIAN
-    if _SEGMENT_LAPLACIAN is None:
-        _SEGMENT_LAPLACIAN = build_laplacian(_SEGMENT)
+    phi, bparts = residuals.phi, residuals.boundary_parts
+    scale = np.maximum(np.abs(phi).max(axis=(1, 2)), np.abs(bparts).max(axis=(1, 2)))
+    edge_fluxes = _SEGMENT_LAPLACIAN.recover(phi - bparts, np.maximum(scale, 1e-300))[:, 0]
 
-    ncell = residuals.ncell
-    p = residuals.phi.shape[2]
-    edge_fluxes = np.empty((ncell, p))
-    for k in range(ncell):
-        problem = RecoveryProblem.from_residuals(residuals.phi[k], residuals.boundary_parts[k])
-        edge_fluxes[k] = recover_fluxes(_SEGMENT, problem, _SEGMENT_LAPLACIAN).values[0]
-
-    increments = np.zeros((mesh.ndof, p))
-    np.add.at(increments, residuals.cell_dofs[:, 0], edge_fluxes + residuals.boundary_parts[:, 0])
-    np.add.at(increments, residuals.cell_dofs[:, 1], -edge_fluxes + residuals.boundary_parts[:, 1])
+    increments = np.zeros((mesh.ndof, phi.shape[2]))
+    np.add.at(increments, residuals.cell_dofs[:, 0], edge_fluxes + bparts[:, 0])
+    np.add.at(increments, residuals.cell_dofs[:, 1], -edge_fluxes + bparts[:, 1])
     return increments, edge_fluxes

@@ -160,8 +160,8 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
     h = mesh.cell_sizes[:, None]
 
     speed = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
-    with np.errstate(divide="ignore"):
-        tau = np.where(speed > 1e-300, tau_scale / (2.0 * speed), 0.0)[:, None]
+    tau = np.divide(tau_scale, 2.0 * speed, out=np.zeros_like(speed), where=speed > 1e-300)
+    tau = tau[:, None]
 
     f_left = model.flux(u_left)
     f_right = model.flux(u_right)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,28 @@ def test_cli_recover_fluxes_nc_scheme(tmp_path):
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 33
+
+
+def test_cli_config_tau_scale_reaches_supg(tmp_path):
+    config = tmp_path / "tau.cfg"
+    config.write_text("tau-scale = 3\n", encoding="utf-8")
+    texts = []
+    for name, extra in (("default.csv", []), ("tau3.csv", ["--config", str(config)])):
+        out = tmp_path / name
+        code = main(["recover-fluxes", "--case", "burgers-sine", "--scheme", "supg",
+                     "--nx", "16", "--out", str(out)] + extra)
+        assert code == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    assert texts[0] != texts[1]
+
+
+def test_cli_supg_run_emits_no_runtime_warning(tmp_path):
+    # zero wave speeds on the Riemann plateaus used to overflow tau = 1/(2 speed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--case", "burgers-riemann", "--scheme", "supg", "--nx", "100",
+                     "--out", str(tmp_path / "supg.csv")])
+    assert code == 0
 
 
 def test_cli_diagnose_weak(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConservationError, GraphStructureError
 from conserva.mesh import ElementGraph, element_graph, uniform_mesh
@@ -10,7 +13,7 @@ from conserva.recovery import (
     recover_fluxes,
     reconstruct_scheme,
 )
-from conserva.schemes import NumericalFlux, fv_residuals_1d, supg_residuals_1d
+from conserva.schemes import NumericalFlux, ResidualSet, fv_residuals_1d, supg_residuals_1d
 
 
 def test_laplacian_segment():
@@ -139,3 +142,117 @@ def test_reconstruct_zero_residuals_zero_fluxes():
     increments, edge_fluxes = reconstruct_scheme(mesh, states, residuals)
     np.testing.assert_array_equal(edge_fluxes, 0.0)
     np.testing.assert_array_equal(increments, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched recovery: R = A^T L^+ applied to stacks of elements
+# ---------------------------------------------------------------------------
+
+
+def test_laplacian_operator_is_read_only():
+    laplacian = build_laplacian(element_graph("segment"))
+    np.testing.assert_array_equal(laplacian.operator, [[0.5, -0.5]])
+    with pytest.raises(ValueError):
+        laplacian.operator[0, 0] = 1.0
+
+
+def test_recover_fluxes_error_names_element_zero():
+    graph = element_graph("triangle")
+    with pytest.raises(ConservationError) as excinfo:
+        recover_fluxes(graph, RecoveryProblem(np.array([[1.0], [0.0], [0.0]])))
+    np.testing.assert_array_equal(excinfo.value.elements, [0])
+
+
+def _supg_residuals(n=24):
+    model, mesh, states = _burgers_setup(n)
+    return mesh, states, supg_residuals_1d(mesh, states, model)
+
+
+def _with_phi(residuals, phi, bparts=None):
+    bparts = residuals.boundary_parts if bparts is None else bparts
+    return ResidualSet(residuals.cell_dofs, phi, bparts, residuals.domain_boundary_flux)
+
+
+def test_reconstruct_names_exactly_the_shifted_element():
+    mesh, states, residuals = _supg_residuals()
+    phi = residuals.phi.copy()
+    phi[5, 1] += 1e-3
+    with pytest.raises(ConservationError) as excinfo:
+        reconstruct_scheme(mesh, states, _with_phi(residuals, phi))
+    np.testing.assert_array_equal(excinfo.value.elements, [5])
+    assert excinfo.value.defect.shape == (1, 1)
+
+
+def test_reconstruct_judges_each_element_against_its_own_scale():
+    mesh, states, residuals = _supg_residuals()
+    phi = residuals.phi.copy()
+    bparts = residuals.boundary_parts.copy()
+    phi[3] *= 1e8
+    bparts[3] *= 1e8
+    big = max(np.abs(phi[3]).max(), np.abs(bparts[3]).max())
+    phi[3, 0] += 1e-14 * big  # rounding-sized on its own scale: accepted
+    reconstruct_scheme(mesh, states, _with_phi(residuals, phi, bparts))
+
+    # 1e-6 is below 1e-10 of the largest element but far above the tolerance
+    # of an O(1) element, so only a per-element scale catches it
+    phi[9, 0] += 1e-6
+    with pytest.raises(ConservationError) as excinfo:
+        reconstruct_scheme(mesh, states, _with_phi(residuals, phi, bparts))
+    np.testing.assert_array_equal(excinfo.value.elements, [9])
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random spanning tree plus extra edges, random orientation and order."""
+    ndof = draw(st.integers(2, 8))
+    undirected = {(draw(st.integers(0, i - 1)), i) for i in range(1, ndof)}
+    extra = draw(st.sets(st.tuples(st.integers(0, ndof - 1), st.integers(0, ndof - 1)),
+                         max_size=ndof))
+    undirected |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in sorted(undirected)]
+    return ElementGraph(ndof, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def psi_stacks(draw):
+    """A graph, a zero-sum Psi stack (k, ndof, p) and per-element scales."""
+    graph = draw(connected_graphs())
+    k, p = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = draw(hnp.arrays(float, (k, graph.ndof, p), elements=unit))
+    raw *= 10.0 ** draw(hnp.arrays(int, (k, 1, 1), elements=st.integers(-50, 50)))
+    scale = np.maximum(np.abs(raw).max(axis=(1, 2)), 1e-300)
+    return graph, raw - raw.mean(axis=1, keepdims=True), scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi_stacks())
+def test_property_recovered_fluxes_reproduce_psi(case):
+    graph, psi, scale = case
+    fhat = build_laplacian(graph).recover(psi, scale)
+    err = np.abs(graph.incidence @ fhat - psi).max(axis=(1, 2))
+    assert (err <= 1e-11 * scale).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi_stacks())
+def test_property_operator_matches_solve_and_pseudo_inverse(case):
+    graph, psi, scale = case
+    laplacian = build_laplacian(graph)
+    pinv = np.linalg.pinv(graph.incidence)
+    for k in range(len(psi)):
+        got = laplacian.operator @ psi[k]
+        via_solve = graph.incidence.T @ laplacian.solve(psi[k])
+        np.testing.assert_allclose(got, via_solve, rtol=0, atol=1e-11 * scale[k])
+        np.testing.assert_allclose(got, pinv @ psi[k], rtol=0, atol=1e-11 * scale[k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi_stacks())
+def test_property_batched_recovery_equals_single_calls(case):
+    graph, psi, scale = case
+    laplacian = build_laplacian(graph)
+    batched = laplacian.recover(psi, scale)
+    for k in range(len(psi)):
+        single = recover_fluxes(graph, RecoveryProblem(psi[k], scale=scale[k]), laplacian)
+        np.testing.assert_array_equal(batched[k], single.values)
