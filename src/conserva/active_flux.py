@@ -26,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RecoveryError, RunError, SplittingError
-from .records import Ledger, SolutionRecord
+from .errors import RecoveryError, SplittingError, StepRejectedError
+from .records import SolutionRecord
+from .schemes import _ssp_stages, _stage_flux_weights, march, rusanov_unchecked
 
 DEFAULT_CFL = 0.4  # SSPRK3 point-average coupling is unstable by CFL 0.5
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
+# ((a, b), flux weight) per stage: stage = a * u^n + b * (stage + dt * rate)
+_SSP3 = tuple(zip(_ssp_stages("ssprk3"), _stage_flux_weights(_ssp_stages("ssprk3"))))
 
 
 @dataclass
@@ -40,9 +43,6 @@ class AfState:
 
     averages: np.ndarray
     points: np.ndarray
-
-    def copy(self):
-        return AfState(self.averages.copy(), self.points.copy())
 
 
 def initialize(model, mesh, u0_of_x, quad_points=5):
@@ -174,13 +174,6 @@ def _neighbor_averages(mesh, averages, points, model):
     return left, right
 
 
-def _rusanov(model, u_left, u_right):
-    alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
-    return 0.5 * (model.flux(u_left) + model.flux(u_right)) - 0.5 * alpha[..., None] * (
-        u_right - u_left
-    )
-
-
 def _flagged_faces(mesh, flagged):
     faces = np.zeros(mesh.ndof, dtype=bool)
     np.logical_or.at(faces, mesh.cell_dofs[:, 0], flagged)
@@ -200,8 +193,8 @@ def _fallback_point_rate(mesh, state, model, flagged):
         width[0] = mesh.cell_sizes[0]
         width[-1] = mesh.cell_sizes[-1]
         width[1:-1] = 0.5 * (mesh.cell_sizes[:-1] + mesh.cell_sizes[1:])
-    f_right = _rusanov(model, u_pts, right)
-    f_left = _rusanov(model, left, u_pts)
+    f_right = rusanov_unchecked(u_pts, right, model)
+    f_left = rusanov_unchecked(left, u_pts, model)
     du = -(f_right - f_left) / width[:, None]
     # chain rule back to the mapped variables
     P = model.aux_jacobian(u_pts)
@@ -216,7 +209,7 @@ def _rhs(mesh, state, model, flagged):
     if flagged is not None and flagged.any():
         bad_faces = _flagged_faces(mesh, flagged)
         left, right = _neighbor_averages(mesh, state.averages, state.points, model)
-        robust = _rusanov(model, left, right)
+        robust = rusanov_unchecked(left, right, model)
         face_flux = np.where(bad_faces[:, None], robust, face_flux)
     f_left = face_flux[mesh.cell_dofs[:, 0]]
     f_right = face_flux[mesh.cell_dofs[:, 1]]
@@ -229,7 +222,7 @@ def _rhs(mesh, state, model, flagged):
     return dub, dv, boundary
 
 
-def _detect(mesh, model, candidate, previous, dmp_rel, dmp_abs):
+def _detect(mesh, model, candidate, previous):
     """Flag cells whose candidate step is non-physical or oscillatory."""
     averages = candidate.averages
     points = candidate.points
@@ -261,7 +254,7 @@ def _detect(mesh, model, candidate, previous, dmp_rel, dmp_abs):
         ext = np.concatenate([field_old[:1], field_old, field_old[-1:]])
         lo = np.minimum(np.minimum(ext[:-2], ext[1:-1]), ext[2:])
         hi = np.maximum(np.maximum(ext[:-2], ext[1:-1]), ext[2:])
-    slack = np.maximum(dmp_abs, dmp_rel * (hi - lo))
+    slack = np.maximum(DMP_RELAX_ABS, DMP_RELAX_REL * (hi - lo))
     with np.errstate(invalid="ignore"):
         bad |= (field_new < lo - slack) | (field_new > hi + slack)
     return bad
@@ -269,10 +262,8 @@ def _detect(mesh, model, candidate, previous, dmp_rel, dmp_abs):
 
 def _ssp3_step(mesh, state, model, dt, flagged):
     boundary = np.zeros(model.p)
-    weights = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
-    coeffs = ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))
     cur = state
-    for (a, b), w in zip(coeffs, weights):
+    for (a, b), w in _SSP3:
         dub, dv, bflux = _rhs(mesh, cur, model, flagged)
         boundary = boundary + w * dt * bflux
         cur = AfState(
@@ -290,25 +281,25 @@ def af_integrate(
     cfl=DEFAULT_CFL,
     t_end,
     detector=False,
-    dmp_rel=DMP_RELAX_REL,
-    dmp_abs=DMP_RELAX_ABS,
     snapshot_every=0,
     stop_after_steps=None,
-    max_steps=10_000_000,
 ):
     """SSPRK3 time marching of the two-field scheme with optional fallback.
 
-    Ledgers mirror the residual-scheme integrator: conserved totals and
-    entropy are computed from the averages, the accumulated boundary flux
-    makes the conservation check exact, and fallback_cells counts how many
-    cells were flagged each step.
+    Runs the shared ``schemes.march`` loop: conserved totals and entropy are
+    computed from the averages, the accumulated boundary flux makes the
+    conservation check exact, and fallback_cells counts how many cells were
+    flagged each step.  With the detector on, a step is re-run at most twice,
+    each time with the robust update in every cell flagged so far.
     """
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
-    state = state0.copy()
-
     sizes = mesh.cell_sizes[:, None]
-    totals = lambda s: (sizes * s.averages).sum(axis=0)
+
+    def speed(s):
+        with np.errstate(all="ignore"):
+            return max(
+                float(model.max_wave_speed(s.averages).max()),
+                float(model.max_wave_speed(_point_states(model, s.points)).max()),
+            )
 
     def entropy(s):
         # without the detector a finite but inadmissible state can reach the
@@ -316,76 +307,39 @@ def af_integrate(
         with np.errstate(all="ignore"):
             return float((mesh.cell_sizes * model.entropy(s.averages)).sum())
 
-    times = [0.0]
-    snaps_pts = [state.points.copy()]
-    snaps_avg = [state.averages.copy()]
-    led_time = [0.0]
-    led_totals = [totals(state)]
-    led_entropy = [entropy(state)]
-    led_bflux = [np.zeros(model.p)]
-    led_alpha = [0.0]
-    led_fallback = [0]
-
-    t = 0.0
-    step = 0
-    min_dx = float(mesh.cell_sizes.min())
-    while t < t_end - 1e-13 * max(1.0, t_end):
-        if stop_after_steps is not None and step >= stop_after_steps:
-            break
-        if step >= max_steps:
-            raise RunError(f"step budget exhausted at t={t}", step=step)
-        with np.errstate(all="ignore"):
-            speed = max(
-                float(model.max_wave_speed(state.averages).max()),
-                float(model.max_wave_speed(_point_states(model, state.points)).max()),
-            )
-        if not np.isfinite(speed):
-            raise RunError(f"blow-up at step {step} (t={t:.6g})", step=step)
-        dt = min(cfl * min_dx / max(speed, 1e-300), t_end - t)
-
+    def advance(state, dt):
         flagged = np.zeros(mesh.ncell, dtype=bool)
         with np.errstate(all="ignore"):
             candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged)
             if detector:
                 for _ in range(2):
-                    bad = _detect(mesh, model, candidate, state, dmp_rel, dmp_abs)
+                    bad = _detect(mesh, model, candidate, state)
                     if not (bad & ~flagged).any():
                         break
                     flagged |= bad
                     candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged)
-
         if not (
             np.isfinite(candidate.averages).all() and np.isfinite(candidate.points).all()
         ):
-            raise RunError(f"blow-up at step {step} (t={t:.6g})", step=step)
+            raise StepRejectedError("non-finite state", location=None)
+        return candidate, boundary, 0.0, int(flagged.sum())
 
-        state = candidate
-        t += dt
-        step += 1
-        led_time.append(t)
-        led_totals.append(totals(state))
-        led_entropy.append(entropy(state))
-        led_bflux.append(led_bflux[-1] + boundary)
-        led_alpha.append(0.0)
-        led_fallback.append(int(flagged.sum()))
-        if snapshot_every and step % snapshot_every == 0:
-            times.append(t)
-            snaps_pts.append(state.points.copy())
-            snaps_avg.append(state.averages.copy())
-
-    if times[-1] != t:
-        times.append(t)
-        snaps_pts.append(state.points.copy())
-        snaps_avg.append(state.averages.copy())
-
-    ledger = Ledger(
-        time=np.asarray(led_time),
-        totals=np.asarray(led_totals),
-        entropy=np.asarray(led_entropy),
-        boundary_accum=np.asarray(led_bflux),
-        alpha_max=np.asarray(led_alpha),
-        fallback_cells=np.asarray(led_fallback, dtype=int),
+    times, snapshots, ledger = march(
+        state0,
+        advance,
+        speed=speed,
+        length=float(mesh.cell_sizes.min()),
+        cfl=cfl,
+        t_end=t_end,
+        totals=lambda s: (sizes * s.averages).sum(axis=0),
+        entropy=entropy,
+        snapshot=lambda s: (s.points.copy(), s.averages.copy()),
+        snapshot_every=snapshot_every,
+        stop_after_steps=stop_after_steps,
     )
     return SolutionRecord(
-        times=np.asarray(times), states=snaps_pts, ledger=ledger, averages=snaps_avg
+        times=times,
+        states=[points for points, _ in snapshots],
+        ledger=ledger,
+        averages=[averages for _, averages in snapshots],
     )

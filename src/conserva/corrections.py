@@ -11,12 +11,11 @@ in (density, momentum, internal energy) variables conserve total energy.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, CorrectionError
-from .schemes import ResidualSet
 
 log = logging.getLogger(__name__)
 
@@ -113,12 +112,8 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
         alpha = np.minimum(alpha, cap)
 
     r = alpha[:, None, None] * centered
-    corrected = ResidualSet(
-        residuals.cell_dofs,
-        residuals.phi + r,
-        residuals.boundary_parts,
-        residuals.domain_boundary_flux,
-        alpha_max=float(alpha.max()) if len(alpha) else 0.0,
+    corrected = replace(
+        residuals, phi=residuals.phi + r, alpha_max=float(alpha.max()) if len(alpha) else 0.0
     )
     post = np.einsum("kdp,kdp->k", v_cells, corrected.phi) - g_bound
     report = CorrectionReport(

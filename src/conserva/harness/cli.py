@@ -97,24 +97,34 @@ def _read_config_file(path):
         values[key] = value
     return values
 
-_CONFIG_CASTS = {
+
+# every key a config file may set, with its parser
+_CONFIG_KEYS = {
+    "case": str,
+    "scheme": str,
     "nx": int,
     "cfl": float,
     "tend": float,
     "gamma": float,
-    "seed": int,
+    "boundary": str,
     "detector": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "integrator": str,
     "snapshot-every": int,
     "tau-scale": float,
+    "out": str,
 }
 
 
 def _build_run_config(args):
     file_values = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s) {', '.join(unknown)}; known: {', '.join(_CONFIG_KEYS)}"
+        )
     merged = {}
     for key, value in file_values.items():
-        cast = _CONFIG_CASTS.get(key, str)
-        merged[key.replace("-", "_")] = cast(value)
+        merged[key.replace("-", "_")] = _CONFIG_KEYS[key](value)
 
     def pick(name, cli_value):
         return cli_value if cli_value is not None else merged.get(name)
@@ -137,7 +147,6 @@ def _build_run_config(args):
         integrator=pick("integrator", args.integrator),
         snapshot_every=pick("snapshot_every", args.snapshot_every) or 0,
         out=pick("out", args.out),
-        seed=pick("seed", args.seed),
         tau_scale=merged.get("tau_scale", 1.0),
     )
     return config.validate()
@@ -155,7 +164,6 @@ def _add_common(parser):
     parser.add_argument("--snapshot-every", dest="snapshot_every", type=int)
     parser.add_argument("--config", help="key=value file; explicit flags win")
     parser.add_argument("--out", help="output path (CSV or text)")
-    parser.add_argument("--seed", type=int, help="seed recorded with the run")
     parser.add_argument("--detector", action="store_true", default=False,
                         help="enable the a posteriori fallback (active-flux)")
 
@@ -199,16 +207,11 @@ def _cmd_recover_fluxes(config):
     if config.scheme == "active-flux":
         raise ConfigError("recover-fluxes applies to residual schemes, not active-flux")
     if config.scheme == "nc-energy-corrected":
-        scheme = runner.TwoFieldGasScheme(case.model, mesh)
-        residuals = scheme.assemble(scheme.from_conserved(u0), 0.0)
-    elif config.scheme == "supg":
-        residuals = runner._supg_assembler(case.model, mesh, config.tau_scale)(u0, 0.0)
+        gas = schemes.TwoFieldGasScheme(case.model, mesh)
+        residuals = gas.assemble(gas.from_conserved(u0), 0.0)
     else:
-        flux = schemes.NumericalFlux("rusanov", case.model)
-        if config.scheme == "fv-entropy-corrected":
-            residuals = runner._entropy_corrected_assembler(case.model, mesh, flux)(u0, 0.0)
-        else:
-            residuals = runner._fv_assembler(case.model, mesh, flux)(u0, 0.0)
+        assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
+        residuals = assemble(u0, 0.0)
     _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, residuals)
     out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
     path = _out_path(out)

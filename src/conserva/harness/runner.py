@@ -1,13 +1,14 @@
-"""Resolve a RunConfig into model, mesh, assembler and ledgers, then run it."""
+"""Resolve a RunConfig into model, mesh and scheme, then run it."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import active_flux, corrections, schemes
+from .. import active_flux, schemes
 from ..errors import ConfigError
 from ..mesh import uniform_mesh
 from ..records import RunConfig, SolutionRecord
+from ..schemes import TwoFieldGasScheme
 from . import cases
 
 
@@ -19,158 +20,6 @@ def build_problem(config):
     mesh = uniform_mesh(case.domain[0], case.domain[1], config.nx, boundary=boundary)
     u0 = case.u0(mesh.dof_x)
     return case, mesh, u0
-
-
-def _fv_assembler(model, mesh, flux):
-    def assemble(states, dt):
-        return schemes.fv_residuals_1d(mesh, states, flux, model)
-
-    return assemble
-
-
-def _supg_assembler(model, mesh, tau_scale):
-    def assemble(states, dt):
-        return schemes.supg_residuals_1d(mesh, states, model, tau_scale=tau_scale)
-
-    return assemble
-
-
-def _entropy_corrected_assembler(model, mesh, flux):
-    def assemble(states, dt):
-        base = schemes.fv_residuals_1d(mesh, states, flux, model)
-        corrected, _ = corrections.entropy_correction(base, states, model)
-        return corrected
-
-    return assemble
-
-
-class TwoFieldGasScheme:
-    """Residual assembly for the (rho, rho v, e) form of the gas equations.
-
-    Density and momentum use the conservative Rusanov residuals; the internal
-    energy gets a centred non-conservative discretisation of
-    e_t + (e v)_x + p v_x = 0 with matched Rusanov dissipation, then the
-    per-element energy correction makes total energy exactly conservative.
-    Intended for forward Euler stepping: the discrete energy identity is an
-    identity per Euler substep.
-    """
-
-    def __init__(self, model, mesh):
-        self.model = model
-        self.mesh = mesh
-        self.flux = schemes.NumericalFlux("rusanov", model)
-
-    # (rho, m, e) <-> conserved (rho, m, E)
-    def to_conserved(self, w):
-        out = np.array(w, dtype=float, copy=True)
-        out[..., 2] = w[..., 2] + 0.5 * w[..., 1] ** 2 / w[..., 0]
-        return out
-
-    def from_conserved(self, u):
-        out = np.array(u, dtype=float, copy=True)
-        out[..., 2] = u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0]
-        return out
-
-    def assemble(self, w, dt):
-        mesh, model = self.mesh, self.model
-        u = self.to_conserved(w)
-        base = schemes.fv_residuals_1d(mesh, u, self.flux, model)
-        phi_rho = base.phi[:, :, 0]
-        phi_mom = base.phi[:, :, 1]
-
-        dofs = mesh.cell_dofs
-        w_left, w_right = w[dofs[:, 0]], w[dofs[:, 1]]
-        u_left, u_right = u[dofs[:, 0]], u[dofs[:, 1]]
-        vel_l, vel_r = w_left[:, 1] / w_left[:, 0], w_right[:, 1] / w_right[:, 0]
-        e_l, e_r = w_left[:, 2], w_right[:, 2]
-        p_l, p_r = model.pressure(u_left), model.pressure(u_right)
-        alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
-
-        # centred total + Rusanov-type redistribution for the energy equation
-        total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
-        phi_e = np.stack(
-            [0.5 * total - 0.5 * alpha * (e_r - e_l), 0.5 * total + 0.5 * alpha * (e_r - e_l)],
-            axis=1,
-        )
-
-        # velocities after the uncorrected density/momentum update
-        incr = np.zeros((mesh.ndof, 2))
-        np.add.at(incr, dofs[:, 0], base.phi[:, 0, :2])
-        np.add.at(incr, dofs[:, 1], base.phi[:, 1, :2])
-        rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
-        mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
-        v_old = w[:, 1] / w[:, 0]
-        with np.errstate(all="ignore"):
-            # a transient nonpositive rho_new poisons the step with nans and
-            # the integrator then rejects and retries it with a smaller dt
-            v_new = mom_new / rho_new if dt > 0 else v_old
-
-        f_energy = (u[:, 2] + model.pressure(u)) * (u[:, 1] / u[:, 0])
-        target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
-        phi_e, _ = corrections.nonconservative_energy_correction(
-            phi_rho, phi_mom, phi_e, v_old, v_new, dofs, target
-        )
-
-        phi = np.concatenate([base.phi[:, :, :2], phi_e[:, :, None]], axis=2)
-        # boundary share of the corrected internal-energy equation: the total
-        # energy flux minus the velocity-weighted momentum/density residuals,
-        # so the corrected residuals sum exactly to their boundary parts
-        vh = (0.5 * (v_new + v_old))[dofs]
-        vp = (0.5 * (v_new * v_old))[dofs]
-        nodal_e_flux = np.stack([-f_energy[dofs[:, 0]], f_energy[dofs[:, 1]]], axis=1)
-        bparts_e = nodal_e_flux - vh * phi_mom + vp * phi_rho
-        bparts = np.concatenate(
-            [base.boundary_parts[:, :, :2], bparts_e[:, :, None]], axis=2
-        )
-        closure = np.zeros((mesh.ndof, 3))
-        if not mesh.periodic:
-            full = model.flux(u)
-            closure[0, :2] = -full[0, :2]
-            closure[-1, :2] = full[-1, :2]
-            closure[0, 2] = -f_energy[0]
-            closure[-1, 2] = f_energy[-1]
-        return schemes.ResidualSet(dofs, phi, bparts, closure)
-
-    def conserved_totals(self, w):
-        u = self.to_conserved(w)
-        return (self.mesh.volumes[:, None] * u).sum(axis=0)
-
-    def entropy_total(self, w):
-        return float((self.mesh.volumes * self.model.entropy(self.to_conserved(w))).sum())
-
-    def boundary_outflux(self, w):
-        if self.mesh.periodic:
-            return np.zeros(3)
-        u = self.to_conserved(w)
-        model = self.model
-        out = model.flux(u[-1]) - model.flux(u[0])
-        # the energy books are kept in total energy through the nodal flux
-        out[2] = (u[-1, 2] + model.pressure(u[-1])) * (u[-1, 1] / u[-1, 0]) - (
-            u[0, 2] + model.pressure(u[0])
-        ) * (u[0, 1] / u[0, 0])
-        return out
-
-
-class _NcStateModel:
-    """Admissibility/wave-speed adapter so integrate() can watch (rho, m, e)."""
-
-    def __init__(self, scheme):
-        self.scheme = scheme
-        self.model = scheme.model
-
-    def admissible_mask(self, w):
-        finite = np.isfinite(w).all(axis=-1)
-        safe = np.where(finite[..., None], w, 1.0)
-        return finite & (safe[..., 0] > 1e-12) & (safe[..., 2] > 1e-12)
-
-    def max_wave_speed(self, w):
-        return self.model.max_wave_speed(self.scheme.to_conserved(w))
-
-    def entropy(self, w):
-        return self.model.entropy(self.scheme.to_conserved(w))
-
-    def flux(self, w):
-        return self.model.flux(self.scheme.to_conserved(w))
 
 
 def run(config: RunConfig) -> SolutionRecord:
@@ -193,38 +42,25 @@ def run(config: RunConfig) -> SolutionRecord:
             snapshot_every=config.snapshot_every,
         )
     elif config.scheme == "nc-energy-corrected":
-        scheme = TwoFieldGasScheme(model, mesh)
-        w0 = scheme.from_conserved(u0)
+        gas = TwoFieldGasScheme(model, mesh)
         record = schemes.integrate(
-            _NcStateModel(scheme),
+            gas,
             mesh,
-            w0,
-            scheme.assemble,
+            gas.from_conserved(u0),
+            gas.assemble,
             cfl=cfl,
             t_end=t_end,
             integrator=integrator,
             snapshot_every=config.snapshot_every,
-            conserved_totals=scheme.conserved_totals,
-            entropy_total=scheme.entropy_total,
-            boundary_outflux=scheme.boundary_outflux,
+            conserved_totals=gas.conserved_totals,
         )
-        record.states = [scheme.to_conserved(w) for w in record.states]
+        record.states = [gas.to_conserved(w) for w in record.states]
     else:
-        if config.scheme == "fv-rusanov":
-            assemble = _fv_assembler(model, mesh, schemes.NumericalFlux("rusanov", model))
-        elif config.scheme == "fv-entropy-corrected":
-            assemble = _entropy_corrected_assembler(
-                model, mesh, schemes.NumericalFlux("rusanov", model)
-            )
-        elif config.scheme == "supg":
-            assemble = _supg_assembler(model, mesh, config.tau_scale)
-        else:
-            raise ConfigError(f"unhandled scheme {config.scheme!r}")
         record = schemes.integrate(
             model,
             mesh,
             u0,
-            assemble,
+            schemes.residual_assembler(config.scheme, model, mesh, config.tau_scale),
             cfl=cfl,
             t_end=t_end,
             integrator=integrator,

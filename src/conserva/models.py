@@ -48,9 +48,6 @@ class PhysicsModel:
         """Boolean mask over leading axes: True where the state is usable."""
         return np.isfinite(u).all(axis=-1)
 
-    def is_admissible(self, u):
-        return bool(self.admissible_mask(np.asarray(u, dtype=float)).all())
-
     def require_admissible(self, u):
         u = np.asarray(u, dtype=float)
         mask = self.admissible_mask(u)

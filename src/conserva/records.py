@@ -22,6 +22,10 @@ _DEFAULT_INTEGRATOR = {
     "supg": "ssprk3",
     "active-flux": "ssprk3",
 }
+# schemes whose guarantees hold for one integrator only: active flux is an
+# SSPRK3 scheme, and the energy identity of nc-energy-corrected holds per
+# forward Euler step (SSP stages combined in (rho, m, e) lose total energy)
+_ONLY_INTEGRATOR = {"active-flux": "ssprk3", "nc-energy-corrected": "euler"}
 _DEFAULT_CFL = {
     "fv-rusanov": 0.4,
     "fv-entropy-corrected": 0.4,
@@ -47,7 +51,6 @@ class RunConfig:
     integrator: str | None = None
     snapshot_every: int = 0
     out: str | None = None
-    seed: int | None = None
 
     def validate(self):
         if self.case not in CASE_IDS:
@@ -64,6 +67,11 @@ class RunConfig:
             raise ConfigError(f"unknown boundary kind {self.boundary!r}")
         if self.integrator is not None and self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
+        only = _ONLY_INTEGRATOR.get(self.scheme)
+        if self.integrator is not None and only is not None and self.integrator != only:
+            raise ConfigError(
+                f"{self.scheme} runs with integrator {only} only, got {self.integrator!r}"
+            )
         if self.scheme == "nc-energy-corrected" and self.case not in EULER_CASES:
             raise ConfigError("nc-energy-corrected needs a gas-dynamics case (sod, shu-osher)")
         if self.gamma <= 1.0:

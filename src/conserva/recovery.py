@@ -55,10 +55,11 @@ class GraphLaplacian:
         """Edge fluxes R Psi_k, shape (n, nedges, p), of a Psi stack (n, ndof, p).
 
         Element k must sum to zero within SUM_TOLERANCE * scale[k]; otherwise
-        ConservationError names every element that does not.
+        ConservationError names every element that does not, including every
+        element whose Psi or scale is not finite.
         """
         defect = psi.sum(axis=1)
-        bad = np.flatnonzero(np.abs(defect).max(axis=1) > SUM_TOLERANCE * scale)
+        bad = np.flatnonzero(~(np.abs(defect).max(axis=1) <= SUM_TOLERANCE * scale))
         if bad.size:
             raise ConservationError(
                 f"residuals of {bad.size} element(s), first {bad[:5].tolist()}, do not sum "
@@ -79,6 +80,7 @@ def build_laplacian(graph):
 class RecoveryProblem:
     """Right-hand side Psi_sigma = Phi_sigma - fhat_sigma^b of one element.
 
+    ``psi`` is (ndof, p); a 1-D Psi is one component, shape (ndof, 1).
     ``scale`` is the magnitude the conservation precondition is judged
     against (by default the size of Psi itself).
     """
@@ -87,7 +89,8 @@ class RecoveryProblem:
     scale: float | None = None
 
     def __post_init__(self):
-        self.psi = np.atleast_2d(np.asarray(self.psi, dtype=float))
+        psi = np.asarray(self.psi, dtype=float)
+        self.psi = psi[:, None] if psi.ndim == 1 else psi
         if self.scale is None:
             self.scale = max(float(np.abs(self.psi).max()), 1e-300)
 

@@ -7,6 +7,11 @@ sum to its boundary flux integral; the update then reads
 
     u_sigma^{n+1} = u_sigma^n - dt / |C_sigma| * sum_{K owning sigma} Phi_sigma^K.
 
+A residual scheme is a base residual (finite volume or SUPG) followed by an
+ordered tuple of zero-sum corrections; ``residual_assembler`` builds one from
+its scheme id.  ``march`` is the one time-marching loop: ``integrate`` and
+the two-field scheme's ``af_integrate`` hand it a step function.
+
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
 """
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import corrections
 from .errors import ConfigError, GeometryError, RunError, StepRejectedError
 from .records import Ledger, SolutionRecord
 
@@ -37,9 +43,19 @@ def rusanov(n, u_left, u_right, model):
     """
     u_left = model.require_admissible(u_left)
     u_right = model.require_admissible(u_right)
+    return n * rusanov_unchecked(u_left, u_right, model)
+
+
+def rusanov_unchecked(u_left, u_right, model):
+    """The Rusanov flux in direction +1 without the admissibility checks.
+
+    The active-flux fallback evaluates it on candidate states that its
+    detector judges afterwards, so it must not raise; the checks would also
+    double the cost of each call.
+    """
     alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
     avg = 0.5 * (model.flux(u_left) + model.flux(u_right))
-    return n * (avg - 0.5 * alpha[..., None] * (u_right - u_left))
+    return avg - 0.5 * alpha[..., None] * (u_right - u_left)
 
 
 def central(n, u_left, u_right, model):
@@ -49,12 +65,6 @@ def central(n, u_left, u_right, model):
     return n * 0.5 * (model.flux(u_left) + model.flux(u_right))
 
 
-def upwind_advection(n, u_left, u_right, model):
-    """Exact upwinding for linear advection (first argument on the left)."""
-    donor = u_left if model.a >= 0 else u_right
-    return n * model.flux(donor)
-
-
 @dataclass(frozen=True)
 class NumericalFlux:
     """A consistent two-point interface flux f_hat(n; uL, uR)."""
@@ -62,7 +72,7 @@ class NumericalFlux:
     kind: str
     model: object
 
-    _TABLE = {"rusanov": rusanov, "central": central, "upwind-advection": upwind_advection}
+    _TABLE = {"rusanov": rusanov, "central": central}
 
     def __post_init__(self):
         if self.kind not in self._TABLE:
@@ -235,6 +245,163 @@ def rusanov_2d(physical_flux, wave_speed):
 
 
 # ---------------------------------------------------------------------------
+# schemes by id
+# ---------------------------------------------------------------------------
+
+
+def _entropy_corrected(residuals, states, model):
+    return corrections.entropy_correction(residuals, states, model)[0]
+
+
+_CORRECTIONS = {"entropy": _entropy_corrected}
+
+# residual scheme id -> (base residual, corrections applied in this order)
+RESIDUAL_SCHEMES = {
+    "fv-rusanov": ("fv", ()),
+    "fv-entropy-corrected": ("fv", ("entropy",)),
+    "supg": ("supg", ()),
+}
+
+
+def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
+    """assemble(states, dt) -> ResidualSet for a residual scheme id.
+
+    The base residual is Rusanov finite volume (``fv``) or SUPG with the
+    given tau scale (``supg``); each correction then redistributes the
+    residuals inside every element with zero sum, so the base residual's
+    conservation survives.
+    """
+    if scheme_id not in RESIDUAL_SCHEMES:
+        raise ConfigError(
+            f"{scheme_id!r} is not a residual scheme; known: {', '.join(RESIDUAL_SCHEMES)}"
+        )
+    base, steps = RESIDUAL_SCHEMES[scheme_id]
+    flux = NumericalFlux("rusanov", model)
+
+    def assemble(states, dt):
+        if base == "fv":
+            residuals = fv_residuals_1d(mesh, states, flux, model)
+        else:
+            residuals = supg_residuals_1d(mesh, states, model, tau_scale=tau_scale)
+        for name in steps:
+            residuals = _CORRECTIONS[name](residuals, states, model)
+        return residuals
+
+    return assemble
+
+
+class TwoFieldGasScheme:
+    """Residual assembly for the (rho, rho v, e) form of the gas equations.
+
+    Density and momentum use the conservative Rusanov residuals; the internal
+    energy gets a centred non-conservative discretisation of
+    e_t + (e v)_x + p v_x = 0 with matched Rusanov dissipation, then the
+    per-element energy correction makes total energy exactly conservative.
+    Intended for forward Euler stepping: the discrete energy identity is an
+    identity per Euler substep.
+
+    The scheme is also the model ``integrate`` watches: admissibility, wave
+    speeds, entropy and flux are those of the gas model, read through
+    (rho, m, e).
+    """
+
+    def __init__(self, model, mesh):
+        self.model = model
+        self.mesh = mesh
+        self.fv_flux = NumericalFlux("rusanov", model)
+
+    # (rho, m, e) <-> conserved (rho, m, E)
+    def to_conserved(self, w):
+        out = np.array(w, dtype=float, copy=True)
+        out[..., 2] = w[..., 2] + 0.5 * w[..., 1] ** 2 / w[..., 0]
+        return out
+
+    def from_conserved(self, u):
+        out = np.array(u, dtype=float, copy=True)
+        out[..., 2] = u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0]
+        return out
+
+    def assemble(self, w, dt):
+        mesh, model = self.mesh, self.model
+        u = self.to_conserved(w)
+        base = fv_residuals_1d(mesh, u, self.fv_flux, model)
+        phi_rho = base.phi[:, :, 0]
+        phi_mom = base.phi[:, :, 1]
+
+        dofs = mesh.cell_dofs
+        w_left, w_right = w[dofs[:, 0]], w[dofs[:, 1]]
+        u_left, u_right = u[dofs[:, 0]], u[dofs[:, 1]]
+        vel_l, vel_r = w_left[:, 1] / w_left[:, 0], w_right[:, 1] / w_right[:, 0]
+        e_l, e_r = w_left[:, 2], w_right[:, 2]
+        p_l, p_r = model.pressure(u_left), model.pressure(u_right)
+        alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+
+        # centred total + Rusanov-type redistribution for the energy equation
+        total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
+        phi_e = np.stack(
+            [0.5 * total - 0.5 * alpha * (e_r - e_l), 0.5 * total + 0.5 * alpha * (e_r - e_l)],
+            axis=1,
+        )
+
+        # velocities after the uncorrected density/momentum update
+        incr = np.zeros((mesh.ndof, 2))
+        np.add.at(incr, dofs[:, 0], base.phi[:, 0, :2])
+        np.add.at(incr, dofs[:, 1], base.phi[:, 1, :2])
+        rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
+        mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
+        v_old = w[:, 1] / w[:, 0]
+        with np.errstate(all="ignore"):
+            # a transient nonpositive rho_new poisons the step with nans and
+            # the integrator then rejects and retries it with a smaller dt
+            v_new = mom_new / rho_new if dt > 0 else v_old
+
+        f_energy = (u[:, 2] + model.pressure(u)) * (u[:, 1] / u[:, 0])
+        target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
+        phi_e, _ = corrections.nonconservative_energy_correction(
+            phi_rho, phi_mom, phi_e, v_old, v_new, dofs, target
+        )
+
+        phi = np.concatenate([base.phi[:, :, :2], phi_e[:, :, None]], axis=2)
+        # boundary share of the corrected internal-energy equation: the total
+        # energy flux minus the velocity-weighted momentum/density residuals,
+        # so the corrected residuals sum exactly to their boundary parts
+        vh = (0.5 * (v_new + v_old))[dofs]
+        vp = (0.5 * (v_new * v_old))[dofs]
+        nodal_e_flux = np.stack([-f_energy[dofs[:, 0]], f_energy[dofs[:, 1]]], axis=1)
+        bparts_e = nodal_e_flux - vh * phi_mom + vp * phi_rho
+        bparts = np.concatenate(
+            [base.boundary_parts[:, :, :2], bparts_e[:, :, None]], axis=2
+        )
+        closure = np.zeros((mesh.ndof, 3))
+        if not mesh.periodic:
+            full = model.flux(u)
+            closure[0, :2] = -full[0, :2]
+            closure[-1, :2] = full[-1, :2]
+            closure[0, 2] = -f_energy[0]
+            closure[-1, 2] = f_energy[-1]
+        return ResidualSet(dofs, phi, bparts, closure)
+
+    def conserved_totals(self, w):
+        u = self.to_conserved(w)
+        return (self.mesh.volumes[:, None] * u).sum(axis=0)
+
+    # the model interface integrate() uses, on (rho, m, e) states
+    def admissible_mask(self, w):
+        finite = np.isfinite(w).all(axis=-1)
+        safe = np.where(finite[..., None], w, 1.0)
+        return finite & (safe[..., 0] > 1e-12) & (safe[..., 2] > 1e-12)
+
+    def max_wave_speed(self, w):
+        return self.model.max_wave_speed(self.to_conserved(w))
+
+    def entropy(self, w):
+        return self.model.entropy(self.to_conserved(w))
+
+    def flux(self, w):
+        return self.model.flux(self.to_conserved(w))
+
+
+# ---------------------------------------------------------------------------
 # time stepping
 # ---------------------------------------------------------------------------
 
@@ -275,6 +442,91 @@ def _stage_flux_weights(stages):
     return weights
 
 
+MAX_STEPS = 10_000_000
+MAX_RETRIES = 8  # dt halvings before a rejected step ends the run
+
+
+def march(state, advance, *, speed, length, cfl, t_end, totals, entropy, snapshot,
+          snapshot_every=0, stop_after_steps=None):
+    """The time-marching loop shared by every integrator.
+
+    Each step takes dt = cfl * length / speed(state), cut to land on t_end,
+    and calls advance(state, dt) -> (state, boundary_flux, alpha_max,
+    flagged_cells), where boundary_flux is the net outward flux through the
+    domain boundary over the step.  An advance that raises
+    StepRejectedError is retried with dt halved, up to MAX_RETRIES times.
+
+    The ledger books totals(state), entropy(state), the accumulated boundary
+    flux (so conservation can be checked exactly), alpha_max and
+    flagged_cells for the initial state and after every step.
+    snapshot(state) is kept every snapshot_every steps and at the end.
+    A non-finite speed, persistent rejection or MAX_STEPS steps raise
+    RunError with the step index.
+
+    Returns (times, snapshots, ledger).
+    """
+    if t_end <= 0:
+        raise ConfigError("t_end must be positive")
+    times = [0.0]
+    snapshots = [snapshot(state)]
+    led_time = [0.0]
+    led_totals = [totals(state)]
+    led_entropy = [entropy(state)]
+    led_bflux = [np.zeros_like(led_totals[0])]
+    led_alpha = [0.0]
+    led_flagged = [0]
+
+    t = 0.0
+    step = 0
+    while t < t_end - 1e-13 * max(1.0, t_end):
+        if stop_after_steps is not None and step >= stop_after_steps:
+            break
+        if step >= MAX_STEPS:
+            raise RunError(f"step budget exhausted at t={t}", step=step)
+        fastest = speed(state)
+        if not np.isfinite(fastest):
+            raise RunError(f"blow-up at step {step} (t={t:.6g})", step=step)
+        dt = min(cfl * length / max(fastest, 1e-300), t_end - t)
+
+        for attempt in range(MAX_RETRIES + 1):
+            try:
+                state, bflux, alpha_max, flagged = advance(state, dt)
+                break
+            except StepRejectedError as exc:
+                if attempt == MAX_RETRIES:
+                    raise RunError(
+                        f"state stayed inadmissible after {MAX_RETRIES} dt halvings: {exc}",
+                        step=step,
+                    ) from exc
+                dt *= 0.5
+
+        t += dt
+        step += 1
+        led_time.append(t)
+        led_totals.append(totals(state))
+        led_entropy.append(entropy(state))
+        led_bflux.append(led_bflux[-1] + bflux)
+        led_alpha.append(alpha_max)
+        led_flagged.append(flagged)
+        if snapshot_every and step % snapshot_every == 0:
+            times.append(t)
+            snapshots.append(snapshot(state))
+
+    if times[-1] != t:
+        times.append(t)
+        snapshots.append(snapshot(state))
+
+    ledger = Ledger(
+        time=np.asarray(led_time),
+        totals=np.asarray(led_totals),
+        entropy=np.asarray(led_entropy),
+        boundary_accum=np.asarray(led_bflux),
+        alpha_max=np.asarray(led_alpha),
+        fallback_cells=np.asarray(led_flagged, dtype=int),
+    )
+    return np.asarray(times), snapshots, ledger
+
+
 def integrate(
     model,
     mesh,
@@ -286,108 +538,58 @@ def integrate(
     integrator="euler",
     snapshot_every=0,
     conserved_totals=None,
-    entropy_total=None,
-    boundary_outflux=None,
     stop_after_steps=None,
-    max_steps=10_000_000,
-    max_retries=8,
 ):
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
-    assemble(states, dt) -> ResidualSet.  The per-step ledgers record the
-    totals of each conserved quantity, the total entropy, the accumulated
-    boundary flux (so conservation can be checked exactly), and the largest
-    correction coefficient reported by the assembler.  Steps that produce
-    inadmissible states are retried with halved dt; persistent failure raises
-    RunError with the step index.
+    assemble(states, dt) -> ResidualSet.  model supplies the wave speeds, the
+    admissibility test, the entropy and the physical flux closing the
+    boundary account, all in the variables the states are kept in.  The
+    ledger's totals come from conserved_totals(states), by default the
+    volume-weighted sums; alpha_max is the largest correction coefficient
+    reported by the assembler.  See ``march`` for steps, retries and errors.
     """
     states = np.asarray(u0, dtype=float)
     if states.ndim != 2 or states.shape[0] != mesh.ndof:
         raise ConfigError(f"u0 must be ({mesh.ndof}, p)")
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
 
-    vols = mesh.volumes[:, None]
     if conserved_totals is None:
+        vols = mesh.volumes[:, None]
         conserved_totals = lambda u: (vols * u).sum(axis=0)
-    if entropy_total is None:
-        entropy_total = lambda u: float((mesh.volumes * model.entropy(u)).sum())
-    if boundary_outflux is None:
 
-        def boundary_outflux(u):
-            if mesh.periodic:
-                return np.zeros(states.shape[1])
-            return model.flux(u[-1]) - model.flux(u[0])
+    def boundary_outflux(u):
+        if mesh.periodic:
+            return np.zeros(u.shape[1])
+        return model.flux(u[-1]) - model.flux(u[0])
 
     stages = _ssp_stages(integrator)
     flux_weights = _stage_flux_weights(stages)
-    min_vol = float(mesh.volumes.min())
 
-    times = [0.0]
-    snapshots = [states.copy()]
-    led_time = [0.0]
-    led_totals = [conserved_totals(states)]
-    led_entropy = [entropy_total(states)]
-    led_bflux = [np.zeros(states.shape[1])]
-    led_alpha = [0.0]
-    led_fallback = [0]
+    def advance(u, dt):
+        cur = u
+        alpha_max = 0.0
+        bflux = np.zeros(u.shape[1])
+        for (a_coef, b_coef), w in zip(stages, flux_weights):
+            residuals = assemble(cur, dt)
+            alpha_max = max(alpha_max, residuals.alpha_max)
+            bflux = bflux + w * dt * boundary_outflux(cur)
+            stage_new = rd_step(mesh, cur, residuals, dt, model=model)
+            cur = a_coef * u + b_coef * stage_new
+        if not np.isfinite(cur).all():
+            raise StepRejectedError("non-finite state", location=None)
+        return cur, bflux, alpha_max, 0
 
-    t = 0.0
-    step = 0
-    while t < t_end - 1e-13 * max(1.0, t_end):
-        if stop_after_steps is not None and step >= stop_after_steps:
-            break
-        if step >= max_steps:
-            raise RunError(f"step budget exhausted at t={t}", step=step)
-        speed = float(model.max_wave_speed(states).max())
-        dt = min(cfl * min_vol / max(speed, 1e-300), t_end - t)
-
-        for attempt in range(max_retries + 1):
-            try:
-                cur = states
-                alpha_max = 0.0
-                bflux = np.zeros(states.shape[1])
-                for (a_coef, b_coef), w in zip(stages, flux_weights):
-                    residuals = assemble(cur, dt)
-                    alpha_max = max(alpha_max, residuals.alpha_max)
-                    bflux = bflux + w * dt * boundary_outflux(cur)
-                    stage_new = rd_step(mesh, cur, residuals, dt, model=model)
-                    cur = a_coef * states + b_coef * stage_new
-                if not np.isfinite(cur).all():
-                    raise StepRejectedError("non-finite state", location=None)
-                break
-            except StepRejectedError as exc:
-                if attempt == max_retries:
-                    raise RunError(
-                        f"state stayed inadmissible after {max_retries} dt halvings: {exc}",
-                        step=step,
-                    ) from exc
-                dt *= 0.5
-                continue
-
-        states = cur
-        t += dt
-        step += 1
-        led_time.append(t)
-        led_totals.append(conserved_totals(states))
-        led_entropy.append(entropy_total(states))
-        led_bflux.append(led_bflux[-1] + bflux)
-        led_alpha.append(alpha_max)
-        led_fallback.append(0)
-        if snapshot_every and step % snapshot_every == 0:
-            times.append(t)
-            snapshots.append(states.copy())
-
-    if times[-1] != t:
-        times.append(t)
-        snapshots.append(states.copy())
-
-    ledger = Ledger(
-        time=np.asarray(led_time),
-        totals=np.asarray(led_totals),
-        entropy=np.asarray(led_entropy),
-        boundary_accum=np.asarray(led_bflux),
-        alpha_max=np.asarray(led_alpha),
-        fallback_cells=np.asarray(led_fallback, dtype=int),
+    times, snapshots, ledger = march(
+        states,
+        advance,
+        speed=lambda u: float(model.max_wave_speed(u).max()),
+        length=float(mesh.volumes.min()),
+        cfl=cfl,
+        t_end=t_end,
+        totals=conserved_totals,
+        entropy=lambda u: float((mesh.volumes * model.entropy(u)).sum()),
+        snapshot=np.copy,
+        snapshot_every=snapshot_every,
+        stop_after_steps=stop_after_steps,
     )
-    return SolutionRecord(times=np.asarray(times), states=snapshots, ledger=ledger)
+    return SolutionRecord(times=times, states=snapshots, ledger=ledger)

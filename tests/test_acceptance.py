@@ -171,13 +171,12 @@ def test_criterion_4_conservation_ledgers_500_steps():
     # corrected two-field gas scheme: total-energy drift on a periodic run
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 64, boundary="periodic")
-    gas = runner.TwoFieldGasScheme(model, mesh)
+    gas = schemes.TwoFieldGasScheme(model, mesh)
     u0 = _smooth_euler_states(model, mesh.dof_x)
     record = schemes.integrate(
-        runner._NcStateModel(gas), mesh, gas.from_conserved(u0), gas.assemble,
+        gas, mesh, gas.from_conserved(u0), gas.assemble,
         cfl=0.4, t_end=1e9, integrator="euler", stop_after_steps=500,
-        conserved_totals=gas.conserved_totals, entropy_total=gas.entropy_total,
-        boundary_outflux=gas.boundary_outflux,
+        conserved_totals=gas.conserved_totals,
     )
     defect = record.ledger.totals - record.ledger.totals[0] + record.ledger.boundary_accum
     energy_scale = abs(record.ledger.totals[0][2])

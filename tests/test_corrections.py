@@ -221,8 +221,9 @@ def test_nc_scheme_total_energy_moves_only_through_boundaries():
 
 
 def test_nc_scheme_residual_set_is_locally_conservative():
-    from conserva.harness.runner import TwoFieldGasScheme, build_problem
+    from conserva.harness.runner import build_problem
     from conserva.records import RunConfig
+    from conserva.schemes import TwoFieldGasScheme
 
     config = RunConfig(case="sod", scheme="nc-energy-corrected", nx=64)
     case, mesh, u0 = build_problem(config)

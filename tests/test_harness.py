@@ -10,7 +10,7 @@ from conserva.harness.cli import main
 from conserva.harness.runner import build_problem, run
 from conserva.harness.weak import BumpTestFunction, default_bumps
 from conserva.mesh import uniform_mesh
-from conserva.records import RunConfig, SolutionRecord
+from conserva.records import INTEGRATORS, RunConfig, SolutionRecord
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,24 @@ def test_cli_config_file_with_flag_overrides(tmp_path):
     assert len(rows) == 1 + 16  # header plus one row per periodic DOF (--nx wins)
 
 
+@pytest.mark.parametrize("line", ["t_end=0.01", "interator=ssprk3", "seed=3"])
+def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case=advection-sine\nscheme=fv-rusanov\n{line}\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert line.split("=")[0] in err
+    assert "known: case, scheme, nx" in err
+    assert not out.exists()
+
+
+def test_cli_has_no_seed_flag(tmp_path):
+    code = main(["run", "--case", "advection-sine", "--scheme", "fv-rusanov", "--nx", "16",
+                 "--seed", "3", "--out", str(tmp_path / "never.csv")])
+    assert code == 2
+
+
 def test_cli_convergence_table(tmp_path, capsys):
     out = tmp_path / "table.txt"
     code = main(
@@ -287,6 +305,24 @@ def test_cli_blowup_returns_one(tmp_path):
          "--tend", "0.2", "--out", str(tmp_path / "never.csv")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "scheme, accepted", [("active-flux", "ssprk3"), ("nc-energy-corrected", "euler")]
+)
+def test_single_integrator_schemes_reject_the_others(tmp_path, scheme, accepted):
+    # active flux is SSPRK3 throughout; the energy identity of the two-field
+    # gas scheme holds per forward Euler step only
+    for integrator in INTEGRATORS:
+        config = RunConfig(case="sod", scheme=scheme, integrator=integrator)
+        if integrator == accepted:
+            config.validate()
+            continue
+        with pytest.raises(ConfigError):
+            config.validate()
+        code = main(["run", "--case", "sod", "--scheme", scheme, "--nx", "20",
+                     "--integrator", integrator, "--out", str(tmp_path / "never.csv")])
+        assert code == 2
 
 
 def test_runconfig_validation():

@@ -46,6 +46,19 @@ def test_recover_segment_forced_solution():
     np.testing.assert_allclose(fluxes.values, [[3.5]])
 
 
+def test_recover_segment_reads_1d_psi_as_one_component():
+    graph = element_graph("segment")
+    fluxes = recover_fluxes(graph, RecoveryProblem(np.array([3.5, -3.5])))
+    np.testing.assert_array_equal(fluxes.values, [[3.5]])
+
+
+def test_recover_fluxes_rejects_non_finite_psi():
+    graph = element_graph("segment")
+    with pytest.raises(ConservationError) as excinfo:
+        recover_fluxes(graph, RecoveryProblem(np.array([[np.nan], [1.0]])))
+    np.testing.assert_array_equal(excinfo.value.elements, [0])
+
+
 def test_recover_path3_tree_telescoping():
     graph = element_graph("path", 3)
     a, b = 1.25, -0.5
@@ -181,6 +194,15 @@ def test_reconstruct_names_exactly_the_shifted_element():
         reconstruct_scheme(mesh, states, _with_phi(residuals, phi))
     np.testing.assert_array_equal(excinfo.value.elements, [5])
     assert excinfo.value.defect.shape == (1, 1)
+
+
+def test_reconstruct_names_exactly_the_non_finite_element():
+    mesh, states, residuals = _supg_residuals()
+    phi = residuals.phi.copy()
+    phi[7, 0] = np.nan
+    with pytest.raises(ConservationError) as excinfo:
+        reconstruct_scheme(mesh, states, _with_phi(residuals, phi))
+    np.testing.assert_array_equal(excinfo.value.elements, [7])
 
 
 def test_reconstruct_judges_each_element_against_its_own_scale():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from conserva.active_flux import af_integrate, initialize
 from conserva.errors import ConfigError, GeometryError, RunError
+from conserva.harness import build_problem
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
+from conserva.records import RunConfig
 from conserva.schemes import (
     NumericalFlux,
     fv_residuals_1d,
@@ -296,6 +299,52 @@ def test_integrate_blowup_raises_run_error():
     with pytest.raises(RunError) as excinfo:
         with np.errstate(all="ignore"):
             integrate(model, mesh, u0, assemble, cfl=0.9, t_end=50.0)
+    assert excinfo.value.step is not None
+
+
+def _rd_problem(blowup):
+    """(march(**kwargs) -> record, t_end) for the residual integrator."""
+    if blowup:  # central flux on a Burgers shock, as in the test above
+        model = Burgers()
+        mesh = uniform_mesh(-1.0, 1.0, 50, boundary="periodic")
+        u0 = np.sin(np.pi * mesh.dof_x)[:, None]
+        flux = NumericalFlux("central", model)
+        assemble = lambda states, dt: fv_residuals_1d(mesh, states, flux, model)
+        return lambda **kw: integrate(model, mesh, u0, assemble, cfl=0.9, **kw), 50.0
+    model, mesh, u0, assemble = _advection_setup(32)
+    return lambda **kw: integrate(model, mesh, u0, assemble, cfl=0.4, **kw), 0.5
+
+
+def _af_problem(blowup):
+    """(march(**kwargs) -> record, t_end) for the two-field integrator."""
+    if blowup:  # Sod without the detector
+        case, mesh, _ = build_problem(RunConfig(case="sod", scheme="active-flux", nx=100))
+        state0 = initialize(case.model, mesh, case.u0)
+        return lambda **kw: af_integrate(case.model, mesh, state0, **kw), 0.05
+    model = Advection(a=1.0)
+    mesh = uniform_mesh(-1.0, 1.0, 32, boundary="periodic")
+    state0 = initialize(model, mesh, lambda x: np.sin(np.pi * x)[:, None])
+    return lambda **kw: af_integrate(model, mesh, state0, **kw), 0.5
+
+
+@pytest.mark.parametrize("problem", [_rd_problem, _af_problem], ids=["integrate", "af_integrate"])
+def test_marching_loop_steps_snapshots_and_blowup(problem):
+    march, t_end = problem(blowup=False)
+    assert march(t_end=t_end, stop_after_steps=4).ledger.nsteps == 4
+
+    record = march(t_end=t_end, snapshot_every=3)
+    led_time = record.ledger.time
+    expected = list(led_time[::3])
+    if record.ledger.nsteps % 3:
+        expected.append(led_time[-1])
+    np.testing.assert_array_equal(record.times, expected)
+    assert len(record.states) == len(record.times)
+    assert record.times[-1] == t_end
+
+    march, t_end = problem(blowup=True)
+    with pytest.raises(RunError) as excinfo:
+        with np.errstate(all="ignore"):
+            march(t_end=t_end)
     assert excinfo.value.step is not None
 
 
