@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecoveryError, SplittingError, StepRejectedError
+from .mesh import scatter_cell_ends
 from .records import SolutionRecord
 from .schemes import _ssp_stages, _stage_flux_weights, march, rusanov_unchecked
 
@@ -57,10 +58,6 @@ def initialize(model, mesh, u0_of_x, quad_points=5):
     xs = nodes[:-1] if mesh.periodic else nodes
     points = model.to_aux(model.require_admissible(u0_of_x(xs)))
     return AfState(averages, points)
-
-
-def _point_states(model, points):
-    return model.from_aux(points)
 
 
 def _cell_point_values(mesh, points):
@@ -94,7 +91,7 @@ def recover_midpoint(model, averages, v_left, v_right, check=True):
 
 def average_update(mesh, state, model):
     """d(ubar)/dt from the single-valued point fluxes at the cell ends."""
-    u_nodes = model.require_admissible(_point_states(model, state.points))
+    u_nodes = model.require_admissible(model.from_aux(state.points))
     f = model.flux(u_nodes)
     f_left = f[mesh.cell_dofs[:, 0]]
     f_right = f[mesh.cell_dofs[:, 1]]
@@ -131,7 +128,7 @@ def _apply_split(model, points, d, sign):
     return np.einsum("...ij,...j->...i", R, lam * amp)
 
 
-def point_update(mesh, state, model, flagged=None):
+def point_update(mesh, state, model):
     """dv/dt at the nodes by upwind splitting of the mapped-variable system.
 
     One-sided quadratic derivatives: from the right cell of node i,
@@ -145,16 +142,12 @@ def point_update(mesh, state, model, flagged=None):
     dx = mesh.cell_sizes[:, None]
     slope_right = (-3.0 * v_left + 4.0 * v_mid - v_right) / dx  # at each cell's left node
     slope_left = (3.0 * v_right - 4.0 * v_mid + v_left) / dx  # at each cell's right node
-
-    contrib = np.zeros_like(points)
-    np.add.at(contrib, mesh.cell_dofs[:, 0], _apply_split(model, v_left, slope_right, -1))
-    np.add.at(contrib, mesh.cell_dofs[:, 1], _apply_split(model, v_right, slope_left, +1))
-    dv = -contrib
-
-    if flagged is not None and flagged.any():
-        dv_fb, bad_nodes = _fallback_point_rate(mesh, state, model, flagged)
-        dv = np.where(bad_nodes[:, None], dv_fb, dv)
-    return dv
+    contrib = scatter_cell_ends(
+        _apply_split(model, v_left, slope_right, -1),
+        _apply_split(model, v_right, slope_left, +1),
+        mesh.ndof,
+    )
+    return -contrib
 
 
 # ---------------------------------------------------------------------------
@@ -162,59 +155,69 @@ def point_update(mesh, state, model, flagged=None):
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_averages(mesh, averages, points, model):
-    """Left/right neighbour states of every node for the robust updates."""
+def _neighbor_averages(mesh, averages, u_nodes, nodes):
+    """Left/right neighbour states of the given nodes for the robust updates.
+
+    Interior nodes sit between two cells; a transmissive end node takes its
+    own point state as the missing neighbour.
+    """
     if mesh.periodic:
-        left = averages[np.arange(mesh.ndof) - 1]
-        right = averages
-        return left, right
-    u_pts = _point_states(model, points)
-    left = np.vstack([u_pts[:1], averages])
-    right = np.vstack([averages, u_pts[-1:]])
-    return left, right
-
-
-def _flagged_faces(mesh, flagged):
-    faces = np.zeros(mesh.ndof, dtype=bool)
-    np.logical_or.at(faces, mesh.cell_dofs[:, 0], flagged)
-    np.logical_or.at(faces, mesh.cell_dofs[:, 1], flagged)
-    return faces
-
-
-def _fallback_point_rate(mesh, state, model, flagged):
-    """First-order finite volume rate for the point values at flagged nodes."""
-    bad_nodes = _flagged_faces(mesh, flagged)
-    u_pts = _point_states(model, state.points)
-    left, right = _neighbor_averages(mesh, state.averages, state.points, model)
-    width = np.empty(mesh.ndof)
-    if mesh.periodic:
-        width[:] = 0.5 * (mesh.cell_sizes + np.roll(mesh.cell_sizes, 1))
+        ext = np.vstack([averages[-1:], averages])
     else:
+        ext = np.vstack([u_nodes[:1], averages, u_nodes[-1:]])
+    return ext[nodes], ext[nodes + 1]
+
+
+def _fallback_point_rate(mesh, state, model, flagged, u_nodes):
+    """First-order finite volume rate for the point values at flagged nodes.
+
+    Returns (rates at the flagged nodes, flagged-node mask over all DOFs);
+    ``u_nodes`` are the conserved states of ``state.points``.
+    """
+    bad_nodes = scatter_cell_ends(flagged, flagged, mesh.ndof)  # both nodes of each flagged cell
+    nodes = np.flatnonzero(bad_nodes)
+    if mesh.periodic:
+        width = 0.5 * (mesh.cell_sizes + np.roll(mesh.cell_sizes, 1))
+    else:
+        width = np.empty(mesh.ndof)
         width[0] = mesh.cell_sizes[0]
         width[-1] = mesh.cell_sizes[-1]
         width[1:-1] = 0.5 * (mesh.cell_sizes[:-1] + mesh.cell_sizes[1:])
+    u_pts = u_nodes[nodes]
+    left, right = _neighbor_averages(mesh, state.averages, u_nodes, nodes)
     f_right = rusanov_unchecked(u_pts, right, model)
     f_left = rusanov_unchecked(left, u_pts, model)
-    du = -(f_right - f_left) / width[:, None]
+    du = -(f_right - f_left) / width[nodes, None]
     # chain rule back to the mapped variables
     P = model.aux_jacobian(u_pts)
     dv = np.einsum("nij,nj->ni", P, du)
     return dv, bad_nodes
 
 
-def _rhs(mesh, state, model, flagged):
-    """Rates for averages and points; robust faces when cells are flagged."""
-    u_nodes = _point_states(model, state.points)
-    face_flux = model.flux(u_nodes)
-    if flagged is not None and flagged.any():
-        bad_faces = _flagged_faces(mesh, flagged)
-        left, right = _neighbor_averages(mesh, state.averages, state.points, model)
-        robust = rusanov_unchecked(left, right, model)
-        face_flux = np.where(bad_faces[:, None], robust, face_flux)
+def _base_rates(mesh, state, model):
+    """Node states, node fluxes and point rates of a state, before any fallback."""
+    u_nodes = model.from_aux(state.points)
+    return u_nodes, model.flux(u_nodes), point_update(mesh, state, model)
+
+
+def _rhs(mesh, state, model, flagged, base=None):
+    """Rates for averages and points; robust faces when cells are flagged.
+
+    ``base`` is ``_base_rates`` of ``state`` when already known; it is read,
+    never written, so one base serves every step re-run from the same state.
+    """
+    u_nodes, face_flux, dv = _base_rates(mesh, state, model) if base is None else base
+    if flagged.any():
+        dv_fb, bad = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
+        faces = np.flatnonzero(bad)
+        left, right = _neighbor_averages(mesh, state.averages, u_nodes, faces)
+        face_flux = face_flux.copy()
+        face_flux[faces] = rusanov_unchecked(left, right, model)
+        dv = dv.copy()
+        dv[faces] = dv_fb
     f_left = face_flux[mesh.cell_dofs[:, 0]]
     f_right = face_flux[mesh.cell_dofs[:, 1]]
     dub = -(f_right - f_left) / mesh.cell_sizes[:, None]
-    dv = point_update(mesh, state, model, flagged=flagged)
     if mesh.periodic:
         boundary = np.zeros(model.p)
     else:
@@ -232,15 +235,14 @@ def _detect(mesh, model, candidate, previous):
 
     node_bad = ~np.isfinite(points).all(axis=1)
     safe_pts = np.where(node_bad[:, None], 1.0, points)
-    node_bad |= ~model.admissible_mask(model.from_aux(safe_pts))
+    u_pts = model.from_aux(safe_pts)
+    node_bad |= ~model.admissible_mask(u_pts)
     bad |= node_bad[mesh.cell_dofs[:, 0]] | node_bad[mesh.cell_dofs[:, 1]]
 
     with np.errstate(all="ignore"):
-        v_left, v_right = _cell_point_values(mesh, safe_pts)
+        u_left, u_right = _cell_point_values(mesh, u_pts)
         u_mid = (
-            6.0 * np.where(np.isfinite(averages), averages, 1.0)
-            - model.from_aux(v_left)
-            - model.from_aux(v_right)
+            6.0 * np.where(np.isfinite(averages), averages, 1.0) - u_left - u_right
         ) / 4.0
     bad |= ~model.admissible_mask(u_mid)
 
@@ -260,11 +262,13 @@ def _detect(mesh, model, candidate, previous):
     return bad
 
 
-def _ssp3_step(mesh, state, model, dt, flagged):
+def _ssp3_step(mesh, state, model, dt, flagged, base=None):
+    """One SSPRK3 step; ``base`` holds the ``_base_rates`` of ``state`` if known."""
     boundary = np.zeros(model.p)
     cur = state
     for (a, b), w in _SSP3:
-        dub, dv, bflux = _rhs(mesh, cur, model, flagged)
+        dub, dv, bflux = _rhs(mesh, cur, model, flagged, base)
+        base = None
         boundary = boundary + w * dt * bflux
         cur = AfState(
             a * state.averages + b * (cur.averages + dt * dub),
@@ -298,7 +302,7 @@ def af_integrate(
         with np.errstate(all="ignore"):
             return max(
                 float(model.max_wave_speed(s.averages).max()),
-                float(model.max_wave_speed(_point_states(model, s.points)).max()),
+                float(model.max_wave_speed(model.from_aux(s.points)).max()),
             )
 
     def entropy(s):
@@ -310,14 +314,15 @@ def af_integrate(
     def advance(state, dt):
         flagged = np.zeros(mesh.ncell, dtype=bool)
         with np.errstate(all="ignore"):
-            candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged)
+            base = _base_rates(mesh, state, model)
+            candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged, base)
             if detector:
                 for _ in range(2):
                     bad = _detect(mesh, model, candidate, state)
                     if not (bad & ~flagged).any():
                         break
                     flagged |= bad
-                    candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged)
+                    candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged, base)
         if not (
             np.isfinite(candidate.averages).all() and np.isfinite(candidate.points).all()
         ):

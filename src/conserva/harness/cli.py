@@ -124,7 +124,10 @@ def _build_run_config(args):
         )
     merged = {}
     for key, value in file_values.items():
-        merged[key.replace("-", "_")] = _CONFIG_KEYS[key](value)
+        try:
+            merged[key.replace("-", "_")] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(f"cannot parse config value {key}={value!r}") from None
 
     def pick(name, cli_value):
         return cli_value if cli_value is not None else merged.get(name)

@@ -68,6 +68,24 @@ class Mesh1D:
         return self.boundary == "periodic"
 
 
+def scatter_cell_ends(left, right, ndof):
+    """Sum per-cell values onto the DOFs of a ``Mesh1D``, shape (ndof, ...).
+
+    Cell i hands ``left[i]`` to DOF i and ``right[i]`` to DOF i + 1, which
+    wraps to DOF 0 when ndof equals the cell count (periodic meshes).  Each
+    DOF receives 0, then its left value, then its right value: the order of
+    two ``np.add.at`` calls into zeros, so the sums agree bit for bit, -0.0
+    included.  Boolean values are combined with logical or.
+    """
+    ncell = len(left)
+    out = np.zeros((ndof,) + left.shape[1:], dtype=left.dtype)
+    out[:ncell] += left
+    out[1:] += right[: ndof - 1]
+    if ndof == ncell:
+        out[0] += right[-1]
+    return out
+
+
 def uniform_mesh(a, b, n, boundary="periodic"):
     """Equispaced mesh of n cells on [a, b]."""
     if not b > a:

@@ -159,7 +159,7 @@ class Euler(PhysicsModel):
     gamma: float = 1.4
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
 
     @property

@@ -61,7 +61,7 @@ class RunConfig:
             raise ConfigError(f"nx must be at least 2, got {self.nx}")
         if self.cfl is not None and not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end is not None and self.t_end <= 0:
+        if self.t_end is not None and not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.boundary is not None and self.boundary not in ("periodic", "transmissive"):
             raise ConfigError(f"unknown boundary kind {self.boundary!r}")
@@ -74,7 +74,7 @@ class RunConfig:
             )
         if self.scheme == "nc-energy-corrected" and self.case not in EULER_CASES:
             raise ConfigError("nc-energy-corrected needs a gas-dynamics case (sod, shu-osher)")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
         return self
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConservationError, GraphStructureError
-from .mesh import EdgeFluxSet, ElementGraph, element_graph
+from .mesh import EdgeFluxSet, ElementGraph, element_graph, scatter_cell_ends
 
 SUM_TOLERANCE = 1e-10
 
@@ -125,7 +125,7 @@ def reconstruct_scheme(mesh, states, residuals):
     scale = np.maximum(np.abs(phi).max(axis=(1, 2)), np.abs(bparts).max(axis=(1, 2)))
     edge_fluxes = _SEGMENT_LAPLACIAN.recover(phi - bparts, np.maximum(scale, 1e-300))[:, 0]
 
-    increments = np.zeros((mesh.ndof, phi.shape[2]))
-    np.add.at(increments, residuals.cell_dofs[:, 0], edge_fluxes + bparts[:, 0])
-    np.add.at(increments, residuals.cell_dofs[:, 1], -edge_fluxes + bparts[:, 1])
+    increments = scatter_cell_ends(
+        edge_fluxes + bparts[:, 0], -edge_fluxes + bparts[:, 1], mesh.ndof
+    )
     return increments, edge_fluxes

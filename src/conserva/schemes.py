@@ -24,6 +24,7 @@ import numpy as np
 
 from . import corrections
 from .errors import ConfigError, GeometryError, RunError, StepRejectedError
+from .mesh import scatter_cell_ends
 from .records import Ledger, SolutionRecord
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
@@ -113,10 +114,7 @@ class ResidualSet:
 
     def scatter_to_dofs(self, ndof):
         """Sum residuals over the elements owning each DOF, shape (ndof, p)."""
-        out = np.zeros((ndof, self.phi.shape[2]))
-        np.add.at(out, self.cell_dofs[:, 0], self.phi[:, 0])
-        np.add.at(out, self.cell_dofs[:, 1], self.phi[:, 1])
-        return out
+        return scatter_cell_ends(self.phi[:, 0], self.phi[:, 1], ndof)
 
     def net_boundary_outflux(self):
         """Net outward flux through the domain boundary, shape (p,)."""
@@ -344,9 +342,7 @@ class TwoFieldGasScheme:
         )
 
         # velocities after the uncorrected density/momentum update
-        incr = np.zeros((mesh.ndof, 2))
-        np.add.at(incr, dofs[:, 0], base.phi[:, 0, :2])
-        np.add.at(incr, dofs[:, 1], base.phi[:, 1, :2])
+        incr = scatter_cell_ends(base.phi[:, 0, :2], base.phi[:, 1, :2], mesh.ndof)
         rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
         mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
         v_old = w[:, 1] / w[:, 0]

@@ -3,6 +3,9 @@ import pytest
 
 from conserva.active_flux import (
     AfState,
+    _base_rates,
+    _fallback_point_rate,
+    _rhs,
     af_integrate,
     average_update,
     initialize,
@@ -10,6 +13,7 @@ from conserva.active_flux import (
     recover_midpoint,
 )
 from conserva.errors import RecoveryError
+from conserva.harness import case_library
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
 
@@ -240,3 +244,73 @@ def test_generic_split_rejects_defective_jacobian(rng):
     w = rng.normal(size=(4, 2))
     with pytest.raises(SplittingError):
         _apply_split(model, w, rng.normal(size=(4, 2)), +1)
+
+
+# ---------------------------------------------------------------------------
+# detector path: base rates shared by re-runs, fallback at flagged nodes only
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["transmissive", "periodic"])
+def sod_flagged(request):
+    """Sod at nx=200 a few detector steps in, with cells flagged at both ends
+    and around the diaphragm; the periodic variant drops the last node."""
+    case = case_library("sod")
+    mesh = uniform_mesh(*case.domain, 200, boundary="transmissive")
+    state0 = initialize(case.model, mesh, case.u0)
+    record = af_integrate(
+        case.model, mesh, state0, t_end=case.t_end, detector=True, stop_after_steps=5
+    )
+    state = AfState(record.final_averages, record.final_state)
+    if request.param == "periodic":
+        mesh = uniform_mesh(*case.domain, 200, boundary="periodic")
+        state = AfState(state.averages, state.points[:-1])
+    flagged = np.zeros(mesh.ncell, dtype=bool)
+    flagged[[0, 97, 98, 99, 100, 101, 150, 199]] = True
+    return case.model, mesh, state, flagged
+
+
+def _bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_rhs_with_reused_base_equals_fresh_rhs(sod_flagged):
+    model, mesh, state, flagged = sod_flagged
+    base = _base_rates(mesh, state, model)
+    for mask in (flagged, np.zeros_like(flagged)):
+        fresh = _rhs(mesh, state, model, mask)
+        reused = _rhs(mesh, state, model, mask, base)
+        assert _bytes(reused) == _bytes(fresh)
+
+
+def test_flagged_rhs_leaves_the_base_untouched(sod_flagged):
+    model, mesh, state, flagged = sod_flagged
+    base = _base_rates(mesh, state, model)
+    before = _bytes(base)
+    dub, dv, _ = _rhs(mesh, state, model, flagged, base)
+    assert _bytes(base) == before
+    assert not np.shares_memory(dv, base[2])
+
+
+def test_fallback_at_flagged_nodes_equals_all_node_evaluation(sod_flagged):
+    model, mesh, state, flagged = sod_flagged
+    u_nodes = model.from_aux(state.points)
+    dv, bad_nodes = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
+    # the observer of the fallback reads a full DOF mask
+    assert bad_nodes.shape == (mesh.ndof,) and bad_nodes.dtype == bool
+    assert 0 < bad_nodes.sum() < mesh.ndof
+    assert dv.shape == (bad_nodes.sum(), model.p)
+    dv_all, all_nodes = _fallback_point_rate(
+        mesh, state, model, np.ones(mesh.ncell, dtype=bool), u_nodes
+    )
+    assert all_nodes.all()
+    assert dv.tobytes() == dv_all[bad_nodes].tobytes()
+
+
+def test_flagged_rhs_overrides_exactly_the_flagged_nodes(sod_flagged):
+    model, mesh, state, flagged = sod_flagged
+    u_nodes, _, dv_base = _base_rates(mesh, state, model)
+    _, dv, _ = _rhs(mesh, state, model, flagged)
+    dv_fb, bad_nodes = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
+    assert dv[bad_nodes].tobytes() == dv_fb.tobytes()
+    assert dv[~bad_nodes].tobytes() == dv_base[~bad_nodes].tobytes()

@@ -223,6 +223,28 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--tend", "--gamma"])
+def test_cli_rejects_nan_values(tmp_path, capsys, flag):
+    # NaN compares false both ways, so a range test written as "x <= bound"
+    # lets it through
+    out = tmp_path / "never.csv"
+    code = main(["run", "--case", "sod", "--scheme", "fv-rusanov", "--nx", "20",
+                 flag, "nan", "--out", str(out)])
+    assert code == 2
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_file_rejects_unparsable_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=advection-sine\nscheme=fv-rusanov\nnx=abc\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "nx" in err and "abc" in err
+    assert not out.exists()
+
+
 def test_cli_has_no_seed_flag(tmp_path):
     code = main(["run", "--case", "advection-sine", "--scheme", "fv-rusanov", "--nx", "16",
                  "--seed", "3", "--out", str(tmp_path / "never.csv")])

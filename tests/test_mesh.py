@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError
-from conserva.mesh import EdgeFluxSet, element_graph, uniform_mesh
+from conserva.mesh import EdgeFluxSet, element_graph, scatter_cell_ends, uniform_mesh
 
 
 def test_uniform_mesh_nodes_and_volumes():
@@ -83,3 +86,48 @@ def test_edge_flux_antisymmetry_is_structural():
     path_fluxes = EdgeFluxSet(element_graph("path", 4), np.zeros((3, 1)))
     with pytest.raises(ConfigError):
         path_fluxes.between(0, 2)
+
+
+def _add_at_reference(mesh, left, right):
+    out = np.zeros((mesh.ndof,) + left.shape[1:], dtype=left.dtype)
+    ufunc = np.logical_or if left.dtype == bool else np.add
+    ufunc.at(out, mesh.cell_dofs[:, 0], left)
+    ufunc.at(out, mesh.cell_dofs[:, 1], right)
+    return out
+
+
+@st.composite
+def _cell_end_values(draw):
+    ncell = draw(st.integers(2, 50))
+    boundary = draw(st.sampled_from(["periodic", "transmissive"]))
+    mesh = uniform_mesh(0.0, 1.0, ncell, boundary=boundary)
+    if draw(st.booleans()):
+        shape, elements = (ncell,), st.booleans()
+        dtype = bool
+    else:
+        shape = (ncell, draw(st.integers(1, 3)))
+        # finite values, signed zeros and subnormals included
+        elements = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        dtype = float
+    left = draw(hnp.arrays(dtype, shape, elements=elements))
+    right = draw(hnp.arrays(dtype, shape, elements=elements))
+    return mesh, left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_end_values())
+def test_scatter_cell_ends_matches_add_at_bitwise(case):
+    mesh, left, right = case
+    with np.errstate(over="ignore"):  # sums of two large finite values may overflow
+        got = scatter_cell_ends(left, right, mesh.ndof)
+        want = _add_at_reference(mesh, left, right)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scatter_cell_ends_sums_negative_zero_like_add_at():
+    mesh = uniform_mesh(0.0, 1.0, 3, boundary="transmissive")
+    values = np.full((3, 1), -0.0)
+    got = scatter_cell_ends(values, values, mesh.ndof)
+    assert got.tobytes() == _add_at_reference(mesh, values, values).tobytes()
+    assert not np.signbit(got).any()  # 0.0 + -0.0 is +0.0 in both

@@ -98,6 +98,11 @@ def test_gamma_must_exceed_one():
     Euler(gamma=3.0)  # the scalar-law limit is selectable
 
 
+def test_gamma_nan_is_rejected():
+    with pytest.raises(ConfigError):
+        Euler(gamma=float("nan"))
+
+
 def _fd_gradient(f, u, h):
     grad = np.zeros_like(u)
     for i in range(len(u)):
