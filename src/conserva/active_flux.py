@@ -28,10 +28,9 @@ import numpy as np
 
 from .errors import RecoveryError, SplittingError, StepRejectedError
 from .mesh import scatter_cell_ends
-from .records import SolutionRecord
+from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
 from .schemes import _ssp_stages, _stage_flux_weights, march, rusanov_unchecked
 
-DEFAULT_CFL = 0.4  # SSPRK3 point-average coupling is unstable by CFL 0.5
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
 # ((a, b), flux weight) per stage: stage = a * u^n + b * (stage + dt * rate)
@@ -282,7 +281,7 @@ def af_integrate(
     mesh,
     state0,
     *,
-    cfl=DEFAULT_CFL,
+    cfl=SCHEMES[ACTIVE_FLUX].cfl,
     t_end,
     detector=False,
     snapshot_every=0,

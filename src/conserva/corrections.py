@@ -31,13 +31,6 @@ def entropy_residuals(residuals, states, model):
     return np.einsum("kdp,kdp->kd", v_cells, residuals.phi)
 
 
-def rusanov_entropy_flux(n, u_left, u_right, model):
-    """Consistent numerical entropy flux with Rusanov-type dissipation."""
-    alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
-    avg = 0.5 * (model.entropy_flux(u_left) + model.entropy_flux(u_right))
-    return n * (avg - 0.5 * alpha * (model.entropy(u_right) - model.entropy(u_left)))
-
-
 @dataclass
 class CorrectionReport:
     """What the entropy correction did, element by element."""
@@ -66,8 +59,6 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
     need a correction but have all entropy variables equal cannot be fixed
     this way and raise CorrectionError.
     """
-    if entropy_flux is None:
-        entropy_flux = lambda n, ul, ur: rusanov_entropy_flux(n, ul, ur, model)
     states = np.asarray(states, dtype=float)
     v = model.entropy_variables(states)
     v_cells = v[residuals.cell_dofs]
@@ -75,8 +66,11 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
     u_right = states[residuals.cell_dofs[:, 1]]
 
     # element boundary entropy flux; traces at element ends are single valued,
-    # so the numerical flux reduces to its consistent value there
-    g_bound = entropy_flux(+1, u_right, u_right) + entropy_flux(-1, u_left, u_left)
+    # so a consistent numerical entropy flux reduces to the model's there
+    if entropy_flux is None:
+        g_bound = model.entropy_flux(u_right) - model.entropy_flux(u_left)
+    else:
+        g_bound = entropy_flux(+1, u_right, u_right) + entropy_flux(-1, u_left, u_left)
 
     production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
     deficit = g_bound - production

@@ -129,8 +129,9 @@ def _build_run_config(args):
         except ValueError:
             raise ConfigError(f"cannot parse config value {key}={value!r}") from None
 
-    def pick(name, cli_value):
-        return cli_value if cli_value is not None else merged.get(name)
+    def pick(name, cli_value, default=None):
+        value = cli_value if cli_value is not None else merged.get(name)
+        return default if value is None else value
 
     case = pick("case", args.case)
     scheme = pick("scheme", args.scheme)
@@ -141,14 +142,14 @@ def _build_run_config(args):
     config = RunConfig(
         case=case,
         scheme=scheme,
-        nx=pick("nx", args.nx) or 100,
+        nx=pick("nx", args.nx, 100),
         cfl=pick("cfl", args.cfl),
         t_end=pick("tend", args.tend),
         boundary=pick("boundary", args.boundary),
-        gamma=pick("gamma", args.gamma) or 1.4,
+        gamma=pick("gamma", args.gamma, 1.4),
         detector=detector,
         integrator=pick("integrator", args.integrator),
-        snapshot_every=pick("snapshot_every", args.snapshot_every) or 0,
+        snapshot_every=pick("snapshot_every", args.snapshot_every, 0),
         out=pick("out", args.out),
         tau_scale=merged.get("tau_scale", 1.0),
     )
@@ -207,14 +208,8 @@ def _cmd_convergence(config, nx_list):
 
 def _cmd_recover_fluxes(config):
     case, mesh, u0 = runner.build_problem(config)
-    if config.scheme == "active-flux":
-        raise ConfigError("recover-fluxes applies to residual schemes, not active-flux")
-    if config.scheme == "nc-energy-corrected":
-        gas = schemes.TwoFieldGasScheme(case.model, mesh)
-        residuals = gas.assemble(gas.from_conserved(u0), 0.0)
-    else:
-        assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
-        residuals = assemble(u0, 0.0)
+    assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
+    residuals = assemble(u0, 0.0)
     _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, residuals)
     out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
     path = _out_path(out)

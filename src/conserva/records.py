@@ -1,4 +1,5 @@
-"""Run configuration and solution records shared by schemes and the harness."""
+"""The scheme table, run configuration and solution records shared by schemes
+and the harness."""
 
 from __future__ import annotations
 
@@ -8,30 +9,37 @@ import numpy as np
 
 from .errors import ConfigError
 
-SCHEME_IDS = ("fv-rusanov", "supg", "fv-entropy-corrected", "nc-energy-corrected", "active-flux")
 CASE_IDS = ("advection-sine", "burgers-sine", "burgers-riemann", "sod", "shu-osher")
 EULER_CASES = ("sod", "shu-osher")
 INTEGRATORS = ("euler", "ssprk2", "ssprk3")
 
-# stable defaults: 0.4 for forward Euler and for the two-field scheme,
-# 0.8 for SSPRK3-driven residual schemes
-_DEFAULT_INTEGRATOR = {
-    "fv-rusanov": "euler",
-    "fv-entropy-corrected": "euler",
-    "nc-energy-corrected": "euler",
-    "supg": "ssprk3",
-    "active-flux": "ssprk3",
-}
-# schemes whose guarantees hold for one integrator only: active flux is an
-# SSPRK3 scheme, and the energy identity of nc-energy-corrected holds per
-# forward Euler step (SSP stages combined in (rho, m, e) lose total energy)
-_ONLY_INTEGRATOR = {"active-flux": "ssprk3", "nc-energy-corrected": "euler"}
-_DEFAULT_CFL = {
-    "fv-rusanov": 0.4,
-    "fv-entropy-corrected": 0.4,
-    "nc-energy-corrected": 0.4,
-    "supg": 0.8,
-    "active-flux": 0.4,
+# base residuals a scheme id can build on
+FV, SUPG, NC_ENERGY, ACTIVE_FLUX = "fv", "supg", "nc-energy", "active-flux"
+
+
+@dataclass(frozen=True)
+class SchemeRow:
+    """One scheme id: a base residual plus zero-sum corrections applied in
+    order, the integrators that keep its guarantees (the default first) and
+    its default CFL number."""
+
+    base: str
+    corrections: tuple
+    integrators: tuple
+    cfl: float
+
+
+# every per-scheme decision reads this table
+SCHEMES = {
+    "fv-rusanov": SchemeRow(FV, (), INTEGRATORS, 0.4),
+    "fv-entropy-corrected": SchemeRow(FV, ("entropy",), INTEGRATORS, 0.4),
+    "supg": SchemeRow(SUPG, (), ("ssprk3", "euler", "ssprk2"), 0.8),
+    # the energy identity holds per forward Euler step: SSP stages combined
+    # in (rho, m, e) lose total energy
+    "nc-energy-corrected": SchemeRow(NC_ENERGY, (), ("euler",), 0.4),
+    # an SSPRK3 scheme throughout; its point-average coupling is unstable by
+    # CFL 0.5
+    "active-flux": SchemeRow(ACTIVE_FLUX, (), ("ssprk3",), 0.4),
 }
 
 
@@ -55,8 +63,9 @@ class RunConfig:
     def validate(self):
         if self.case not in CASE_IDS:
             raise ConfigError(f"unknown case {self.case!r}; known: {', '.join(CASE_IDS)}")
-        if self.scheme not in SCHEME_IDS:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEME_IDS)}")
+        row = SCHEMES.get(self.scheme)
+        if row is None:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; known: {', '.join(SCHEMES)}")
         if self.nx < 2:
             raise ConfigError(f"nx must be at least 2, got {self.nx}")
         if self.cfl is not None and not 0.0 < self.cfl <= 1.0:
@@ -67,22 +76,32 @@ class RunConfig:
             raise ConfigError(f"unknown boundary kind {self.boundary!r}")
         if self.integrator is not None and self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
-        only = _ONLY_INTEGRATOR.get(self.scheme)
-        if self.integrator is not None and only is not None and self.integrator != only:
+        if self.integrator is not None and self.integrator not in row.integrators:
             raise ConfigError(
-                f"{self.scheme} runs with integrator {only} only, got {self.integrator!r}"
+                f"{self.scheme} runs with integrator {' or '.join(row.integrators)} only, "
+                f"got {self.integrator!r}"
             )
-        if self.scheme == "nc-energy-corrected" and self.case not in EULER_CASES:
-            raise ConfigError("nc-energy-corrected needs a gas-dynamics case (sod, shu-osher)")
+        if row.base == NC_ENERGY and self.case not in EULER_CASES:
+            raise ConfigError(
+                f"{self.scheme} needs a gas-dynamics case ({', '.join(EULER_CASES)})"
+            )
+        if self.detector and row.base != ACTIVE_FLUX:
+            raise ConfigError(f"the detector applies to {ACTIVE_FLUX} only, not {self.scheme}")
+        if not 0.0 <= self.tau_scale < np.inf:
+            raise ConfigError(f"tau_scale must be finite and at least 0, got {self.tau_scale}")
+        if self.tau_scale != 1.0 and row.base != SUPG:
+            raise ConfigError(f"tau_scale applies to the {SUPG} base only, not {self.scheme}")
+        if not self.snapshot_every >= 0:
+            raise ConfigError(f"snapshot_every must be at least 0, got {self.snapshot_every}")
         if not self.gamma > 1.0:
             raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
         return self
 
     def resolved_integrator(self):
-        return self.integrator or _DEFAULT_INTEGRATOR[self.scheme]
+        return self.integrator or SCHEMES[self.scheme].integrators[0]
 
     def resolved_cfl(self):
-        return self.cfl if self.cfl is not None else _DEFAULT_CFL[self.scheme]
+        return self.cfl if self.cfl is not None else SCHEMES[self.scheme].cfl
 
 
 @dataclass

@@ -7,10 +7,11 @@ sum to its boundary flux integral; the update then reads
 
     u_sigma^{n+1} = u_sigma^n - dt / |C_sigma| * sum_{K owning sigma} Phi_sigma^K.
 
-A residual scheme is a base residual (finite volume or SUPG) followed by an
-ordered tuple of zero-sum corrections; ``residual_assembler`` builds one from
-its scheme id.  ``march`` is the one time-marching loop: ``integrate`` and
-the two-field scheme's ``af_integrate`` hand it a step function.
+A residual scheme is a base residual (finite volume, SUPG or the two-field
+gas scheme) followed by an ordered tuple of zero-sum corrections;
+``residual_assembler`` builds one from its row of ``records.SCHEMES``.
+``march`` is the one time-marching loop: ``integrate`` and the two-field
+scheme's ``af_integrate`` hand it a step function.
 
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
@@ -25,7 +26,7 @@ import numpy as np
 from . import corrections
 from .errors import ConfigError, GeometryError, RunError, StepRejectedError
 from .mesh import scatter_cell_ends
-from .records import Ledger, SolutionRecord
+from .records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, SUPG, Ledger, SolutionRecord
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
 
@@ -253,36 +254,34 @@ def _entropy_corrected(residuals, states, model):
 
 _CORRECTIONS = {"entropy": _entropy_corrected}
 
-# residual scheme id -> (base residual, corrections applied in this order)
-RESIDUAL_SCHEMES = {
-    "fv-rusanov": ("fv", ()),
-    "fv-entropy-corrected": ("fv", ("entropy",)),
-    "supg": ("supg", ()),
-}
-
 
 def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
-    """assemble(states, dt) -> ResidualSet for a residual scheme id.
+    """assemble(states, dt) -> ResidualSet of a residual scheme id, on conserved states.
 
-    The base residual is Rusanov finite volume (``fv``) or SUPG with the
-    given tau scale (``supg``); each correction then redistributes the
-    residuals inside every element with zero sum, so the base residual's
+    Reads the id's row of ``records.SCHEMES``: the base residual is Rusanov
+    finite volume (``fv``), SUPG with the given tau scale (``supg``) or the
+    two-field gas scheme (``nc-energy``); each correction then redistributes
+    the residuals inside every element with zero sum, so the base residual's
     conservation survives.
     """
-    if scheme_id not in RESIDUAL_SCHEMES:
-        raise ConfigError(
-            f"{scheme_id!r} is not a residual scheme; known: {', '.join(RESIDUAL_SCHEMES)}"
-        )
-    base, steps = RESIDUAL_SCHEMES[scheme_id]
-    flux = NumericalFlux("rusanov", model)
+    row = SCHEMES.get(scheme_id)
+    if row is None or row.base == ACTIVE_FLUX:
+        known = [name for name, r in SCHEMES.items() if r.base != ACTIVE_FLUX]
+        raise ConfigError(f"{scheme_id!r} is not a residual scheme; known: {', '.join(known)}")
+    if row.base == NC_ENERGY:
+        gas = TwoFieldGasScheme(model, mesh)
+        base = lambda u, dt: gas.assemble(gas.from_conserved(u), dt)
+    elif row.base == SUPG:
+        base = lambda u, dt: supg_residuals_1d(mesh, u, model, tau_scale=tau_scale)
+    else:
+        flux = NumericalFlux("rusanov", model)
+        base = lambda u, dt: fv_residuals_1d(mesh, u, flux, model)
+    steps = [_CORRECTIONS[name] for name in row.corrections]
 
     def assemble(states, dt):
-        if base == "fv":
-            residuals = fv_residuals_1d(mesh, states, flux, model)
-        else:
-            residuals = supg_residuals_1d(mesh, states, model, tau_scale=tau_scale)
-        for name in steps:
-            residuals = _CORRECTIONS[name](residuals, states, model)
+        residuals = base(states, dt)
+        for correct in steps:
+            residuals = correct(residuals, states, model)
         return residuals
 
     return assemble
@@ -299,8 +298,7 @@ class TwoFieldGasScheme:
     identity per Euler substep.
 
     The scheme is also the model ``integrate`` watches: admissibility, wave
-    speeds, entropy and flux are those of the gas model, read through
-    (rho, m, e).
+    speeds and entropy are those of the gas model, read through (rho, m, e).
     """
 
     def __init__(self, model, mesh):
@@ -351,7 +349,7 @@ class TwoFieldGasScheme:
             # the integrator then rejects and retries it with a smaller dt
             v_new = mom_new / rho_new if dt > 0 else v_old
 
-        f_energy = (u[:, 2] + model.pressure(u)) * (u[:, 1] / u[:, 0])
+        f_energy = model.flux(u)[:, 2]
         target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
         phi_e, _ = corrections.nonconservative_energy_correction(
             phi_rho, phi_mom, phi_e, v_old, v_new, dofs, target
@@ -368,14 +366,7 @@ class TwoFieldGasScheme:
         bparts = np.concatenate(
             [base.boundary_parts[:, :, :2], bparts_e[:, :, None]], axis=2
         )
-        closure = np.zeros((mesh.ndof, 3))
-        if not mesh.periodic:
-            full = model.flux(u)
-            closure[0, :2] = -full[0, :2]
-            closure[-1, :2] = full[-1, :2]
-            closure[0, 2] = -f_energy[0]
-            closure[-1, 2] = f_energy[-1]
-        return ResidualSet(dofs, phi, bparts, closure)
+        return ResidualSet(dofs, phi, bparts, base.domain_boundary_flux)
 
     def conserved_totals(self, w):
         u = self.to_conserved(w)
@@ -392,9 +383,6 @@ class TwoFieldGasScheme:
 
     def entropy(self, w):
         return self.model.entropy(self.to_conserved(w))
-
-    def flux(self, w):
-        return self.model.flux(self.to_conserved(w))
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +527,10 @@ def integrate(
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
     assemble(states, dt) -> ResidualSet.  model supplies the wave speeds, the
-    admissibility test, the entropy and the physical flux closing the
-    boundary account, all in the variables the states are kept in.  The
-    ledger's totals come from conserved_totals(states), by default the
-    volume-weighted sums; alpha_max is the largest correction coefficient
+    admissibility test and the entropy, in the variables the states are kept
+    in.  The ledger's totals come from conserved_totals(states), by default
+    the volume-weighted sums; its boundary account is the net outflux each
+    stage's residuals carry; alpha_max is the largest correction coefficient
     reported by the assembler.  See ``march`` for steps, retries and errors.
     """
     states = np.asarray(u0, dtype=float)
@@ -552,11 +540,6 @@ def integrate(
     if conserved_totals is None:
         vols = mesh.volumes[:, None]
         conserved_totals = lambda u: (vols * u).sum(axis=0)
-
-    def boundary_outflux(u):
-        if mesh.periodic:
-            return np.zeros(u.shape[1])
-        return model.flux(u[-1]) - model.flux(u[0])
 
     stages = _ssp_stages(integrator)
     flux_weights = _stage_flux_weights(stages)
@@ -568,7 +551,7 @@ def integrate(
         for (a_coef, b_coef), w in zip(stages, flux_weights):
             residuals = assemble(cur, dt)
             alpha_max = max(alpha_max, residuals.alpha_max)
-            bflux = bflux + w * dt * boundary_outflux(cur)
+            bflux = bflux + w * dt * residuals.net_boundary_outflux()
             stage_new = rd_step(mesh, cur, residuals, dt, model=model)
             cur = a_coef * u + b_coef * stage_new
         if not np.isfinite(cur).all():

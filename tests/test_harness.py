@@ -10,7 +10,7 @@ from conserva.harness.cli import main
 from conserva.harness.runner import build_problem, run
 from conserva.harness.weak import BumpTestFunction, default_bumps
 from conserva.mesh import uniform_mesh
-from conserva.records import INTEGRATORS, RunConfig, SolutionRecord
+from conserva.records import INTEGRATORS, NC_ENERGY, SCHEMES, RunConfig, SolutionRecord
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +330,68 @@ def test_cli_blowup_returns_one(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "scheme, accepted", [("active-flux", "ssprk3"), ("nc-energy-corrected", "euler")]
+    "scheme, integrator", [(s, i) for s in SCHEMES for i in INTEGRATORS]
 )
-def test_single_integrator_schemes_reject_the_others(tmp_path, scheme, accepted):
-    # active flux is SSPRK3 throughout; the energy identity of the two-field
-    # gas scheme holds per forward Euler step only
-    for integrator in INTEGRATORS:
-        config = RunConfig(case="sod", scheme=scheme, integrator=integrator)
-        if integrator == accepted:
-            config.validate()
-            continue
+def test_single_integrator_schemes_reject_the_others(tmp_path, scheme, integrator):
+    # every row of the scheme table against every integrator: a combination
+    # the row rejects is a usage error, one it accepts keeps conservation
+    case = "sod" if SCHEMES[scheme].base == NC_ENERGY else "burgers-sine"
+    config = RunConfig(case=case, scheme=scheme, nx=40, t_end=0.05, integrator=integrator)
+    if integrator not in SCHEMES[scheme].integrators:
         with pytest.raises(ConfigError):
             config.validate()
-        code = main(["run", "--case", "sod", "--scheme", scheme, "--nx", "20",
+        code = main(["run", "--case", case, "--scheme", scheme, "--nx", "20",
                      "--integrator", integrator, "--out", str(tmp_path / "never.csv")])
         assert code == 2
+        return
+    _, mesh, u0 = build_problem(config)
+    ledger = run(config).ledger
+    assert ledger.nsteps > 0
+    # relative to the size of the conserved field: the sine's mass is zero
+    scale = (mesh.volumes[:, None] * np.abs(u0)).sum(axis=0).max()
+    assert ledger.conservation_drift() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize(
+    "scheme, args, config_line",
+    [
+        pytest.param("fv-rusanov", ["--detector"], "", id="detector-fv"),
+        pytest.param("nc-energy-corrected", ["--detector"], "", id="detector-nc-energy"),
+        pytest.param("fv-rusanov", [], "tau-scale = 7", id="tau-fv"),
+        pytest.param("fv-entropy-corrected", [], "tau-scale = 0.5", id="tau-fv-entropy"),
+        pytest.param("supg", [], "tau-scale = -2", id="tau-negative"),
+        pytest.param("supg", [], "tau-scale = nan", id="tau-nan"),
+        pytest.param("supg", [], "tau-scale = inf", id="tau-inf"),
+        pytest.param("fv-rusanov", ["--snapshot-every", "-1"], "", id="snapshot-negative"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "recover-fluxes"])
+def test_cli_rejects_settings_the_scheme_ignores(tmp_path, capsys, command, scheme, args,
+                                                  config_line):
+    # a setting the scheme would drop, or a tau scale that is negative or not
+    # finite, is a usage error rather than a silent or misleading run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line + "\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    code = main([command, "--case", "sod", "--scheme", scheme, "--nx", "20",
+                 "--config", str(cfg), "--out", str(out)] + args)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("nx", "0"), ("gamma", "0")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_zero_values_are_not_replaced_by_defaults(tmp_path, capsys, key, value, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n" if source == "config" else "\n", encoding="utf-8")
+    flag = [f"--{key}", value] if source == "flag" else []
+    out = tmp_path / "never.csv"
+    code = main(["run", "--case", "sod", "--scheme", "fv-rusanov", "--config", str(cfg),
+                 "--out", str(out)] + flag)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runconfig_validation():
@@ -354,3 +401,14 @@ def test_runconfig_validation():
         RunConfig(case="advection-sine", scheme="nc-energy-corrected").validate()
     with pytest.raises(ConfigError):
         RunConfig(case="sod", scheme="fv-rusanov", nx=1).validate()
+    RunConfig(case="sod", scheme="supg", tau_scale=0.0).validate()
+    RunConfig(case="sod", scheme="active-flux", detector=True).validate()
+    for bad in (
+        RunConfig(case="sod", scheme="supg", tau_scale=-0.5),
+        RunConfig(case="sod", scheme="supg", tau_scale=float("nan")),
+        RunConfig(case="sod", scheme="fv-rusanov", tau_scale=2.0),
+        RunConfig(case="sod", scheme="supg", detector=True),
+        RunConfig(case="sod", scheme="fv-rusanov", snapshot_every=-1),
+    ):
+        with pytest.raises(ConfigError):
+            bad.validate()

@@ -6,14 +6,22 @@ from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConservationError, GraphStructureError
 from conserva.mesh import ElementGraph, element_graph, uniform_mesh
-from conserva.models import Burgers
+from conserva.models import Burgers, Euler
+from conserva.records import ACTIVE_FLUX, SCHEMES
 from conserva.recovery import (
+    SUM_TOLERANCE,
     RecoveryProblem,
     build_laplacian,
     recover_fluxes,
     reconstruct_scheme,
 )
-from conserva.schemes import NumericalFlux, ResidualSet, fv_residuals_1d, supg_residuals_1d
+from conserva.schemes import (
+    NumericalFlux,
+    ResidualSet,
+    fv_residuals_1d,
+    residual_assembler,
+    supg_residuals_1d,
+)
 
 
 def test_laplacian_segment():
@@ -278,3 +286,41 @@ def test_property_batched_recovery_equals_single_calls(case):
     for k in range(len(psi)):
         single = recover_fluxes(graph, RecoveryProblem(psi[k], scale=scale[k]), laplacian)
         np.testing.assert_array_equal(batched[k], single.values)
+
+
+RESIDUAL_IDS = [name for name, row in SCHEMES.items() if row.base != ACTIVE_FLUX]
+
+
+@st.composite
+def gas_meshes_and_states(draw):
+    """A small mesh, admissible gas states on its DOFs and a dt up to CFL 0.4."""
+    nx = draw(st.integers(2, 12))
+    mesh = uniform_mesh(0.0, 1.0, nx, boundary=draw(st.sampled_from(["transmissive", "periodic"])))
+    model = Euler(gamma=draw(st.floats(1.1, 5.0 / 3.0)))
+    aux = np.column_stack([
+        draw(hnp.arrays(float, mesh.ndof, elements=st.floats(lo, hi)))
+        for lo, hi in ((0.1, 10.0), (-3.0, 3.0), (0.1, 10.0))  # rho, v, p
+    ])
+    states = model.from_aux(aux)
+    speed = float(model.max_wave_speed(states).max())
+    dt = draw(st.floats(0.0, 0.4)) * float(mesh.volumes.min()) / speed
+    return model, mesh, states, dt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RESIDUAL_IDS), gas_meshes_and_states())
+def test_property_every_residual_scheme_has_a_flux_form(scheme_id, case):
+    # residual form equals flux form for every id the CLI accepts as a
+    # residual scheme
+    model, mesh, states, dt = case
+    residuals = residual_assembler(scheme_id, model, mesh)(states, dt)
+    scale = np.maximum(
+        np.abs(residuals.phi).max(axis=(1, 2)), np.abs(residuals.boundary_parts).max(axis=(1, 2))
+    )
+    defect = np.abs(residuals.element_defect()).max(axis=1)
+    assert (defect <= SUM_TOLERANCE * scale).all()
+
+    increments, _ = reconstruct_scheme(mesh, states, residuals)
+    np.testing.assert_allclose(
+        increments, residuals.scatter_to_dofs(mesh.ndof), rtol=0, atol=1e-12 * scale.max()
+    )
