@@ -7,7 +7,9 @@ problem appears and conservation of the averages is exact.  The point values
 v = psi(u) evolve by v_t + J v_x = 0 with J = P (df/du) P^{-1}, P = dpsi/du,
 split into J = J^+ + J^- through the eigenvalue signs; each side of a node is
 differenced with the one-sided quadratic stencil built from the node values
-and the Simpson-recovered mid value, giving third order on smooth data.
+and the mid value, giving third order on smooth data.  Simpson's relation
+recovers the mid value in conserved variables from the average and the
+conserved node states that the average rates also use; psi then maps it.
 
 No flux-form rewrite of the point update is claimed anywhere; only the
 average field carries conservation statements.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RecoveryError, SplittingError, StepRejectedError
+from .errors import SplittingError, StepRejectedError
 from .mesh import scatter_cell_ends
 from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
 from .schemes import _ssp_stages, _stage_flux_weights, march, rusanov_unchecked
@@ -60,41 +62,21 @@ def initialize(model, mesh, u0_of_x, quad_points=5):
 
 
 def _cell_point_values(mesh, points):
-    """Point values at the left/right nodes of every cell."""
+    """Per-node values at the left/right nodes of every cell."""
     left = points[mesh.cell_dofs[:, 0]]
     right = points[mesh.cell_dofs[:, 1]]
     return left, right
 
 
-def recover_midpoint(model, averages, v_left, v_right, check=True):
-    """Mid-cell mapped values from Simpson's relation.
+def recover_midpoint(averages, u_left, u_right):
+    """Mid-cell conserved states from Simpson's relation.
 
-    Solves ubar = (psi^{-1}(vL) + 4 psi^{-1}(v_mid) + psi^{-1}(vR)) / 6 for
-    v_mid; the relation is linear in psi^{-1}(v_mid), so the solve is exact
-    in one shot for any invertible map.  Exact for polynomial data of degree
-    at most two under the identity map.
+    Solves ubar = (u_left + 4 u_mid + u_right) / 6 for u_mid, elementwise;
+    exact for polynomial data of degree at most two.  The relation is linear
+    in the conserved variables, so mid values of mapped variables are
+    ``to_aux`` of the result for any invertible map.
     """
-    u_left = model.from_aux(np.asarray(v_left, dtype=float))
-    u_right = model.from_aux(np.asarray(v_right, dtype=float))
-    u_mid = (6.0 * np.asarray(averages, dtype=float) - u_left - u_right) / 4.0
-    if check:
-        mask = model.admissible_mask(u_mid)
-        if not mask.all():
-            cells = np.flatnonzero(~mask)
-            raise RecoveryError(
-                f"mid-value recovery left the admissible set in cells {cells.tolist()}",
-                cells=cells,
-            )
-    return model.to_aux(u_mid)
-
-
-def average_update(mesh, state, model):
-    """d(ubar)/dt from the single-valued point fluxes at the cell ends."""
-    u_nodes = model.require_admissible(model.from_aux(state.points))
-    f = model.flux(u_nodes)
-    f_left = f[mesh.cell_dofs[:, 0]]
-    f_right = f[mesh.cell_dofs[:, 1]]
-    return -(f_right - f_left) / mesh.cell_sizes[:, None]
+    return (6.0 * averages - u_left - u_right) / 4.0
 
 
 def _apply_split(model, points, d, sign):
@@ -127,17 +109,18 @@ def _apply_split(model, points, d, sign):
     return np.einsum("...ij,...j->...i", R, lam * amp)
 
 
-def point_update(mesh, state, model):
+def point_update(mesh, state, model, u_nodes):
     """dv/dt at the nodes by upwind splitting of the mapped-variable system.
 
     One-sided quadratic derivatives: from the right cell of node i,
     dv/dx = (-3 v_i + 4 v_{i+1/2} - v_{i+1}) / dx, mirrored on the left; the
     missing side at a transmissive boundary contributes zero (constant
     extension).  J^+ takes the left-cell slope, J^- the right-cell slope.
+    ``u_nodes`` are the conserved states of ``state.points``.
     """
-    points = state.points
-    v_left, v_right = _cell_point_values(mesh, points)
-    v_mid = recover_midpoint(model, state.averages, v_left, v_right, check=False)
+    v_left, v_right = _cell_point_values(mesh, state.points)
+    u_left, u_right = _cell_point_values(mesh, u_nodes)
+    v_mid = model.to_aux(recover_midpoint(state.averages, u_left, u_right))
     dx = mesh.cell_sizes[:, None]
     slope_right = (-3.0 * v_left + 4.0 * v_mid - v_right) / dx  # at each cell's left node
     slope_left = (3.0 * v_right - 4.0 * v_mid + v_left) / dx  # at each cell's right node
@@ -175,13 +158,9 @@ def _fallback_point_rate(mesh, state, model, flagged, u_nodes):
     """
     bad_nodes = scatter_cell_ends(flagged, flagged, mesh.ndof)  # both nodes of each flagged cell
     nodes = np.flatnonzero(bad_nodes)
-    if mesh.periodic:
-        width = 0.5 * (mesh.cell_sizes + np.roll(mesh.cell_sizes, 1))
-    else:
-        width = np.empty(mesh.ndof)
-        width[0] = mesh.cell_sizes[0]
-        width[-1] = mesh.cell_sizes[-1]
-        width[1:-1] = 0.5 * (mesh.cell_sizes[:-1] + mesh.cell_sizes[1:])
+    width = mesh.volumes.copy()
+    if not mesh.periodic:
+        width[[0, -1]] *= 2.0  # whole end cells, not the half-width end volumes
     u_pts = u_nodes[nodes]
     left, right = _neighbor_averages(mesh, state.averages, u_nodes, nodes)
     f_right = rusanov_unchecked(u_pts, right, model)
@@ -196,7 +175,7 @@ def _fallback_point_rate(mesh, state, model, flagged, u_nodes):
 def _base_rates(mesh, state, model):
     """Node states, node fluxes and point rates of a state, before any fallback."""
     u_nodes = model.from_aux(state.points)
-    return u_nodes, model.flux(u_nodes), point_update(mesh, state, model)
+    return u_nodes, model.flux(u_nodes), point_update(mesh, state, model, u_nodes)
 
 
 def _rhs(mesh, state, model, flagged, base=None):
@@ -239,10 +218,8 @@ def _detect(mesh, model, candidate, previous):
     bad |= node_bad[mesh.cell_dofs[:, 0]] | node_bad[mesh.cell_dofs[:, 1]]
 
     with np.errstate(all="ignore"):
-        u_left, u_right = _cell_point_values(mesh, u_pts)
-        u_mid = (
-            6.0 * np.where(np.isfinite(averages), averages, 1.0) - u_left - u_right
-        ) / 4.0
+        # a row with a non-finite average is flagged already, whatever its mid value
+        u_mid = recover_midpoint(ok_avg, *_cell_point_values(mesh, u_pts))
     bad |= ~model.admissible_mask(u_mid)
 
     # relaxed discrete maximum principle on the leading average component

@@ -3,9 +3,9 @@
 All corrections redistribute residuals inside an element with zero sum, so
 the original conservation relation (residual sum = boundary flux) survives
 exactly.  The entropy correction pushes every element's entropy production
-above its boundary entropy flux; the least-squares variant handles several
-such linear constraints at once; the energy correction makes a scheme posed
-in (density, momentum, internal energy) variables conserve total energy.
+above its boundary entropy flux, the closed-form case of one linear
+constraint per element; the energy correction makes a scheme posed in
+(density, momentum, internal energy) variables conserve total energy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, CorrectionError
+from .errors import CorrectionError
 
 log = logging.getLogger(__name__)
 
@@ -40,10 +40,6 @@ class CorrectionReport:
     pre_defect: np.ndarray
     post_defect: np.ndarray
     clamped: np.ndarray
-
-    @property
-    def alpha_max(self):
-        return float(self.alpha.max()) if len(self.alpha) else 0.0
 
 
 def entropy_correction(residuals, states, model, entropy_flux=None):
@@ -118,55 +114,6 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
         clamped=np.flatnonzero(clamped),
     )
     return corrected, report
-
-
-@dataclass
-class Constraint:
-    """One linear condition sum_sigma w_sigma . Phi~_sigma = target."""
-
-    weights: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        self.weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
-
-
-def multi_constraint_correction(phi, constraints):
-    """Zero-sum correction meeting several linear constraints at once.
-
-    phi: (m, p) residuals of one element.  Each correction direction is the
-    centred weight field of a constraint, r_sigma = sum_m alpha_m
-    (w_sigma^m - w_bar^m), and the alphas solve the small Gram system in the
-    least-squares sense (rank deficiencies fall back to the minimum-norm
-    solution, with the residual norm reported).
-
-    Returns (corrected_phi, alpha, lstsq_residual_norm).
-    """
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    m = phi.shape[0]
-    if not constraints:
-        return phi.copy(), np.zeros(0), 0.0
-    if len(constraints) > m - 1:
-        raise ConfigError(
-            f"at most {m - 1} constraints fit an element with {m} DOFs, got {len(constraints)}"
-        )
-    centered = []
-    rhs = np.empty(len(constraints))
-    for i, con in enumerate(constraints):
-        w = con.weights
-        if w.shape != phi.shape:
-            raise ConfigError(f"constraint {i} weights must be shaped like phi {phi.shape}")
-        centered.append(w - w.mean(axis=0, keepdims=True))
-        rhs[i] = con.target - float((w * phi).sum())
-    W = np.stack(centered)  # (ncon, m, p)
-    gram = np.einsum("aip,bip->ab", W, W)
-    alpha, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-    correction = np.einsum("a,aip->ip", alpha, W)
-    residual_norm = float(np.linalg.norm(gram @ alpha - rhs))
-    if rank < len(constraints):
-        log.debug("constraint system rank %d < %d; lstsq residual %.3e",
-                  rank, len(constraints), residual_norm)
-    return phi + correction, alpha, residual_norm
 
 
 def energy_update_identity(rho0, v0, e0, rho1, v1, e1):

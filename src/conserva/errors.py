@@ -43,14 +43,6 @@ class CorrectionError(ConservaError):
         self.elements = elements
 
 
-class RecoveryError(ConservaError):
-    """Mid-value recovery produced an inadmissible state."""
-
-    def __init__(self, message, cells=None):
-        super().__init__(message)
-        self.cells = cells
-
-
 class SplittingError(ConservaError):
     """Jacobian could not be numerically diagonalised for upwind splitting."""
 

@@ -4,7 +4,6 @@ from .cases import Case, case_library
 from .exact import (
     BURGERS_SINE_BREAKDOWN,
     RiemannSolution,
-    burgers_exact,
     burgers_riemann,
     burgers_sine_exact,
     exact_riemann_euler,
@@ -18,7 +17,6 @@ __all__ = [
     "Case",
     "RiemannSolution",
     "build_problem",
-    "burgers_exact",
     "burgers_riemann",
     "burgers_sine_exact",
     "case_library",

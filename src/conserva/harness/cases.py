@@ -120,7 +120,7 @@ def _sod(gamma, domain=(0.0, 1.0)):
             return u0(x)
         return model.from_aux(solution.sample((x - split) / t))
 
-    case = Case(
+    return Case(
         name="sod",
         model=model,
         domain=domain,
@@ -130,8 +130,6 @@ def _sod(gamma, domain=(0.0, 1.0)):
         exact_solution=sol,
         notes="diaphragm at the domain midpoint; domain (-0.5, 0.5) works too",
     )
-    case.riemann = solution
-    return case
 
 
 SHU_OSHER_LEFT = (3.857143, 2.629369, 10.3333333)

@@ -82,6 +82,8 @@ def _parse_nx_list(text):
         raise ConfigError(f"cannot parse resolution list {text!r}") from None
     if not values:
         raise ConfigError("empty resolution list")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"resolution list {text!r} repeats a resolution")
     return values
 
 
@@ -98,6 +100,13 @@ def _read_config_file(path):
     return values
 
 
+def _parse_switch(text):
+    value = text.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(text)
+    return value in ("1", "true", "yes", "on")
+
+
 # every key a config file may set, with its parser
 _CONFIG_KEYS = {
     "case": str,
@@ -107,7 +116,7 @@ _CONFIG_KEYS = {
     "tend": float,
     "gamma": float,
     "boundary": str,
-    "detector": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "detector": _parse_switch,
     "integrator": str,
     "snapshot-every": int,
     "tau-scale": float,

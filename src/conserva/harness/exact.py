@@ -180,12 +180,3 @@ def burgers_sine_exact(x, t, max_iter=100, tol=1e-14):
 
 
 BURGERS_SINE_BREAKDOWN = 1.0 / np.pi
-
-
-def burgers_exact(kind, x, t, u_left=1.0, u_right=0.0):
-    """Dispatch between the supported exact Burgers branches."""
-    if kind == "sine":
-        return burgers_sine_exact(x, t)
-    if kind == "riemann":
-        return burgers_riemann(u_left, u_right, x, t)
-    raise ConfigError(f"unknown exact-solution kind {kind!r}")

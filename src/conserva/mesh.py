@@ -56,10 +56,6 @@ class Mesh1D:
             self.cell_dofs = np.stack([dofs, dofs + 1], axis=1)
 
     @property
-    def length(self):
-        return float(self.nodes[-1] - self.nodes[0])
-
-    @property
     def cell_centers(self):
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
@@ -121,14 +117,6 @@ class ElementGraph:
     @property
     def nedges(self):
         return len(self.edges)
-
-    def epsilon(self, i, j):
-        """Orientation sign: +1 if i->j is direct, -1 if j->i is, else 0."""
-        if (i, j) in self.edges:
-            return 1
-        if (j, i) in self.edges:
-            return -1
-        return 0
 
     def is_connected(self):
         seen = {0}

@@ -159,8 +159,8 @@ class Euler(PhysicsModel):
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
     @property
     def p(self):
@@ -312,36 +312,3 @@ class Euler(PhysicsModel):
         out[..., 1] = (b3 - b1) * c / rho
         out[..., 2] = (b1 + b3) * c**2
         return out
-
-
-def flux(model, u):
-    """Physical flux f(u); raises DomainError on inadmissible input."""
-    u = model.require_admissible(u)
-    return model.flux(u)
-
-
-def entropy_pair(model, u):
-    """Return (eta, entropy variables, entropy flux) at u."""
-    u = model.require_admissible(u)
-    return model.entropy(u), model.entropy_variables(u), model.entropy_flux(u)
-
-
-def max_wave_speed(model, u):
-    """Upper bound for the spectral radius of the flux Jacobian at u."""
-    u = model.require_admissible(u)
-    return model.max_wave_speed(u)
-
-
-def convert(model, values, direction):
-    """Map between conserved and auxiliary variables.
-
-    direction: "to_aux" maps conserved -> auxiliary (primitive for the gas
-    model, identity for scalar laws); "from_aux" is the inverse.
-    """
-    if direction == "to_aux":
-        u = model.require_admissible(values)
-        return model.to_aux(u)
-    if direction == "from_aux":
-        u = model.from_aux(values)
-        return model.require_admissible(u)
-    raise ConfigError(f"unknown direction {direction!r}; use 'to_aux' or 'from_aux'")

@@ -70,8 +70,8 @@ class RunConfig:
             raise ConfigError(f"nx must be at least 2, got {self.nx}")
         if self.cfl is not None and not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end is not None and not self.t_end > 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if self.t_end is not None and not 0.0 < self.t_end < np.inf:
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.boundary is not None and self.boundary not in ("periodic", "transmissive"):
             raise ConfigError(f"unknown boundary kind {self.boundary!r}")
         if self.integrator is not None and self.integrator not in INTEGRATORS:
@@ -93,8 +93,8 @@ class RunConfig:
             raise ConfigError(f"tau_scale applies to the {SUPG} base only, not {self.scheme}")
         if not self.snapshot_every >= 0:
             raise ConfigError(f"snapshot_every must be at least 0, got {self.snapshot_every}")
-        if not self.gamma > 1.0:
-            raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and exceed 1, got {self.gamma}")
         return self
 
     def resolved_integrator(self):

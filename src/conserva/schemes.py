@@ -449,8 +449,8 @@ def march(state, advance, *, speed, length, cfl, t_end, totals, entropy, snapsho
 
     Returns (times, snapshots, ledger).
     """
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
+    if not 0.0 < t_end < np.inf:
+        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
     times = [0.0]
     snapshots = [snapshot(state)]
     led_time = [0.0]

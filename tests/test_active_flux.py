@@ -7,12 +7,10 @@ from conserva.active_flux import (
     _fallback_point_rate,
     _rhs,
     af_integrate,
-    average_update,
     initialize,
     point_update,
     recover_midpoint,
 )
-from conserva.errors import RecoveryError
 from conserva.harness import case_library
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
@@ -24,19 +22,17 @@ def test_midpoint_recovery_constant_data():
     model = Burgers()
     v = np.full((4, 1), 3.0)
     avg = np.full((4, 1), 3.0)
-    np.testing.assert_allclose(recover_midpoint(model, avg, v, v), 3.0)
+    np.testing.assert_allclose(model.to_aux(recover_midpoint(avg, v, v)), 3.0)
 
 
 def test_midpoint_recovery_linear_exactness():
-    model = Burgers()
-    mid = recover_midpoint(model, np.array([[0.5]]), np.array([[0.0]]), np.array([[1.0]]))
+    mid = recover_midpoint(np.array([[0.5]]), np.array([[0.0]]), np.array([[1.0]]))
     assert mid[0, 0] == pytest.approx(0.5)
 
 
 def test_midpoint_recovery_quadratic():
     # u = x^2 on [0, 1]: average 1/3, endpoints 0 and 1 -> midpoint value 1/4
-    model = Burgers()
-    mid = recover_midpoint(model, np.array([[1.0 / 3.0]]), np.array([[0.0]]), np.array([[1.0]]))
+    mid = recover_midpoint(np.array([[1.0 / 3.0]]), np.array([[0.0]]), np.array([[1.0]]))
     assert mid[0, 0] == pytest.approx(0.25)
 
 
@@ -45,25 +41,20 @@ def test_midpoint_recovery_roundtrips_primitive_map(rng):
     u = random_euler_states(rng, 32)
     v = model.to_aux(u)
     # constant data: averages equal the (constant) state per cell
-    mid = recover_midpoint(model, u, v, v)
+    u_nodes = model.from_aux(v)
+    mid = model.to_aux(recover_midpoint(u, u_nodes, u_nodes))
     np.testing.assert_allclose(mid, v, rtol=1e-13)
 
 
-def test_midpoint_recovery_reports_bad_cells():
-    model = Euler(1.4)
-    u = np.array([[1.0, 0.0, 2.5]])
-    v = model.to_aux(u)
-    hollow = np.array([[0.05, 0.0, 0.125]])  # average far below the endpoint states
-    with pytest.raises(RecoveryError) as excinfo:
-        recover_midpoint(model, hollow, v, v)
-    assert list(excinfo.value.cells) == [0]
+def _average_update(mesh, state, model):
+    return _rhs(mesh, state, model, np.zeros(mesh.ncell, dtype=bool))[0]
 
 
 def test_average_update_constant_state():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 4, boundary="periodic")
     state = AfState(np.full((4, 1), 2.0), np.full((4, 1), 2.0))
-    np.testing.assert_allclose(average_update(mesh, state, model), 0.0, atol=1e-15)
+    np.testing.assert_allclose(_average_update(mesh, state, model), 0.0, atol=1e-15)
 
 
 def test_average_update_hand_value():
@@ -71,7 +62,7 @@ def test_average_update_hand_value():
     model = Burgers()
     mesh = uniform_mesh(0.0, 2.0, 2, boundary="transmissive")
     state = AfState(np.array([[0.5], [0.0]]), np.array([[1.0], [0.0], [0.0]]))
-    rate = average_update(mesh, state, model)
+    rate = _average_update(mesh, state, model)
     assert rate[0, 0] == pytest.approx(0.5)
     assert rate[1, 0] == pytest.approx(0.0)
 
@@ -82,7 +73,7 @@ def test_average_update_telescopes(rng):
     points = rng.uniform(0.1, 1.0, (mesh.ndof, 1))
     averages = 0.5 * (points[:-1] + points[1:])
     state = AfState(averages, points)
-    rate = average_update(mesh, state, model)
+    rate = _average_update(mesh, state, model)
     total = (mesh.cell_sizes[:, None] * rate).sum(axis=0)
     expected = -(model.flux(points[-1]) - model.flux(points[0]))
     np.testing.assert_allclose(total, expected, atol=1e-14)
@@ -93,10 +84,10 @@ def test_point_update_upwind_sides_for_advection():
     mesh = uniform_mesh(0.0, 1.0, 4, boundary="periodic")
     x = mesh.dof_x[:, None]
     state = AfState(np.sin(2 * np.pi * mesh.cell_centers)[:, None], np.sin(2 * np.pi * x))
-    rate = point_update(mesh, state, model)
+    rate = point_update(mesh, state, model, state.points)
     # a > 0: only the left-cell slope feeds the node
     mids = recover_midpoint(
-        model, state.averages, state.points[mesh.cell_dofs[:, 0]], state.points[mesh.cell_dofs[:, 1]]
+        state.averages, state.points[mesh.cell_dofs[:, 0]], state.points[mesh.cell_dofs[:, 1]]
     )
     dx = mesh.cell_sizes[:, None]
     left_slope = (3.0 * state.points[mesh.cell_dofs[:, 1]] - 4.0 * mids + state.points[mesh.cell_dofs[:, 0]]) / dx
@@ -113,7 +104,7 @@ def test_point_update_exact_for_quadratic_data():
     points = (xs**2)[:, None]
     averages = np.array([[(xs[1] ** 3 - xs[0] ** 3) / 3.0], [(xs[2] ** 3 - xs[1] ** 3) / 3.0]])
     state = AfState(averages, points)
-    rate = point_update(mesh, state, model)
+    rate = point_update(mesh, state, model, points)
     assert rate[1, 0] == pytest.approx(0.0, abs=1e-14)  # derivative of x^2 at x=0
 
 
@@ -122,7 +113,7 @@ def test_point_update_constant_data():
     mesh = uniform_mesh(0.0, 1.0, 4, boundary="periodic")
     u = np.tile(np.array([1.0, 0.2, 2.5]), (4, 1))
     state = AfState(u.copy(), model.to_aux(u))
-    np.testing.assert_allclose(point_update(mesh, state, model), 0.0, atol=1e-14)
+    np.testing.assert_allclose(point_update(mesh, state, model, u), 0.0, atol=1e-14)
 
 
 def test_euler_split_matches_primitive_system_matrix(rng):

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from conserva.corrections import (
-    Constraint,
     energy_update_identity,
     entropy_correction,
     entropy_residuals,
-    multi_constraint_correction,
     nonconservative_energy_correction,
 )
-from conserva.errors import ConfigError, CorrectionError
+from conserva.errors import CorrectionError
 from conserva.mesh import uniform_mesh
 from conserva.models import Burgers, Euler
 from conserva.schemes import NumericalFlux, ResidualSet, fv_residuals_1d
@@ -101,62 +99,6 @@ def test_entropy_correction_zero_sum_per_element(rng):
     corrected, report = entropy_correction(res, states, model)
     np.testing.assert_allclose(report.corrections.sum(axis=1), 0.0, atol=1e-13)
     assert report.post_defect.min() >= -1e-12
-
-
-# ---------------------------------------------------------------------------
-# multi-constraint least squares
-# ---------------------------------------------------------------------------
-
-
-def test_single_entropy_constraint_matches_entropy_correction():
-    model = Burgers()
-    mesh = uniform_mesh(0.0, 2.0, 2, boundary="transmissive")
-    states = np.array([[0.2], [1.0], [1.0]])
-    res = fv_residuals_1d(mesh, states, NumericalFlux("central", model), model)
-    # engineered boundary entropy flux: 5.0 on element 0, zero on element 1
-    fabricated = lambda n, ul, ur: n * np.where(np.asarray(ul)[..., 0] > 0.5, 5.0, 0.0)
-    corrected, report = entropy_correction(res, states, model, fabricated)
-    assert report.alpha[0] > 0  # the engineered target forces a real correction
-
-    v = model.entropy_variables(states[:2])
-    phi_c, alpha, _ = multi_constraint_correction(
-        res.phi[0], [Constraint(weights=v, target=5.0)]
-    )
-    np.testing.assert_allclose(phi_c, corrected.phi[0], atol=1e-13)
-    assert alpha[0] == pytest.approx(report.alpha[0])
-
-
-def test_duplicate_constraints_collapse():
-    phi = np.array([[0.3, -0.1], [-0.2, 0.4], [0.6, 0.0]])
-    w = np.array([[1.0, 0.0], [0.5, 1.0], [-1.0, 0.3]])
-    single, _, _ = multi_constraint_correction(phi, [Constraint(w, 2.0)])
-    double, _, _ = multi_constraint_correction(phi, [Constraint(w, 2.0), Constraint(w, 2.0)])
-    np.testing.assert_allclose(double, single, atol=1e-12)
-
-
-def test_two_constraints_match_bruteforce_least_squares(rng):
-    phi = rng.normal(size=(3, 3))
-    w_entropy = rng.normal(size=(3, 3))
-    w_quad = rng.normal(size=(3, 3)) ** 2  # kinetic-energy-like positive weights
-    cons = [Constraint(w_entropy, 0.7), Constraint(w_quad, -0.2)]
-    phi_c, alpha, _ = multi_constraint_correction(phi, cons)
-
-    # dense oracle built straight from the definition
-    centered = [w - w.mean(axis=0, keepdims=True) for w in (w_entropy, w_quad)]
-    M = np.array([[float((wc * c).sum()) for c in centered] for wc in (w_entropy, w_quad)])
-    d = np.array([0.7 - float((w_entropy * phi).sum()), -0.2 - float((w_quad * phi).sum())])
-    alpha_oracle = np.linalg.lstsq(M, d, rcond=None)[0]
-    np.testing.assert_allclose(alpha, alpha_oracle, atol=1e-10)
-    for con, target in zip(cons, (0.7, -0.2)):
-        assert float((con.weights * phi_c).sum()) == pytest.approx(target, abs=1e-10)
-    np.testing.assert_allclose(phi_c.sum(axis=0), phi.sum(axis=0), atol=1e-12)
-
-
-def test_constraint_count_capped_by_dofs():
-    phi = np.zeros((2, 1))
-    cons = [Constraint(np.ones((2, 1)), 0.0)] * 2
-    with pytest.raises(ConfigError):
-        multi_constraint_correction(phi, cons)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from conserva.errors import BranchError, VacuumError
 from conserva.harness.exact import (
     BURGERS_SINE_BREAKDOWN,
-    burgers_exact,
     burgers_riemann,
     burgers_sine_exact,
     exact_riemann_euler,
@@ -68,8 +67,8 @@ def test_riemann_vacuum_detected():
 
 def test_burgers_exact_initial_time():
     x = np.linspace(-1, 1, 11)
-    np.testing.assert_allclose(burgers_exact("sine", x, 0.0), np.sin(np.pi * x), atol=1e-12)
-    np.testing.assert_array_equal(burgers_exact("riemann", x, 0.0), np.where(x < 0, 1.0, 0.0))
+    np.testing.assert_allclose(burgers_sine_exact(x, 0.0), np.sin(np.pi * x), atol=1e-12)
+    np.testing.assert_array_equal(burgers_riemann(1.0, 0.0, x, 0.0), np.where(x < 0, 1.0, 0.0))
 
 
 def test_burgers_riemann_shock_position():

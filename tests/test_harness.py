@@ -235,6 +235,37 @@ def test_cli_rejects_nan_values(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", ["tend", "gamma"])
+def test_cli_rejects_infinite_values(tmp_path, capsys, key, source):
+    # inf - 1e-13 * inf is nan, so an infinite end time used to end the run
+    # after 0 steps with exit 0; an infinite gamma blew up at step 0
+    cfg = tmp_path / "run.cfg"
+    line = f"{key}=inf\n" if source == "file" else ""
+    cfg.write_text(f"case=sod\nscheme=fv-rusanov\nnx=20\n{line}", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    flags = [f"--{key}", "inf"] if source == "flag" else []
+    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert "inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, runs", [("ture", False), ("ON", True), ("No", True)])
+def test_cli_config_detector_accepts_only_switch_words(tmp_path, capsys, value, runs):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case=sod\nscheme=active-flux\nnx=20\ntend=0.01\ndetector={value}\n",
+                   encoding="utf-8")
+    out = tmp_path / "af.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    if runs:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "detector" in err and value in err
+        assert not out.exists()
+
+
 def test_cli_config_file_rejects_unparsable_values(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case=advection-sine\nscheme=fv-rusanov\nnx=abc\n", encoding="utf-8")
@@ -261,6 +292,17 @@ def test_cli_convergence_table(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert "order" in text.splitlines()[0]
     assert len(text.splitlines()) == 3
+
+
+@pytest.mark.parametrize("command", ["convergence", "diagnose-weak"])
+def test_cli_nx_list_rejects_repeated_resolutions(tmp_path, capsys, command):
+    # a repeated resolution made convergence print a nan order
+    out = tmp_path / "never.txt"
+    code = main([command, "--case", "advection-sine", "--scheme", "fv-rusanov",
+                 "--nx-list", "20,20", "--out", str(out)])
+    assert code == 2
+    assert "20,20" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_recover_fluxes(tmp_path):
@@ -409,6 +451,8 @@ def test_runconfig_validation():
         RunConfig(case="sod", scheme="fv-rusanov", tau_scale=2.0),
         RunConfig(case="sod", scheme="supg", detector=True),
         RunConfig(case="sod", scheme="fv-rusanov", snapshot_every=-1),
+        RunConfig(case="sod", scheme="fv-rusanov", t_end=float("inf")),
+        RunConfig(case="sod", scheme="fv-rusanov", gamma=float("inf")),
     ):
         with pytest.raises(ConfigError):
             bad.validate()

@@ -1,45 +1,44 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError, DomainError
-from conserva.models import (
-    Advection,
-    Burgers,
-    Euler,
-    convert,
-    entropy_pair,
-    flux,
-    max_wave_speed,
-)
+from conserva.models import Advection, Burgers, Euler
 
 from conftest import random_euler_states
 
 
 def test_burgers_flux_values():
     model = Burgers()
-    assert flux(model, np.array([0.0])) == pytest.approx(0.0)
-    assert flux(model, np.array([2.0])) == pytest.approx(2.0)  # u^2/2 at u=2
+    assert model.flux(np.array([0.0])) == pytest.approx(0.0)
+    assert model.flux(np.array([2.0])) == pytest.approx(2.0)  # u^2/2 at u=2
 
 
 def test_euler_flux_static_state():
     model = Euler(gamma=1.4)
     u = np.array([1.0, 0.0, 2.5])  # p = 0.4 * 2.5 = 1
-    np.testing.assert_allclose(flux(model, u), [0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(model.flux(u), [0.0, 1.0, 0.0], atol=1e-15)
+
+
+def _entropy_pair(model, u):
+    return model.entropy(u), model.entropy_variables(u), model.entropy_flux(u)
 
 
 def test_burgers_entropy_pair():
     model = Burgers()
-    eta, v, g = entropy_pair(model, np.array([2.0]))
+    eta, v, g = _entropy_pair(model, np.array([2.0]))
     assert eta == pytest.approx(2.0)
     assert v == pytest.approx(2.0)
     assert g == pytest.approx(8.0 / 3.0)
-    eta0, v0, g0 = entropy_pair(model, np.array([0.0]))
+    eta0, v0, g0 = _entropy_pair(model, np.array([0.0]))
     assert (eta0, float(v0[0]), g0) == (0.0, 0.0, 0.0)
 
 
 def test_euler_entropy_zero_at_unit_state():
     model = Euler(gamma=1.4)
-    eta, _, g = entropy_pair(model, np.array([1.0, 0.0, 2.5]))
+    eta, _, g = _entropy_pair(model, np.array([1.0, 0.0, 2.5]))
     assert eta == pytest.approx(0.0, abs=1e-14)
     assert g == pytest.approx(0.0, abs=1e-14)
 
@@ -47,46 +46,41 @@ def test_euler_entropy_zero_at_unit_state():
 def test_convert_roundtrip_euler():
     model = Euler(gamma=1.4)
     u = np.array([1.0, 0.0, 2.5])
-    w = convert(model, u, "to_aux")
+    w = model.to_aux(u)
     np.testing.assert_allclose(w, [1.0, 0.0, 1.0], atol=1e-15)
-    back = convert(model, w, "from_aux")
+    back = model.from_aux(w)
     np.testing.assert_allclose(back, u, rtol=1e-13)
 
 
 def test_convert_identity_for_scalar_laws():
     model = Burgers()
     u = np.array([0.7])
-    np.testing.assert_array_equal(convert(model, u, "to_aux"), u)
+    np.testing.assert_array_equal(model.to_aux(u), u)
 
 
 def test_convert_roundtrip_random_states(rng):
     model = Euler(gamma=1.4)
     u = random_euler_states(rng, 200)
-    w = convert(model, u, "to_aux")
-    np.testing.assert_allclose(convert(model, w, "from_aux"), u, rtol=1e-13)
-
-
-def test_convert_rejects_unknown_direction():
-    with pytest.raises(ConfigError):
-        convert(Burgers(), np.array([1.0]), "sideways")
+    w = model.to_aux(u)
+    np.testing.assert_allclose(model.from_aux(w), u, rtol=1e-13)
 
 
 def test_max_wave_speeds():
-    assert max_wave_speed(Burgers(), np.array([-3.0])) == pytest.approx(3.0)
-    assert max_wave_speed(Advection(a=-2.5), np.array([7.0])) == pytest.approx(2.5)
-    c = max_wave_speed(Euler(1.4), np.array([1.0, 0.0, 2.5]))
+    assert Burgers().max_wave_speed(np.array([-3.0])) == pytest.approx(3.0)
+    assert Advection(a=-2.5).max_wave_speed(np.array([7.0])) == pytest.approx(2.5)
+    c = Euler(1.4).max_wave_speed(np.array([1.0, 0.0, 2.5]))
     assert c == pytest.approx(np.sqrt(1.4), rel=1e-12)
 
 
 def test_inadmissible_states_raise():
     model = Euler(gamma=1.4)
     with pytest.raises(DomainError):
-        flux(model, np.array([-1.0, 0.0, 2.5]))
+        model.require_admissible(np.array([-1.0, 0.0, 2.5]))
     with pytest.raises(DomainError):
-        entropy_pair(model, np.array([1.0, 10.0, 2.5]))  # negative internal energy
+        model.require_admissible(np.array([1.0, 10.0, 2.5]))  # negative internal energy
     exc = None
     try:
-        max_wave_speed(model, np.array([[1.0, 0.0, 2.5], [1.0, 0.0, -1.0]]))
+        model.require_admissible(np.array([[1.0, 0.0, 2.5], [1.0, 0.0, -1.0]]))
     except DomainError as err:
         exc = err
     assert exc is not None and exc.index == (1,)
@@ -101,6 +95,52 @@ def test_gamma_must_exceed_one():
 def test_gamma_nan_is_rejected():
     with pytest.raises(ConfigError):
         Euler(gamma=float("nan"))
+
+
+def test_gamma_must_be_finite():
+    with pytest.raises(ConfigError):
+        Euler(gamma=float("inf"))
+
+
+@st.composite
+def _states_and_gathers(draw):
+    """A model, admissible conserved states u with their auxiliary states w,
+    and a row-index array (repeats and any order, 1-D or cell-pair shaped)."""
+    n = draw(st.integers(1, 40))
+    magnitude = lambda: 10.0 ** draw(hnp.arrays(float, n, elements=st.floats(-6.0, 6.0)))
+    kind = draw(st.sampled_from(["advection", "burgers", "euler"]))
+    if kind == "euler":
+        model = Euler(gamma=draw(st.floats(1.1, 5.0 / 3.0)))
+        rho, pres = magnitude(), magnitude()
+        mach = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
+        w = np.column_stack([rho, mach * np.sqrt(model.gamma * pres / rho), pres])
+        u = model.from_aux(w)
+    else:
+        model = Burgers() if kind == "burgers" else Advection(a=draw(st.floats(-1e6, 1e6)))
+        sign = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
+        u = w = (sign * magnitude())[:, None]
+    assert model.admissible_mask(u).all()
+    m = draw(st.integers(1, 3 * n))
+    shape = draw(st.sampled_from([(m,), (m, 2)]))
+    idx = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, n - 1)))
+    return model, u, w, idx
+
+
+@settings(max_examples=200, deadline=None)
+@given(_states_and_gathers())
+def test_property_kernels_commute_with_row_gathers(case):
+    # gathering node results by cell equals evaluating on the gathered
+    # states, so a kernel may run once per node and be gathered per cell
+    model, u, w, idx = case
+    kernels = [
+        (getattr(model, name), u)
+        for name in ("flux", "max_wave_speed", "entropy", "entropy_variables", "to_aux",
+                     "admissible_mask")
+    ] + [(model.from_aux, w)]
+    for kernel, states in kernels:
+        gathered, direct = kernel(states)[idx], kernel(states[idx])
+        assert gathered.shape == direct.shape and gathered.dtype == direct.dtype
+        assert gathered.tobytes() == direct.tobytes(), kernel.__name__
 
 
 def _fd_gradient(f, u, h):

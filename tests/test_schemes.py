@@ -348,6 +348,16 @@ def test_marching_loop_steps_snapshots_and_blowup(problem):
     assert excinfo.value.step is not None
 
 
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("problem", [_rd_problem, _af_problem], ids=["integrate", "af_integrate"])
+def test_marching_loop_rejects_a_non_finite_end_time(problem, t_end):
+    # both used to return after 0 steps: the loop test t < t_end - 1e-13 * t_end
+    # is false when either side is nan
+    march, _ = problem(blowup=False)
+    with pytest.raises(ConfigError):
+        march(t_end=t_end)
+
+
 @pytest.mark.parametrize("integrator", ["euler", "ssprk2", "ssprk3"])
 def test_integrate_boundary_accounting_transmissive(integrator, rng):
     model = Burgers()
