@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SplittingError, StepRejectedError
-from .mesh import scatter_cell_ends
+from .mesh import gather_cell_ends, scatter_cell_ends
 from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
 from .schemes import _ssp_stages, _stage_flux_weights, march, rusanov_unchecked
 
@@ -61,13 +61,6 @@ def initialize(model, mesh, u0_of_x, quad_points=5):
     return AfState(averages, points)
 
 
-def _cell_point_values(mesh, points):
-    """Per-node values at the left/right nodes of every cell."""
-    left = points[mesh.cell_dofs[:, 0]]
-    right = points[mesh.cell_dofs[:, 1]]
-    return left, right
-
-
 def recover_midpoint(averages, u_left, u_right):
     """Mid-cell conserved states from Simpson's relation.
 
@@ -79,20 +72,21 @@ def recover_midpoint(averages, u_left, u_right):
     return (6.0 * averages - u_left - u_right) / 4.0
 
 
-def _apply_split(model, points, d, sign):
-    """J^{sign} d at the nodes for the mapped-variable system."""
+def _apply_split(model, points, d, sign, states):
+    """J^{sign} d at the nodes for the mapped-variable system.
+
+    ``states`` are the conserved states of ``points``.
+    """
     if model.p == 1:
-        u = model.from_aux(points)
-        lam = model.jacobian(u)[..., 0, 0]
+        lam = model.jacobian(states)[..., 0, 0]
         lam = np.maximum(lam, 0.0) if sign > 0 else np.minimum(lam, 0.0)
         return lam[..., None] * d
     split = getattr(model, "primitive_split_apply", None)
     if split is not None:
         return split(points, d, sign)
     # generic route: J = P (df/du) P^{-1} at each node, eigendecomposition
-    u = model.from_aux(points)
-    P = model.aux_jacobian(u)
-    J = P @ model.jacobian(u) @ np.linalg.inv(P)
+    P = model.aux_jacobian(states)
+    J = P @ model.jacobian(states) @ np.linalg.inv(P)
     lam, R = np.linalg.eig(J)
     if np.abs(lam.imag).max() > 1e-9 * max(np.abs(lam.real).max(), 1.0):
         raise SplittingError("mapped Jacobian has complex eigenvalues")
@@ -118,15 +112,15 @@ def point_update(mesh, state, model, u_nodes):
     extension).  J^+ takes the left-cell slope, J^- the right-cell slope.
     ``u_nodes`` are the conserved states of ``state.points``.
     """
-    v_left, v_right = _cell_point_values(mesh, state.points)
-    u_left, u_right = _cell_point_values(mesh, u_nodes)
+    v_left, v_right = gather_cell_ends(state.points, mesh.cell_dofs)
+    u_left, u_right = gather_cell_ends(u_nodes, mesh.cell_dofs)
     v_mid = model.to_aux(recover_midpoint(state.averages, u_left, u_right))
     dx = mesh.cell_sizes[:, None]
     slope_right = (-3.0 * v_left + 4.0 * v_mid - v_right) / dx  # at each cell's left node
     slope_left = (3.0 * v_right - 4.0 * v_mid + v_left) / dx  # at each cell's right node
     contrib = scatter_cell_ends(
-        _apply_split(model, v_left, slope_right, -1),
-        _apply_split(model, v_right, slope_left, +1),
+        _apply_split(model, v_left, slope_right, -1, u_left),
+        _apply_split(model, v_right, slope_left, +1, u_right),
         mesh.ndof,
     )
     return -contrib
@@ -193,8 +187,7 @@ def _rhs(mesh, state, model, flagged, base=None):
         face_flux[faces] = rusanov_unchecked(left, right, model)
         dv = dv.copy()
         dv[faces] = dv_fb
-    f_left = face_flux[mesh.cell_dofs[:, 0]]
-    f_right = face_flux[mesh.cell_dofs[:, 1]]
+    f_left, f_right = gather_cell_ends(face_flux, mesh.cell_dofs)
     dub = -(f_right - f_left) / mesh.cell_sizes[:, None]
     if mesh.periodic:
         boundary = np.zeros(model.p)
@@ -215,11 +208,12 @@ def _detect(mesh, model, candidate, previous):
     safe_pts = np.where(node_bad[:, None], 1.0, points)
     u_pts = model.from_aux(safe_pts)
     node_bad |= ~model.admissible_mask(u_pts)
-    bad |= node_bad[mesh.cell_dofs[:, 0]] | node_bad[mesh.cell_dofs[:, 1]]
+    node_bad_left, node_bad_right = gather_cell_ends(node_bad, mesh.cell_dofs)
+    bad |= node_bad_left | node_bad_right
 
     with np.errstate(all="ignore"):
         # a row with a non-finite average is flagged already, whatever its mid value
-        u_mid = recover_midpoint(ok_avg, *_cell_point_values(mesh, u_pts))
+        u_mid = recover_midpoint(ok_avg, *gather_cell_ends(u_pts, mesh.cell_dofs))
     bad |= ~model.admissible_mask(u_mid)
 
     # relaxed discrete maximum principle on the leading average component

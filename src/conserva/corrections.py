@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CorrectionError
+from .mesh import gather_cell_ends
+from .models import NodeKernels
 
 log = logging.getLogger(__name__)
 
@@ -26,9 +28,8 @@ ALPHA_CLAMP_FACTOR = 1e3
 def entropy_residuals(residuals, states, model):
     """Per-element, per-DOF entropy residuals v_sigma . Phi_sigma^K."""
     states = np.asarray(states, dtype=float)
-    v = model.entropy_variables(states)
-    v_cells = v[residuals.cell_dofs]  # (ncell, 2, p)
-    return np.einsum("kdp,kdp->kd", v_cells, residuals.phi)
+    v_left, v_right = gather_cell_ends(model.entropy_variables(states), residuals.cell_dofs)
+    return np.einsum("kdp,kdp->kd", np.stack([v_left, v_right], axis=1), residuals.phi)
 
 
 @dataclass
@@ -53,25 +54,30 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
     hold per element.  alpha is clamped at ALPHA_CLAMP_FACTOR times the local
     wave speed; clamping is reported and logged, never silent.  Elements that
     need a correction but have all entropy variables equal cannot be fixed
-    this way and raise CorrectionError.
+    this way and raise CorrectionError.  ``states`` are the node states or
+    their ``models.NodeKernels``: entropy variables, entropy fluxes and wave
+    speeds are evaluated at the nodes and gathered to the cell ends.
     """
-    states = np.asarray(states, dtype=float)
-    v = model.entropy_variables(states)
-    v_cells = v[residuals.cell_dofs]
-    u_left = states[residuals.cell_dofs[:, 0]]
-    u_right = states[residuals.cell_dofs[:, 1]]
+    nodes = NodeKernels.of(model, states)
+    dofs = residuals.cell_dofs
+    v_left, v_right = gather_cell_ends(model.entropy_variables(nodes.states), dofs)
+    v_cells = np.stack([v_left, v_right], axis=1)
 
     # element boundary entropy flux; traces at element ends are single valued,
     # so a consistent numerical entropy flux reduces to the model's there
     if entropy_flux is None:
-        g_bound = model.entropy_flux(u_right) - model.entropy_flux(u_left)
+        g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states), dofs)
+        g_bound = g_right - g_left
     else:
+        u_left, u_right = gather_cell_ends(nodes.states, dofs)
         g_bound = entropy_flux(+1, u_right, u_right) + entropy_flux(-1, u_left, u_left)
 
     production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
     deficit = g_bound - production
 
-    v_bar = v_cells.mean(axis=1, keepdims=True)
+    # the bits of v_cells.mean(axis=1, keepdims=True), whose sum starts from
+    # +0.0, at a tenth of its cost
+    v_bar = ((v_left + v_right + 0.0) / 2)[:, None, :]
     centered = v_cells - v_bar
     denom = np.einsum("kdp,kdp->k", centered, centered)
 
@@ -90,7 +96,8 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.where(needs_fix & ~degenerate, deficit / denom, 0.0)
 
-    speed = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+    speed_left, speed_right = gather_cell_ends(nodes.speed, dofs)
+    speed = np.maximum(speed_left, speed_right)
     cap = ALPHA_CLAMP_FACTOR * np.maximum(speed, 1e-300)
     clamped = alpha > cap
     if clamped.any():
@@ -153,10 +160,8 @@ def nonconservative_energy_correction(
     phi_rho = np.asarray(phi_rho, dtype=float)
     phi_mom = np.asarray(phi_mom, dtype=float)
     phi_e = np.asarray(phi_e, dtype=float)
-    v_half = 0.5 * (v_new + v_old)
-    v_prod = 0.5 * (v_new * v_old)
-    vh_cells = v_half[cell_dofs]
-    vp_cells = v_prod[cell_dofs]
+    vh_cells = gather_cell_ends(0.5 * (v_new + v_old), cell_dofs).T
+    vp_cells = gather_cell_ends(0.5 * (v_new * v_old), cell_dofs).T
     current = (phi_e + vh_cells * phi_mom - vp_cells * phi_rho).sum(axis=1)
     r = (np.asarray(boundary_energy_flux, dtype=float) - current) / phi_e.shape[1]
     return phi_e + r[:, None], r

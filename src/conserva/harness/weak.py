@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DiagnosticError
+from ..mesh import gather_cell_ends
 
 
 def _bump(s):
@@ -129,8 +130,7 @@ def weak_residual_diagnostic(record, model, mesh, bumps=None, min_time_samples=8
         for t, w_t, u in zip(times, tw, record.states):
             if abs(t - bump.t0) >= bump.rt:
                 continue
-            u_l = u[mesh.cell_dofs[:, 0]]
-            u_r = u[mesh.cell_dofs[:, 1]]
+            u_l, u_r = gather_cell_ends(u, mesh.cell_dofs)
             u_q = u_l[:, None, :] + (u_r - u_l)[:, None, :] * frac[None, :, None]
             f_q = model.flux(u_q)
             phi_t = bump.dt(xq, t)[..., None]
@@ -138,7 +138,7 @@ def weak_residual_diagnostic(record, model, mesh, bumps=None, min_time_samples=8
             defect += w_t * (wq[..., None] * (phi_t * u_q + phi_x * f_q)).sum(axis=(0, 1))
         if bump.t0 - bump.rt < times[0]:  # bump sees the initial slice
             u0 = record.states[0]
-            u_l, u_r = u0[mesh.cell_dofs[:, 0]], u0[mesh.cell_dofs[:, 1]]
+            u_l, u_r = gather_cell_ends(u0, mesh.cell_dofs)
             u_q = u_l[:, None, :] + (u_r - u_l)[:, None, :] * frac[None, :, None]
             phi0 = bump.value(xq, times[0])[..., None]
             defect += (wq[..., None] * phi0 * u_q).sum(axis=(0, 1))

@@ -82,6 +82,19 @@ def scatter_cell_ends(left, right, ndof):
     return out
 
 
+def gather_cell_ends(values, cell_dofs):
+    """Per-DOF values at the two ends of every cell, shape (2, ncell, ...).
+
+    The counterpart of ``scatter_cell_ends``: row 0 holds the values at each
+    cell's left DOF and row 1 those at its right DOF, so ``left, right =
+    gather_cell_ends(values, cell_dofs)`` equals ``values[cell_dofs[:, 0]]``
+    and ``values[cell_dofs[:, 1]]`` byte for byte (row k holds local DOF k
+    when cells own more DOFs).  One ``np.take`` along the first axis gathers
+    them all, several times faster than fancy indexing.
+    """
+    return np.take(values, cell_dofs.T, axis=0)
+
+
 def uniform_mesh(a, b, n, boundary="periodic"):
     """Equispaced mesh of n cells on [a, b]."""
     if not b > a:

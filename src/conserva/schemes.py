@@ -13,6 +13,10 @@ gas scheme) followed by an ordered tuple of zero-sum corrections;
 ``march`` is the one time-marching loop: ``integrate`` and the two-field
 scheme's ``af_integrate`` hand it a step function.
 
+Residuals are functions of node quantities, so each stage evaluates the
+model once at its nodes (``models.NodeKernels``) and gathers the cell ends
+from that bundle.
+
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
 """
@@ -25,7 +29,8 @@ import numpy as np
 
 from . import corrections
 from .errors import ConfigError, GeometryError, RunError, StepRejectedError
-from .mesh import scatter_cell_ends
+from .mesh import gather_cell_ends, scatter_cell_ends
+from .models import NodeKernels
 from .records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, SUPG, Ledger, SolutionRecord
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
@@ -36,35 +41,20 @@ _GAUSS3 = np.polynomial.legendre.leggauss(3)
 # ---------------------------------------------------------------------------
 
 
-def rusanov(n, u_left, u_right, model):
-    """Rusanov (local Lax-Friedrichs) two-point flux in direction n = +-1.
+def _rusanov(left, right):
+    """Rusanov (local Lax-Friedrichs) flux in direction +1 from two bundles.
 
-    n * [0.5*(f(uL) + f(uR)) - 0.5*alpha*(uR - uL)] with alpha the larger
-    wave speed bound of the two states, so negating n negates the flux with
-    the arguments kept in place.  Broadcasts over stacked states.
+    0.5*(f(uL) + f(uR)) - 0.5*alpha*(uR - uL) with alpha the larger wave
+    speed bound of the two states; every Rusanov evaluation applies it.
     """
-    u_left = model.require_admissible(u_left)
-    u_right = model.require_admissible(u_right)
-    return n * rusanov_unchecked(u_left, u_right, model)
+    alpha = np.maximum(left.speed, right.speed)
+    avg = 0.5 * (left.flux + right.flux)
+    return avg - 0.5 * alpha[..., None] * (right.states - left.states)
 
 
-def rusanov_unchecked(u_left, u_right, model):
-    """The Rusanov flux in direction +1 without the admissibility checks.
-
-    The active-flux fallback evaluates it on candidate states that its
-    detector judges afterwards, so it must not raise; the checks would also
-    double the cost of each call.
-    """
-    alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
-    avg = 0.5 * (model.flux(u_left) + model.flux(u_right))
-    return avg - 0.5 * alpha[..., None] * (u_right - u_left)
-
-
-def central(n, u_left, u_right, model):
+def _central(left, right):
     """Dissipation-free average flux; entropy-unstable on purpose (control runs)."""
-    u_left = model.require_admissible(u_left)
-    u_right = model.require_admissible(u_right)
-    return n * 0.5 * (model.flux(u_left) + model.flux(u_right))
+    return 0.5 * (left.flux + right.flux)
 
 
 @dataclass(frozen=True)
@@ -74,14 +64,31 @@ class NumericalFlux:
     kind: str
     model: object
 
-    _TABLE = {"rusanov": rusanov, "central": central}
+    _TABLE = {"rusanov": _rusanov, "central": _central}
 
     def __post_init__(self):
         if self.kind not in self._TABLE:
             raise ConfigError(f"unknown flux kind {self.kind!r}")
 
     def __call__(self, n, u_left, u_right):
-        return self._TABLE[self.kind](n, u_left, u_right, self.model)
+        """n * f_hat(+1; uL, uR) on admissible states.
+
+        Negating n negates the flux with the arguments kept in place.
+        Broadcasts over stacked states.
+        """
+        left = NodeKernels.of(self.model, u_left)
+        right = NodeKernels.of(self.model, u_right)
+        return n * self._TABLE[self.kind](left, right)
+
+
+def rusanov_unchecked(u_left, u_right, model):
+    """The Rusanov flux in direction +1 without the admissibility checks.
+
+    The active-flux fallback evaluates it on candidate states that its
+    detector judges afterwards, so it must not raise; the checks would also
+    double the cost of each call.
+    """
+    return _rusanov(NodeKernels.unchecked(model, u_left), NodeKernels.unchecked(model, u_right))
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +129,20 @@ class ResidualSet:
         return self.domain_boundary_flux.sum(axis=0)
 
 
-def _domain_closure(mesh, states, model):
-    out = np.zeros((mesh.ndof, states.shape[1]))
+def _domain_closure(mesh, nodes):
+    out = np.zeros((mesh.ndof, nodes.states.shape[1]))
     if not mesh.periodic:
-        out[0] = -model.flux(states[0])
-        out[-1] = model.flux(states[-1])
+        out[0] = -nodes.flux[0]
+        out[-1] = nodes.flux[-1]
     return out
+
+
+def _node_kernels(mesh, states, model):
+    """``NodeKernels.of(model, states)``, holding one state per DOF of mesh."""
+    nodes = NodeKernels.of(model, states)
+    if nodes.states.shape[0] != mesh.ndof:
+        raise ConfigError(f"expected {mesh.ndof} states, got {nodes.states.shape[0]}")
+    return nodes
 
 
 def fv_residuals_1d(mesh, states, flux, model):
@@ -135,20 +150,19 @@ def fv_residuals_1d(mesh, states, flux, model):
 
     Cell [x_i, x_{i+1}] sends f_hat_{i+1/2} - f(u_i) to its left DOF and
     f(u_{i+1}) - f_hat_{i+1/2} to its right DOF, so the pair sums to the
-    interpolated boundary flux f(u_{i+1}) - f(u_i).
+    interpolated boundary flux f(u_{i+1}) - f(u_i).  ``flux(n, left,
+    right)`` receives the cell-end ``NodeKernels`` (a ``NumericalFlux`` takes
+    them as they are); ``states`` are the (ndof, p) node states or their
+    ``NodeKernels``.  An inadmissible node state raises DomainError carrying
+    its DOF index.
     """
-    states = np.asarray(states, dtype=float)
-    if states.shape[0] != mesh.ndof:
-        raise ConfigError(f"expected {mesh.ndof} states, got {states.shape[0]}")
-    u_left = states[mesh.cell_dofs[:, 0]]
-    u_right = states[mesh.cell_dofs[:, 1]]
-    fhat = flux(+1, u_left, u_right)
-    f_left = model.flux(u_left)
-    f_right = model.flux(u_right)
+    nodes = _node_kernels(mesh, states, model)
+    left, right = nodes.cell_ends(mesh.cell_dofs)
+    fhat = flux(+1, left, right)
 
-    phi = np.stack([fhat - f_left, f_right - fhat], axis=1)
-    bparts = np.stack([-f_left, f_right], axis=1)
-    return ResidualSet(mesh.cell_dofs, phi, bparts, _domain_closure(mesh, states, model))
+    phi = np.stack([fhat - left.flux, right.flux - fhat], axis=1)
+    bparts = np.stack([-left.flux, right.flux], axis=1)
+    return ResidualSet(mesh.cell_dofs, phi, bparts, _domain_closure(mesh, nodes))
 
 
 def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
@@ -159,26 +173,23 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
     with tau = tau_scale / (2 * max wave speed on K) and 3-point Gauss
     quadrature.  The volume and stabilisation terms cancel in the element sum
     (the basis sums to one), leaving exactly the interpolated boundary flux.
+    ``states`` are the (ndof, p) node states or their ``NodeKernels``.  An
+    inadmissible node state raises DomainError carrying its DOF index.
     """
-    states = np.asarray(states, dtype=float)
-    if states.shape[0] != mesh.ndof:
-        raise ConfigError(f"expected {mesh.ndof} states, got {states.shape[0]}")
-    model.require_admissible(states)
-    u_left = states[mesh.cell_dofs[:, 0]]
-    u_right = states[mesh.cell_dofs[:, 1]]
+    nodes = _node_kernels(mesh, states, model)
+    left, right = nodes.cell_ends(mesh.cell_dofs)
+    u_left, u_right = left.states, right.states
     h = mesh.cell_sizes[:, None]
 
-    speed = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+    speed = np.maximum(left.speed, right.speed)
     tau = np.divide(tau_scale, 2.0 * speed, out=np.zeros_like(speed), where=speed > 1e-300)
     tau = tau[:, None]
 
-    f_left = model.flux(u_left)
-    f_right = model.flux(u_right)
-    phi = np.stack([-f_left, f_right], axis=1)  # boundary terms of each test function
+    phi = np.stack([-left.flux, right.flux], axis=1)  # boundary terms of each test function
 
     du_dx = (u_right - u_left) / h
-    nodes, weights = _GAUSS3
-    for xi, wq in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+    nodes_q, weights = _GAUSS3
+    for xi, wq in zip(0.5 * (nodes_q + 1.0), 0.5 * weights):
         u_q = u_left + xi * (u_right - u_left)
         f_q = model.flux(u_q)
         A_q = model.jacobian(u_q)
@@ -188,8 +199,8 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
         phi[:, 0] += wq * f_q - wq * h * stab  # h_K * (w_q h) * (-1/h) * stab
         phi[:, 1] += -wq * f_q + wq * h * stab
 
-    bparts = np.stack([-f_left, f_right], axis=1)
-    return ResidualSet(mesh.cell_dofs, phi, bparts, _domain_closure(mesh, states, model))
+    bparts = np.stack([-left.flux, right.flux], axis=1)
+    return ResidualSet(mesh.cell_dofs, phi, bparts, _domain_closure(mesh, nodes))
 
 
 def triangle_fv_residuals(states, normals, numerical_flux, physical_flux):
@@ -262,7 +273,10 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
     finite volume (``fv``), SUPG with the given tau scale (``supg``) or the
     two-field gas scheme (``nc-energy``); each correction then redistributes
     the residuals inside every element with zero sum, so the base residual's
-    conservation survives.
+    conservation survives.  With corrections, the base and every correction
+    read one ``NodeKernels`` bundle per call; a base alone builds its own,
+    and the gas scheme, which assembles in (rho, m, e) variables, reads only
+    the states.
     """
     row = SCHEMES.get(scheme_id)
     if row is None or row.base == ACTIVE_FLUX:
@@ -279,6 +293,8 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
     steps = [_CORRECTIONS[name] for name in row.corrections]
 
     def assemble(states, dt):
+        if steps:
+            states = NodeKernels.of(model, states)
         residuals = base(states, dt)
         for correct in steps:
             residuals = correct(residuals, states, model)
@@ -319,18 +335,18 @@ class TwoFieldGasScheme:
 
     def assemble(self, w, dt):
         mesh, model = self.mesh, self.model
-        u = self.to_conserved(w)
-        base = fv_residuals_1d(mesh, u, self.fv_flux, model)
+        nodes = NodeKernels.of(model, self.to_conserved(w))
+        base = fv_residuals_1d(mesh, nodes, self.fv_flux, model)
         phi_rho = base.phi[:, :, 0]
         phi_mom = base.phi[:, :, 1]
 
         dofs = mesh.cell_dofs
-        w_left, w_right = w[dofs[:, 0]], w[dofs[:, 1]]
-        u_left, u_right = u[dofs[:, 0]], u[dofs[:, 1]]
-        vel_l, vel_r = w_left[:, 1] / w_left[:, 0], w_right[:, 1] / w_right[:, 0]
-        e_l, e_r = w_left[:, 2], w_right[:, 2]
-        p_l, p_r = model.pressure(u_left), model.pressure(u_right)
-        alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+        v_old = w[:, 1] / w[:, 0]
+        vel_l, vel_r = gather_cell_ends(v_old, dofs)
+        e_l, e_r = gather_cell_ends(w[:, 2], dofs)
+        p_l, p_r = gather_cell_ends(model.pressure(nodes.states), dofs)
+        speed_l, speed_r = gather_cell_ends(nodes.speed, dofs)
+        alpha = np.maximum(speed_l, speed_r)
 
         # centred total + Rusanov-type redistribution for the energy equation
         total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
@@ -343,25 +359,24 @@ class TwoFieldGasScheme:
         incr = scatter_cell_ends(base.phi[:, 0, :2], base.phi[:, 1, :2], mesh.ndof)
         rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
         mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
-        v_old = w[:, 1] / w[:, 0]
         with np.errstate(all="ignore"):
             # a transient nonpositive rho_new poisons the step with nans and
             # the integrator then rejects and retries it with a smaller dt
             v_new = mom_new / rho_new if dt > 0 else v_old
 
-        f_energy = model.flux(u)[:, 2]
-        target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
+        # -f_E(u_left) and f_E(u_right), the energy part of the base's boundary
+        # parts; their sum is the element's boundary energy flux
+        nodal_e_flux = base.boundary_parts[:, :, 2]
         phi_e, _ = corrections.nonconservative_energy_correction(
-            phi_rho, phi_mom, phi_e, v_old, v_new, dofs, target
+            phi_rho, phi_mom, phi_e, v_old, v_new, dofs, nodal_e_flux[:, 1] + nodal_e_flux[:, 0]
         )
 
         phi = np.concatenate([base.phi[:, :, :2], phi_e[:, :, None]], axis=2)
         # boundary share of the corrected internal-energy equation: the total
         # energy flux minus the velocity-weighted momentum/density residuals,
         # so the corrected residuals sum exactly to their boundary parts
-        vh = (0.5 * (v_new + v_old))[dofs]
-        vp = (0.5 * (v_new * v_old))[dofs]
-        nodal_e_flux = np.stack([-f_energy[dofs[:, 0]], f_energy[dofs[:, 1]]], axis=1)
+        vh = gather_cell_ends(0.5 * (v_new + v_old), dofs).T
+        vp = gather_cell_ends(0.5 * (v_new * v_old), dofs).T
         bparts_e = nodal_e_flux - vh * phi_mom + vp * phi_rho
         bparts = np.concatenate(
             [base.boundary_parts[:, :, :2], bparts_e[:, :, None]], axis=2

@@ -218,8 +218,8 @@ def test_generic_split_matches_analytic_wave_splitting(rng):
     model = _ToyCoupled()
     w = rng.normal(size=(10, 2))
     d = rng.normal(size=(10, 2))
-    plus = _apply_split(model, w, d, +1)
-    minus = _apply_split(model, w, d, -1)
+    plus = _apply_split(model, w, d, +1, model.from_aux(w))
+    minus = _apply_split(model, w, d, -1, model.from_aux(w))
     J_plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
     J_minus = 0.5 * np.array([[-1.0, 1.0], [1.0, -1.0]])
     np.testing.assert_allclose(plus, d @ J_plus.T, atol=1e-12)
@@ -234,7 +234,7 @@ def test_generic_split_rejects_defective_jacobian(rng):
     model = _ToyDefective()
     w = rng.normal(size=(4, 2))
     with pytest.raises(SplittingError):
-        _apply_split(model, w, rng.normal(size=(4, 2)), +1)
+        _apply_split(model, w, rng.normal(size=(4, 2)), +1, model.from_aux(w))
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +305,40 @@ def test_flagged_rhs_overrides_exactly_the_flagged_nodes(sod_flagged):
     dv_fb, bad_nodes = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
     assert dv[bad_nodes].tobytes() == dv_fb.tobytes()
     assert dv[~bad_nodes].tobytes() == dv_base[~bad_nodes].tobytes()
+
+
+def test_point_update_hands_its_node_states_to_the_split(monkeypatch):
+    # burgers-sine nx=100 with the detector, 10 steps: 30 point updates, each
+    # splitting both cell ends; the split reads the conserved states that
+    # point_update gathered instead of converting the points again
+    import conserva.active_flux as af
+
+    case = case_library("burgers-sine")
+    mesh = uniform_mesh(*case.domain, 100, boundary=case.boundary)
+    state0 = initialize(case.model, mesh, case.u0)
+    counts = {"splits": 0, "from_aux": 0, "from_aux_in_split": 0}
+    inside = []
+    split, from_aux = af._apply_split, Burgers.from_aux
+
+    def counting_split(*args, **kwargs):
+        counts["splits"] += 1
+        inside.append(True)
+        try:
+            return split(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_from_aux(self, w):
+        counts["from_aux"] += 1
+        counts["from_aux_in_split"] += bool(inside)
+        return from_aux(self, w)
+
+    monkeypatch.setattr(af, "_apply_split", counting_split)
+    monkeypatch.setattr(Burgers, "from_aux", counting_from_aux)
+    record = af_integrate(
+        case.model, mesh, state0, t_end=case.t_end, detector=True, stop_after_steps=10
+    )
+    assert len(record.ledger.time) == 11
+    assert counts["splits"] == 60
+    assert counts["from_aux_in_split"] == 0
+    assert counts["from_aux"] > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conserva.corrections import (
     energy_update_identity,
@@ -10,7 +12,7 @@ from conserva.corrections import (
 from conserva.errors import CorrectionError
 from conserva.mesh import uniform_mesh
 from conserva.models import Burgers, Euler
-from conserva.schemes import NumericalFlux, ResidualSet, fv_residuals_1d
+from conserva.schemes import NumericalFlux, ResidualSet, TwoFieldGasScheme, fv_residuals_1d
 
 from conftest import random_euler_states
 
@@ -173,3 +175,64 @@ def test_nc_scheme_residual_set_is_locally_conservative():
     res = scheme.assemble(scheme.from_conserved(u0), 1e-4)
     defect = np.abs(res.element_defect()).max()
     assert defect <= 1e-12 * max(np.abs(res.phi).max(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# zero-sum guarantees, property-based
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _node_states(draw, models=("burgers", "euler")):
+    model_name = draw(st.sampled_from(models))
+    boundary = draw(st.sampled_from(["periodic", "transmissive"]))
+    mesh = uniform_mesh(-1.0, 1.0, draw(st.integers(2, 40)), boundary=boundary)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if model_name == "burgers":
+        model = Burgers()
+        states = rng.uniform(-2.0, 2.0, (mesh.ndof, 1))
+        states[rng.random(mesh.ndof) < 0.2] = 0.5  # flat stretches
+    else:
+        model = Euler(draw(st.floats(1.1, 3.0)))
+        states = random_euler_states(rng, mesh.ndof, gamma=model.gamma)
+    return model, mesh, states
+
+
+@settings(max_examples=150, deadline=None)
+@given(_node_states(), st.sampled_from(["rusanov", "central"]))
+def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
+    model, mesh, states = problem
+    base = fv_residuals_1d(mesh, states, NumericalFlux(kind, model), model)
+    corrected, report = entropy_correction(base, states, model)
+    v = model.entropy_variables(states)[mesh.cell_dofs]  # (ncell, 2, p)
+    # r = alpha (v - v_bar): each entry carries one rounding of v - v_bar
+    scale = report.alpha[:, None] * np.abs(v).sum(axis=1)
+    assert (np.abs(report.corrections.sum(axis=1)) <= 4 * EPS * scale).all()
+    # so the element sums, and with them conservation, are unchanged up to
+    # that sum and the roundings of phi + r and of the defects, which
+    # subtract the boundary parts
+    terms = np.abs(base.phi) + np.abs(report.corrections) + np.abs(base.boundary_parts)
+    shift = corrected.element_defect() - base.element_defect()
+    assert (np.abs(shift) <= 8 * EPS * terms.sum(axis=1) + 4 * EPS * scale).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_node_states(models=("euler",)), st.floats(0.0, 1e-3))
+def test_energy_correction_closes_every_element(problem, dt):
+    model, mesh, states = problem
+    gas = TwoFieldGasScheme(model, mesh)
+    w = gas.from_conserved(states)
+    res = gas.assemble(w, dt)
+    # every component's residuals sum to its boundary parts, the corrected
+    # internal energy included; its terms are weighted by the velocities
+    # before and after the uncorrected density/momentum update
+    incr = res.scatter_to_dofs(mesh.ndof)
+    v_old = w[:, 1] / w[:, 0]
+    v_new = (w[:, 1] - dt / mesh.volumes * incr[:, 1]) / (w[:, 0] - dt / mesh.volumes * incr[:, 0])
+    vh = np.abs(0.5 * (v_new + v_old))[mesh.cell_dofs]
+    vp = np.abs(0.5 * v_new * v_old)[mesh.cell_dofs]
+    terms = np.abs(res.phi) + np.abs(res.boundary_parts)
+    terms[:, :, 2] += vh * np.abs(res.phi[:, :, 1]) + vp * np.abs(res.phi[:, :, 0])
+    assert (np.abs(res.element_defect()) <= 16 * EPS * terms.sum(axis=1)).all()

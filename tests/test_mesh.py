@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError
-from conserva.mesh import EdgeFluxSet, element_graph, scatter_cell_ends, uniform_mesh
+from conserva.mesh import (
+    EdgeFluxSet,
+    Mesh1D,
+    element_graph,
+    gather_cell_ends,
+    scatter_cell_ends,
+    uniform_mesh,
+)
 
 
 def test_uniform_mesh_nodes_and_volumes():
@@ -130,3 +137,49 @@ def test_scatter_cell_ends_sums_negative_zero_like_add_at():
     got = scatter_cell_ends(values, values, mesh.ndof)
     assert got.tobytes() == _add_at_reference(mesh, values, values).tobytes()
     assert not np.signbit(got).any()  # 0.0 + -0.0 is +0.0 in both
+
+
+@st.composite
+def _dof_values(draw):
+    ncell = draw(st.integers(2, 50))
+    boundary = draw(st.sampled_from(["periodic", "transmissive"]))
+    mesh = uniform_mesh(0.0, 1.0, ncell, boundary=boundary)
+    if draw(st.booleans()):
+        return mesh, draw(hnp.arrays(bool, (mesh.ndof,), elements=st.booleans()))
+    shape = draw(st.sampled_from([(mesh.ndof,)] + [(mesh.ndof, p) for p in (1, 2, 3)]))
+    # signed zeros, NaN and infinities included
+    elements = st.one_of(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]), st.floats(width=64)
+    )
+    return mesh, draw(hnp.arrays(float, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dof_values())
+def test_gather_cell_ends_matches_fancy_indexing_bitwise(case):
+    mesh, values = case
+    ends = gather_cell_ends(values, mesh.cell_dofs)
+    assert len(ends) == 2
+    for k in range(2):
+        want = values[mesh.cell_dofs[:, k]]
+        assert ends[k].dtype == want.dtype
+        assert ends[k].shape == want.shape
+        assert ends[k].tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(1e-2, 1e3),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=60),
+    st.sampled_from(["periodic", "transmissive"]),
+)
+def test_volumes_sum_to_domain_length(a, length, fractions, boundary):
+    b = a + length
+    inner = a + (b - a) * np.asarray(fractions, dtype=float)
+    nodes = np.unique(np.concatenate([[a, b], inner[(inner > a) & (inner < b)]]))
+    assume(len(nodes) >= 3)
+    # node differences telescope to b - a up to one rounding per cell
+    tol = 4 * len(nodes) * np.finfo(float).eps * max(abs(a), abs(b))
+    for mesh in (Mesh1D(nodes, boundary=boundary), uniform_mesh(a, b, len(nodes) - 1, boundary)):
+        assert abs(mesh.volumes.sum() - (b - a)) <= tol

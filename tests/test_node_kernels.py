@@ -1,0 +1,322 @@
+"""Residuals read one node bundle per stage and still match the per-cell formulas.
+
+The reference functions below evaluate the model on gathered cell ends, as
+the residuals did before ``NodeKernels``; every kernel is elementwise, so the
+bundle path must agree with them bit for bit, not just to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from conserva import corrections
+from conserva.errors import DomainError
+from conserva.mesh import uniform_mesh
+from conserva.models import ADMISSIBLE_FLOOR, Burgers, Euler, NodeKernels
+from conserva.schemes import (
+    NumericalFlux,
+    TwoFieldGasScheme,
+    fv_residuals_1d,
+    residual_assembler,
+    supg_residuals_1d,
+)
+
+from conftest import random_euler_states
+
+BOUNDARIES = ("periodic", "transmissive")
+SEEDS = range(6)
+
+# ---------------------------------------------------------------------------
+# reference formulas on gathered cell ends
+# ---------------------------------------------------------------------------
+
+
+def _ends(mesh, values):
+    return values[mesh.cell_dofs[:, 0]], values[mesh.cell_dofs[:, 1]]
+
+
+def _closure_reference(mesh, states, model):
+    out = np.zeros((mesh.ndof, states.shape[1]))
+    if not mesh.periodic:
+        out[0] = -model.flux(states[0])
+        out[-1] = model.flux(states[-1])
+    return out
+
+
+def _fhat_reference(kind, u_left, u_right, model):
+    if kind == "rusanov":
+        alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+        avg = 0.5 * (model.flux(u_left) + model.flux(u_right))
+        return +1 * (avg - 0.5 * alpha[..., None] * (u_right - u_left))
+    return +1 * 0.5 * (model.flux(u_left) + model.flux(u_right))
+
+
+def _fv_reference(mesh, states, kind, model):
+    u_left, u_right = _ends(mesh, states)
+    fhat = _fhat_reference(kind, u_left, u_right, model)
+    f_left = model.flux(u_left)
+    f_right = model.flux(u_right)
+    phi = np.stack([fhat - f_left, f_right - fhat], axis=1)
+    bparts = np.stack([-f_left, f_right], axis=1)
+    return phi, bparts, _closure_reference(mesh, states, model)
+
+
+def _supg_reference(mesh, states, model, tau_scale=1.0):
+    u_left, u_right = _ends(mesh, states)
+    h = mesh.cell_sizes[:, None]
+    speed = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+    tau = np.divide(tau_scale, 2.0 * speed, out=np.zeros_like(speed), where=speed > 1e-300)
+    tau = tau[:, None]
+    f_left = model.flux(u_left)
+    f_right = model.flux(u_right)
+    phi = np.stack([-f_left, f_right], axis=1)
+    du_dx = (u_right - u_left) / h
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    for xi, wq in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        u_q = u_left + xi * (u_right - u_left)
+        f_q = model.flux(u_q)
+        A_q = model.jacobian(u_q)
+        advect = np.einsum("kij,kj->ki", A_q, du_dx)
+        stab = np.einsum("kji,kj->ki", A_q, tau * advect)
+        phi[:, 0] += wq * f_q - wq * h * stab
+        phi[:, 1] += -wq * f_q + wq * h * stab
+    bparts = np.stack([-f_left, f_right], axis=1)
+    return phi, bparts, _closure_reference(mesh, states, model)
+
+
+def _entropy_reference(residuals, states, model):
+    """(corrected phi, alpha, r, pre_defect, post_defect, clamped elements)."""
+    v = model.entropy_variables(states)
+    v_cells = v[residuals.cell_dofs]
+    u_left = states[residuals.cell_dofs[:, 0]]
+    u_right = states[residuals.cell_dofs[:, 1]]
+    g_bound = model.entropy_flux(u_right) - model.entropy_flux(u_left)
+    production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
+    deficit = g_bound - production
+    v_bar = v_cells.mean(axis=1, keepdims=True)
+    centered = v_cells - v_bar
+    denom = np.einsum("kdp,kdp->k", centered, centered)
+    vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
+    degenerate = denom < corrections.DEGENERATE_TOLERANCE * vbar_scale
+    needs_fix = deficit > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(needs_fix & ~degenerate, deficit / denom, 0.0)
+    speed = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+    cap = corrections.ALPHA_CLAMP_FACTOR * np.maximum(speed, 1e-300)
+    clamped = alpha > cap
+    alpha = np.minimum(alpha, cap) if clamped.any() else alpha
+    r = alpha[:, None, None] * centered
+    phi = residuals.phi + r
+    post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
+    return phi, alpha, r, -deficit, post, np.flatnonzero(clamped)
+
+
+def _gas_reference(mesh, model, w, dt):
+    gas = TwoFieldGasScheme(model, mesh)
+    u = gas.to_conserved(w)
+    phi_b, bparts_b, closure = _fv_reference(mesh, u, "rusanov", model)
+    phi_rho = phi_b[:, :, 0]
+    phi_mom = phi_b[:, :, 1]
+    dofs = mesh.cell_dofs
+    w_left, w_right = w[dofs[:, 0]], w[dofs[:, 1]]
+    u_left, u_right = u[dofs[:, 0]], u[dofs[:, 1]]
+    vel_l, vel_r = w_left[:, 1] / w_left[:, 0], w_right[:, 1] / w_right[:, 0]
+    e_l, e_r = w_left[:, 2], w_right[:, 2]
+    p_l, p_r = model.pressure(u_left), model.pressure(u_right)
+    alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
+    total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
+    phi_e = np.stack(
+        [0.5 * total - 0.5 * alpha * (e_r - e_l), 0.5 * total + 0.5 * alpha * (e_r - e_l)],
+        axis=1,
+    )
+    incr = np.zeros((mesh.ndof, 2))
+    np.add.at(incr, dofs[:, 0], phi_b[:, 0, :2])
+    np.add.at(incr, dofs[:, 1], phi_b[:, 1, :2])
+    rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
+    mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
+    v_old = w[:, 1] / w[:, 0]
+    v_new = mom_new / rho_new if dt > 0 else v_old
+    f_energy = model.flux(u)[:, 2]
+    target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
+    vh = (0.5 * (v_new + v_old))[dofs]
+    vp = (0.5 * (v_new * v_old))[dofs]
+    current = (phi_e + vh * phi_mom - vp * phi_rho).sum(axis=1)
+    phi_e = phi_e + ((target - current) / phi_e.shape[1])[:, None]
+    phi = np.concatenate([phi_b[:, :, :2], phi_e[:, :, None]], axis=2)
+    nodal_e_flux = np.stack([-f_energy[dofs[:, 0]], f_energy[dofs[:, 1]]], axis=1)
+    bparts_e = nodal_e_flux - vh * phi_mom + vp * phi_rho
+    bparts = np.concatenate([bparts_b[:, :, :2], bparts_e[:, :, None]], axis=2)
+    return phi, bparts, closure
+
+
+def _admissible_reference(u):
+    finite = np.isfinite(u).all(axis=-1)
+    safe = np.where(finite[..., None], u, 1.0)
+    rho = safe[..., 0]
+    vel = safe[..., 1] / rho
+    e_int = safe[..., 2] - 0.5 * safe[..., 1] * vel
+    return finite & (rho > ADMISSIBLE_FLOOR) & (e_int > ADMISSIBLE_FLOOR)
+
+
+# ---------------------------------------------------------------------------
+# random admissible node states
+# ---------------------------------------------------------------------------
+
+
+def _problem(model_name, boundary, seed):
+    rng = np.random.default_rng(seed)
+    mesh = uniform_mesh(-1.0, 1.0, int(rng.integers(2, 60)), boundary=boundary)
+    if model_name == "burgers":
+        model = Burgers()
+        states = rng.uniform(-2.0, 2.0, (mesh.ndof, 1))
+        # repeated neighbours and signed zeros, where the entropy correction is degenerate
+        states[rng.random(mesh.ndof) < 0.2] = 0.0
+        states[rng.random(mesh.ndof) < 0.1] = -0.0
+    else:
+        model = Euler(1.4)
+        states = random_euler_states(rng, mesh.ndof)
+    return mesh, model, states
+
+
+def _same_bits(got, want):
+    """np.array_equal, and equal bytes too: signed zeros and NaNs included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+def _assert_residuals_equal(got, want):
+    phi, bparts, closure = want
+    assert _same_bits(got.phi, phi)
+    assert _same_bits(got.boundary_parts, bparts)
+    assert _same_bits(got.domain_boundary_flux, closure)
+
+
+CASES = [(m, b, s) for m in ("burgers", "euler") for b in BOUNDARIES for s in SEEDS]
+
+
+@pytest.mark.parametrize("kind", ["rusanov", "central"])
+@pytest.mark.parametrize("model_name,boundary,seed", CASES)
+def test_fv_residuals_match_per_cell_formulas_bitwise(kind, model_name, boundary, seed):
+    mesh, model, states = _problem(model_name, boundary, seed)
+    flux = NumericalFlux(kind, model)
+    want = _fv_reference(mesh, states, kind, model)
+    _assert_residuals_equal(fv_residuals_1d(mesh, states, flux, model), want)
+    nodes = NodeKernels.of(model, states)
+    _assert_residuals_equal(fv_residuals_1d(mesh, nodes, flux, model), want)
+    # the two-state call applies the same expression
+    u_left, u_right = states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]]
+    assert _same_bits(flux(+1, u_left, u_right), _fhat_reference(kind, u_left, u_right, model))
+
+
+@pytest.mark.parametrize("model_name,boundary,seed", CASES)
+def test_supg_residuals_match_per_cell_formulas_bitwise(model_name, boundary, seed):
+    mesh, model, states = _problem(model_name, boundary, seed)
+    want = _supg_reference(mesh, states, model, tau_scale=0.7)
+    _assert_residuals_equal(supg_residuals_1d(mesh, states, model, tau_scale=0.7), want)
+
+
+@pytest.mark.parametrize("kind", ["rusanov", "central"])
+@pytest.mark.parametrize("model_name,boundary,seed", CASES)
+def test_entropy_correction_matches_per_cell_formulas_bitwise(kind, model_name, boundary, seed):
+    mesh, model, states = _problem(model_name, boundary, seed)
+    base = fv_residuals_1d(mesh, states, NumericalFlux(kind, model), model)
+    phi, alpha, r, pre, post, clamped = _entropy_reference(base, states, model)
+    for given in (states, NodeKernels.of(model, states)):
+        corrected, report = corrections.entropy_correction(base, given, model)
+        assert _same_bits(corrected.phi, phi)
+        assert _same_bits(report.alpha, alpha)
+        assert _same_bits(report.corrections, r)
+        assert _same_bits(report.pre_defect, pre)
+        assert _same_bits(report.post_defect, post)
+        assert _same_bits(report.clamped, clamped)
+        assert corrected.alpha_max == (float(alpha.max()) if len(alpha) else 0.0)
+
+
+def test_entropy_correction_fires_in_the_oracle_cases():
+    # the oracle above must see the correction act, not only alpha = 0
+    active = 0
+    for model_name, boundary, seed in CASES:
+        mesh, model, states = _problem(model_name, boundary, seed)
+        base = fv_residuals_1d(mesh, states, NumericalFlux("central", model), model)
+        active += int((corrections.entropy_correction(base, states, model)[1].alpha > 0).sum())
+    assert active > 0
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dt", [0.0, 1e-3, 10.0])
+def test_gas_scheme_assembly_matches_per_cell_formulas_bitwise(boundary, seed, dt):
+    # dt = 10 drives rho_new negative somewhere: the nan path must agree too
+    mesh, model, states = _problem("euler", boundary, seed)
+    gas = TwoFieldGasScheme(model, mesh)
+    w = gas.from_conserved(states)
+    with np.errstate(all="ignore"):
+        want = _gas_reference(mesh, model, w, dt)
+        got = gas.assemble(w, dt)
+    _assert_residuals_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "scheme_id", ["fv-rusanov", "fv-entropy-corrected", "supg", "nc-energy-corrected"]
+)
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary, monkeypatch):
+    mesh, model, states = _problem("euler", boundary, 3)
+    want = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
+    calls = []
+    original = Euler.flux
+    monkeypatch.setattr(
+        Euler, "flux", lambda self, u: calls.append(np.shape(u)) or original(self, u)
+    )
+    got = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
+    assert _same_bits(got.phi, want.phi)
+    # fv: the bundle only; supg: the bundle plus three quadrature points; the
+    # gas scheme: its own bundle of (rho, m, e) states converted back, only
+    assert calls[0] == states.shape
+    assert len(calls) == (4 if scheme_id == "supg" else 1)
+
+
+@pytest.mark.parametrize("leading", [(), (7,), (5, 4)])
+@pytest.mark.parametrize("component", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_euler_admissible_mask_equals_its_reduction_form(leading, component, bad):
+    rng = np.random.default_rng(component)
+    u = random_euler_states(rng, int(np.prod(leading, dtype=int))).reshape(leading + (3,))
+    u[..., 0] *= rng.choice([1.0, -1.0], size=leading)  # some finite but inadmissible
+    flat = u.reshape(-1, 3)
+    flat[::2, component] = bad
+    flat[1::3, (component + 1) % 3] = -bad
+    got = Euler(1.4).admissible_mask(u)
+    want = _admissible_reference(u)
+    assert np.shape(got) == np.shape(want) == leading
+    assert _same_bits(got, want)
+    assert not np.asarray(got).reshape(-1)[0]
+
+
+# ---------------------------------------------------------------------------
+# DomainError carries the DOF index
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [
+        lambda mesh, u, model: fv_residuals_1d(mesh, u, NumericalFlux("rusanov", model), model),
+        lambda mesh, u, model: supg_residuals_1d(mesh, u, model),
+    ],
+    ids=["fv", "supg"],
+)
+def test_domain_error_carries_the_dof_index(residuals):
+    # the last DOF of a transmissive mesh is only a right cell end: its cell
+    # row is ndof - 2, its DOF index ndof - 1
+    model = Euler(1.4)
+    mesh = uniform_mesh(0.0, 1.0, 8, boundary="transmissive")
+    states = random_euler_states(np.random.default_rng(0), mesh.ndof)
+    states[-1, 0] = -1.0
+    with pytest.raises(DomainError) as excinfo:
+        residuals(mesh, states, model)
+    assert excinfo.value.index == (mesh.ndof - 1,)
+    assert _same_bits(excinfo.value.state, states[-1])

@@ -12,7 +12,6 @@ from conserva.schemes import (
     fv_residuals_1d,
     integrate,
     rd_step,
-    rusanov,
     rusanov_2d,
     supg_residuals_1d,
     triangle_fv_residuals,
@@ -28,9 +27,11 @@ from conftest import random_euler_states
 
 def test_rusanov_burgers_riemann_value():
     model = Burgers()
-    f = rusanov(+1, np.array([1.0]), np.array([0.0]), model)
+    f = NumericalFlux("rusanov", model)(+1, np.array([1.0]), np.array([0.0]))
     assert f == pytest.approx(0.75)  # (0.5 + 0)/2 + (1/2)*1*1
-    assert rusanov(-1, np.array([1.0]), np.array([0.0]), model) == pytest.approx(-0.75)
+    assert NumericalFlux("rusanov", model)(-1, np.array([1.0]), np.array([0.0])) == pytest.approx(
+        -0.75
+    )
 
 
 @pytest.mark.parametrize("kind", ["rusanov", "central"])
@@ -390,4 +391,6 @@ def test_rusanov_rejects_inadmissible_states():
 
     model = Euler(1.4)
     with pytest.raises(DomainError):
-        rusanov(+1, np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, 2.5]), model)
+        NumericalFlux("rusanov", model)(
+            +1, np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, 2.5])
+        )
