@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import SplittingError, StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
+from .models import NodeKernels
 from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
-from .schemes import _ssp_stages, _stage_flux_weights, march, rusanov_unchecked
+from .schemes import _rusanov, _ssp_stages, _stage_flux_weights, march
 
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
@@ -132,7 +133,7 @@ def point_update(mesh, state, model, u_nodes):
 
 
 def _neighbor_averages(mesh, averages, u_nodes, nodes):
-    """Left/right neighbour states of the given nodes for the robust updates.
+    """Left/right neighbour states of the given nodes, stacked as (2, n, p).
 
     Interior nodes sit between two cells; a transmissive end node takes its
     own point state as the missing neighbour.
@@ -141,29 +142,41 @@ def _neighbor_averages(mesh, averages, u_nodes, nodes):
         ext = np.vstack([averages[-1:], averages])
     else:
         ext = np.vstack([u_nodes[:1], averages, u_nodes[-1:]])
-    return ext[nodes], ext[nodes + 1]
+    return np.take(ext, (nodes, nodes + 1), axis=0)
 
 
-def _fallback_point_rate(mesh, state, model, flagged, u_nodes):
-    """First-order finite volume rate for the point values at flagged nodes.
-
-    Returns (rates at the flagged nodes, flagged-node mask over all DOFs);
-    ``u_nodes`` are the conserved states of ``state.points``.
-    """
-    bad_nodes = scatter_cell_ends(flagged, flagged, mesh.ndof)  # both nodes of each flagged cell
-    nodes = np.flatnonzero(bad_nodes)
+def _fallback_plan(mesh, flagged):
+    """(flagged-node mask over all DOFs, its indices, their update widths) of
+    the flagged cells, or None when no cell is flagged; fixed for a step."""
+    if not flagged.any():
+        return None
+    mask = scatter_cell_ends(flagged, flagged, mesh.ndof)  # both nodes of each flagged cell
+    nodes = np.flatnonzero(mask)
     width = mesh.volumes.copy()
     if not mesh.periodic:
         width[[0, -1]] *= 2.0  # whole end cells, not the half-width end volumes
+    return mask, nodes, width[nodes, None]
+
+
+def _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux):
+    """First-order finite volume rates at the flagged nodes of ``plan``.
+
+    Returns (point rates at the flagged nodes, the plan's flagged-node mask,
+    robust fluxes at those nodes).  ``u_nodes`` and ``face_flux`` are the
+    conserved states of ``state.points`` and their fluxes; the three Rusanov
+    fluxes share one bundle of the node states and one of their neighbours,
+    so the model is evaluated once per state.
+    """
+    mask, nodes, width = plan
     u_pts = u_nodes[nodes]
-    left, right = _neighbor_averages(mesh, state.averages, u_nodes, nodes)
-    f_right = rusanov_unchecked(u_pts, right, model)
-    f_left = rusanov_unchecked(left, u_pts, model)
-    du = -(f_right - f_left) / width[nodes, None]
+    pts = NodeKernels(u_pts, face_flux[nodes], model.max_wave_speed(u_pts))
+    neighbors = _neighbor_averages(mesh, state.averages, u_nodes, nodes)
+    left, right = NodeKernels.unchecked(model, neighbors).pair()
+    du = -(_rusanov(pts, right) - _rusanov(left, pts)) / width
     # chain rule back to the mapped variables
     P = model.aux_jacobian(u_pts)
     dv = np.einsum("nij,nj->ni", P, du)
-    return dv, bad_nodes
+    return dv, mask, _rusanov(left, right)
 
 
 def _base_rates(mesh, state, model):
@@ -172,62 +185,52 @@ def _base_rates(mesh, state, model):
     return u_nodes, model.flux(u_nodes), point_update(mesh, state, model, u_nodes)
 
 
-def _rhs(mesh, state, model, flagged, base=None):
-    """Rates for averages and points; robust faces when cells are flagged.
+def _rhs(mesh, state, model, plan, base=None):
+    """Rates for averages and points; robust faces at the nodes of ``plan``.
 
+    ``plan`` is ``_fallback_plan`` of the flagged cells, None when none is.
     ``base`` is ``_base_rates`` of ``state`` when already known; it is read,
     never written, so one base serves every step re-run from the same state.
     """
     u_nodes, face_flux, dv = _base_rates(mesh, state, model) if base is None else base
-    if flagged.any():
-        dv_fb, bad = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
-        faces = np.flatnonzero(bad)
-        left, right = _neighbor_averages(mesh, state.averages, u_nodes, faces)
+    if plan is not None:
+        dv_fb, bad, robust = _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux)
         face_flux = face_flux.copy()
-        face_flux[faces] = rusanov_unchecked(left, right, model)
+        face_flux[bad] = robust
         dv = dv.copy()
-        dv[faces] = dv_fb
+        dv[bad] = dv_fb
     f_left, f_right = gather_cell_ends(face_flux, mesh.cell_dofs)
     dub = -(f_right - f_left) / mesh.cell_sizes[:, None]
-    if mesh.periodic:
-        boundary = np.zeros(model.p)
-    else:
-        boundary = face_flux[-1] - face_flux[0]
+    boundary = np.zeros(model.p) if mesh.periodic else face_flux[-1] - face_flux[0]
     return dub, dv, boundary
 
 
 def _detect(mesh, model, candidate, previous):
-    """Flag cells whose candidate step is non-physical or oscillatory."""
+    """Flag cells whose candidate step is non-physical or oscillatory.
+
+    Reads the raw arrays: a non-finite row fails ``admissible_mask``, and a
+    non-finite node or average only reaches the mid values of cells it flags.
+    """
     averages = candidate.averages
-    points = candidate.points
-    bad = ~np.isfinite(averages).all(axis=1)
-    ok_avg = np.where(bad[:, None], 1.0, averages)
-    bad |= ~model.admissible_mask(ok_avg)
-
-    node_bad = ~np.isfinite(points).all(axis=1)
-    safe_pts = np.where(node_bad[:, None], 1.0, points)
-    u_pts = model.from_aux(safe_pts)
-    node_bad |= ~model.admissible_mask(u_pts)
-    node_bad_left, node_bad_right = gather_cell_ends(node_bad, mesh.cell_dofs)
-    bad |= node_bad_left | node_bad_right
-
     with np.errstate(all="ignore"):
-        # a row with a non-finite average is flagged already, whatever its mid value
-        u_mid = recover_midpoint(ok_avg, *gather_cell_ends(u_pts, mesh.cell_dofs))
-    bad |= ~model.admissible_mask(u_mid)
+        bad = ~model.admissible_mask(averages)
+        u_pts = model.from_aux(candidate.points)
+        node_bad_left, node_bad_right = gather_cell_ends(
+            ~model.admissible_mask(u_pts), mesh.cell_dofs
+        )
+        bad |= node_bad_left | node_bad_right
+        u_mid = recover_midpoint(averages, *gather_cell_ends(u_pts, mesh.cell_dofs))
+        bad |= ~model.admissible_mask(u_mid)
 
-    # relaxed discrete maximum principle on the leading average component
-    field_new = averages[:, 0]
-    field_old = previous.averages[:, 0]
-    if mesh.periodic:
-        lo = np.minimum(np.minimum(np.roll(field_old, 1), field_old), np.roll(field_old, -1))
-        hi = np.maximum(np.maximum(np.roll(field_old, 1), field_old), np.roll(field_old, -1))
-    else:
-        ext = np.concatenate([field_old[:1], field_old, field_old[-1:]])
+        # relaxed discrete maximum principle on the leading average component
+        field_new = averages[:, 0]
+        old = previous.averages[:, 0]
+        # neighbours across the ends: wrapped, or the end cell itself
+        ends = (old[-1:], old[:1]) if mesh.periodic else (old[:1], old[-1:])
+        ext = np.concatenate([ends[0], old, ends[1]])
         lo = np.minimum(np.minimum(ext[:-2], ext[1:-1]), ext[2:])
         hi = np.maximum(np.maximum(ext[:-2], ext[1:-1]), ext[2:])
-    slack = np.maximum(DMP_RELAX_ABS, DMP_RELAX_REL * (hi - lo))
-    with np.errstate(invalid="ignore"):
+        slack = np.maximum(DMP_RELAX_ABS, DMP_RELAX_REL * (hi - lo))
         bad |= (field_new < lo - slack) | (field_new > hi + slack)
     return bad
 
@@ -235,9 +238,10 @@ def _detect(mesh, model, candidate, previous):
 def _ssp3_step(mesh, state, model, dt, flagged, base=None):
     """One SSPRK3 step; ``base`` holds the ``_base_rates`` of ``state`` if known."""
     boundary = np.zeros(model.p)
+    plan = _fallback_plan(mesh, flagged)
     cur = state
     for (a, b), w in _SSP3:
-        dub, dv, bflux = _rhs(mesh, cur, model, flagged, base)
+        dub, dv, bflux = _rhs(mesh, cur, model, plan, base)
         base = None
         boundary = boundary + w * dt * bflux
         cur = AfState(

@@ -185,11 +185,6 @@ class Euler(PhysicsModel):
         _, _, e_int = self._decompose(u)
         return (self.gamma - 1.0) * e_int
 
-    def sound_speed(self, u):
-        u = np.asarray(u, dtype=float)
-        rho = u[..., 0]
-        return np.sqrt(self.gamma * self.pressure(u) / rho)
-
     def admissible_mask(self, u):
         u = np.asarray(u, dtype=float)
         # one component at a time: several times faster than reducing
@@ -250,8 +245,8 @@ class Euler(PhysicsModel):
 
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
-        vel = u[..., 1] / u[..., 0]
-        return np.abs(vel) + self.sound_speed(u)
+        rho, vel, e_int = self._decompose(u)
+        return np.abs(vel) + np.sqrt(self.gamma * ((self.gamma - 1.0) * e_int) / rho)
 
     # -- primitive map ---------------------------------------------------
     def to_aux(self, u):
@@ -301,20 +296,23 @@ class Euler(PhysicsModel):
         vel = w[..., 1]
         pres = w[..., 2]
         c = np.sqrt(self.gamma * pres / rho)
+        c2 = c**2
         lam = (vel - c, vel, vel + c)
         if sign > 0:
             lam = tuple(np.maximum(l, 0.0) for l in lam)
         else:
             lam = tuple(np.minimum(l, 0.0) for l in lam)
-        # characteristic amplitudes of d
-        a1 = -0.5 * rho / c * d[..., 1] + 0.5 / c**2 * d[..., 2]
-        a2 = d[..., 0] - d[..., 2] / c**2
-        a3 = 0.5 * rho / c * d[..., 1] + 0.5 / c**2 * d[..., 2]
+        # characteristic amplitudes of d (x - y is x + (-y) bit for bit)
+        acoustic = 0.5 * rho / c * d[..., 1]
+        thermal = 0.5 / c2 * d[..., 2]
+        a1 = thermal - acoustic
+        a2 = d[..., 0] - d[..., 2] / c2
+        a3 = acoustic + thermal
         b1, b2, b3 = lam[0] * a1, lam[1] * a2, lam[2] * a3
         out = np.empty_like(d)
         out[..., 0] = b1 + b2 + b3
         out[..., 1] = (b3 - b1) * c / rho
-        out[..., 2] = (b1 + b3) * c**2
+        out[..., 2] = (b1 + b3) * c2
         return out
 
 
@@ -350,7 +348,13 @@ class NodeKernels:
 
     def cell_ends(self, cell_dofs):
         """(left, right) bundles at the two end nodes of every cell."""
-        states, flux, speed = (
-            gather_cell_ends(values, cell_dofs) for values in (self.states, self.flux, self.speed)
+        return NodeKernels(
+            *(gather_cell_ends(values, cell_dofs) for values in (self.states, self.flux, self.speed))
+        ).pair()
+
+    def pair(self):
+        """The two bundles of a bundle stacked along a leading axis of length 2."""
+        return (
+            NodeKernels(self.states[0], self.flux[0], self.speed[0]),
+            NodeKernels(self.states[1], self.flux[1], self.speed[1]),
         )
-        return NodeKernels(states[0], flux[0], speed[0]), NodeKernels(states[1], flux[1], speed[1])

@@ -81,16 +81,6 @@ class NumericalFlux:
         return n * self._TABLE[self.kind](left, right)
 
 
-def rusanov_unchecked(u_left, u_right, model):
-    """The Rusanov flux in direction +1 without the admissibility checks.
-
-    The active-flux fallback evaluates it on candidate states that its
-    detector judges afterwards, so it must not raise; the checks would also
-    double the cost of each call.
-    """
-    return _rusanov(NodeKernels.unchecked(model, u_left), NodeKernels.unchecked(model, u_right))
-
-
 # ---------------------------------------------------------------------------
 # residual sets
 # ---------------------------------------------------------------------------
@@ -389,9 +379,10 @@ class TwoFieldGasScheme:
 
     # the model interface integrate() uses, on (rho, m, e) states
     def admissible_mask(self, w):
-        finite = np.isfinite(w).all(axis=-1)
-        safe = np.where(finite[..., None], w, 1.0)
-        return finite & (safe[..., 0] > 1e-12) & (safe[..., 2] > 1e-12)
+        w = np.asarray(w, dtype=float)
+        # one component at a time, as Euler.admissible_mask
+        finite = np.isfinite(w[..., 0]) & np.isfinite(w[..., 1]) & np.isfinite(w[..., 2])
+        return finite & (w[..., 0] > 1e-12) & (w[..., 2] > 1e-12)
 
     def max_wave_speed(self, w):
         return self.model.max_wave_speed(self.to_conserved(w))

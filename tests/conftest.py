@@ -17,3 +17,13 @@ def random_euler_states(rng, n, gamma=1.4):
     u[:, 1] = rho * vel
     u[:, 2] = pres / (gamma - 1.0) + 0.5 * rho * vel**2
     return u
+
+
+def same_bits(got, want):
+    """np.array_equal, and equal bytes too: signed zeros and NaNs included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )

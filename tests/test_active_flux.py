@@ -4,6 +4,7 @@ import pytest
 from conserva.active_flux import (
     AfState,
     _base_rates,
+    _fallback_plan,
     _fallback_point_rate,
     _rhs,
     af_integrate,
@@ -47,7 +48,7 @@ def test_midpoint_recovery_roundtrips_primitive_map(rng):
 
 
 def _average_update(mesh, state, model):
-    return _rhs(mesh, state, model, np.zeros(mesh.ncell, dtype=bool))[0]
+    return _rhs(mesh, state, model, None)[0]
 
 
 def test_average_update_constant_state():
@@ -269,8 +270,9 @@ def test_rhs_with_reused_base_equals_fresh_rhs(sod_flagged):
     model, mesh, state, flagged = sod_flagged
     base = _base_rates(mesh, state, model)
     for mask in (flagged, np.zeros_like(flagged)):
-        fresh = _rhs(mesh, state, model, mask)
-        reused = _rhs(mesh, state, model, mask, base)
+        plan = _fallback_plan(mesh, mask)
+        fresh = _rhs(mesh, state, model, plan)
+        reused = _rhs(mesh, state, model, plan, base)
         assert _bytes(reused) == _bytes(fresh)
 
 
@@ -278,31 +280,35 @@ def test_flagged_rhs_leaves_the_base_untouched(sod_flagged):
     model, mesh, state, flagged = sod_flagged
     base = _base_rates(mesh, state, model)
     before = _bytes(base)
-    dub, dv, _ = _rhs(mesh, state, model, flagged, base)
+    dub, dv, _ = _rhs(mesh, state, model, _fallback_plan(mesh, flagged), base)
     assert _bytes(base) == before
     assert not np.shares_memory(dv, base[2])
 
 
 def test_fallback_at_flagged_nodes_equals_all_node_evaluation(sod_flagged):
     model, mesh, state, flagged = sod_flagged
-    u_nodes = model.from_aux(state.points)
-    dv, bad_nodes = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
+    u_nodes, face_flux, _ = _base_rates(mesh, state, model)
+    plan = _fallback_plan(mesh, flagged)
+    dv, bad_nodes, robust = _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux)
     # the observer of the fallback reads a full DOF mask
     assert bad_nodes.shape == (mesh.ndof,) and bad_nodes.dtype == bool
     assert 0 < bad_nodes.sum() < mesh.ndof
-    assert dv.shape == (bad_nodes.sum(), model.p)
-    dv_all, all_nodes = _fallback_point_rate(
-        mesh, state, model, np.ones(mesh.ncell, dtype=bool), u_nodes
+    assert dv.shape == robust.shape == (bad_nodes.sum(), model.p)
+    all_plan = _fallback_plan(mesh, np.ones(mesh.ncell, dtype=bool))
+    dv_all, all_nodes, robust_all = _fallback_point_rate(
+        mesh, state, model, all_plan, u_nodes, face_flux
     )
     assert all_nodes.all()
     assert dv.tobytes() == dv_all[bad_nodes].tobytes()
+    assert robust.tobytes() == robust_all[bad_nodes].tobytes()
 
 
 def test_flagged_rhs_overrides_exactly_the_flagged_nodes(sod_flagged):
     model, mesh, state, flagged = sod_flagged
-    u_nodes, _, dv_base = _base_rates(mesh, state, model)
-    _, dv, _ = _rhs(mesh, state, model, flagged)
-    dv_fb, bad_nodes = _fallback_point_rate(mesh, state, model, flagged, u_nodes)
+    u_nodes, face_flux, dv_base = _base_rates(mesh, state, model)
+    plan = _fallback_plan(mesh, flagged)
+    _, dv, _ = _rhs(mesh, state, model, plan)
+    dv_fb, bad_nodes, _ = _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux)
     assert dv[bad_nodes].tobytes() == dv_fb.tobytes()
     assert dv[~bad_nodes].tobytes() == dv_base[~bad_nodes].tobytes()
 

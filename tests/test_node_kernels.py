@@ -20,7 +20,7 @@ from conserva.schemes import (
     supg_residuals_1d,
 )
 
-from conftest import random_euler_states
+from conftest import random_euler_states, same_bits
 
 BOUNDARIES = ("periodic", "transmissive")
 SEEDS = range(6)
@@ -177,21 +177,11 @@ def _problem(model_name, boundary, seed):
     return mesh, model, states
 
 
-def _same_bits(got, want):
-    """np.array_equal, and equal bytes too: signed zeros and NaNs included."""
-    got, want = np.asarray(got), np.asarray(want)
-    return (
-        np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
-        and got.shape == want.shape
-        and got.tobytes() == want.tobytes()
-    )
-
-
 def _assert_residuals_equal(got, want):
     phi, bparts, closure = want
-    assert _same_bits(got.phi, phi)
-    assert _same_bits(got.boundary_parts, bparts)
-    assert _same_bits(got.domain_boundary_flux, closure)
+    assert same_bits(got.phi, phi)
+    assert same_bits(got.boundary_parts, bparts)
+    assert same_bits(got.domain_boundary_flux, closure)
 
 
 CASES = [(m, b, s) for m in ("burgers", "euler") for b in BOUNDARIES for s in SEEDS]
@@ -208,7 +198,7 @@ def test_fv_residuals_match_per_cell_formulas_bitwise(kind, model_name, boundary
     _assert_residuals_equal(fv_residuals_1d(mesh, nodes, flux, model), want)
     # the two-state call applies the same expression
     u_left, u_right = states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]]
-    assert _same_bits(flux(+1, u_left, u_right), _fhat_reference(kind, u_left, u_right, model))
+    assert same_bits(flux(+1, u_left, u_right), _fhat_reference(kind, u_left, u_right, model))
 
 
 @pytest.mark.parametrize("model_name,boundary,seed", CASES)
@@ -226,12 +216,12 @@ def test_entropy_correction_matches_per_cell_formulas_bitwise(kind, model_name, 
     phi, alpha, r, pre, post, clamped = _entropy_reference(base, states, model)
     for given in (states, NodeKernels.of(model, states)):
         corrected, report = corrections.entropy_correction(base, given, model)
-        assert _same_bits(corrected.phi, phi)
-        assert _same_bits(report.alpha, alpha)
-        assert _same_bits(report.corrections, r)
-        assert _same_bits(report.pre_defect, pre)
-        assert _same_bits(report.post_defect, post)
-        assert _same_bits(report.clamped, clamped)
+        assert same_bits(corrected.phi, phi)
+        assert same_bits(report.alpha, alpha)
+        assert same_bits(report.corrections, r)
+        assert same_bits(report.pre_defect, pre)
+        assert same_bits(report.post_defect, post)
+        assert same_bits(report.clamped, clamped)
         assert corrected.alpha_max == (float(alpha.max()) if len(alpha) else 0.0)
 
 
@@ -272,7 +262,7 @@ def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary,
         Euler, "flux", lambda self, u: calls.append(np.shape(u)) or original(self, u)
     )
     got = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
-    assert _same_bits(got.phi, want.phi)
+    assert same_bits(got.phi, want.phi)
     # fv: the bundle only; supg: the bundle plus three quadrature points; the
     # gas scheme: its own bundle of (rho, m, e) states converted back, only
     assert calls[0] == states.shape
@@ -292,7 +282,33 @@ def test_euler_admissible_mask_equals_its_reduction_form(leading, component, bad
     got = Euler(1.4).admissible_mask(u)
     want = _admissible_reference(u)
     assert np.shape(got) == np.shape(want) == leading
-    assert _same_bits(got, want)
+    assert same_bits(got, want)
+    assert not np.asarray(got).reshape(-1)[0]
+
+
+def _gas_admissible_reference(w):
+    finite = np.isfinite(w).all(axis=-1)
+    safe = np.where(finite[..., None], w, 1.0)
+    return finite & (safe[..., 0] > 1e-12) & (safe[..., 2] > 1e-12)
+
+
+@pytest.mark.parametrize("leading", [(), (7,), (5, 4)])
+@pytest.mark.parametrize("component", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gas_scheme_admissible_mask_equals_its_reduction_form(leading, component, bad):
+    rng = np.random.default_rng(component)
+    model = Euler(1.4)
+    gas = TwoFieldGasScheme(model, uniform_mesh(-1.0, 1.0, 4))
+    u = random_euler_states(rng, int(np.prod(leading, dtype=int))).reshape(leading + (3,))
+    w = gas.from_conserved(u)
+    w[..., 0] *= rng.choice([1.0, -1.0], size=leading)  # some finite but inadmissible
+    flat = w.reshape(-1, 3)
+    flat[::2, component] = bad
+    flat[1::3, (component + 1) % 3] = -bad
+    got = gas.admissible_mask(w)
+    want = _gas_admissible_reference(w)
+    assert np.shape(got) == np.shape(want) == leading
+    assert same_bits(got, want)
     assert not np.asarray(got).reshape(-1)[0]
 
 
@@ -319,4 +335,4 @@ def test_domain_error_carries_the_dof_index(residuals):
     with pytest.raises(DomainError) as excinfo:
         residuals(mesh, states, model)
     assert excinfo.value.index == (mesh.ndof - 1,)
-    assert _same_bits(excinfo.value.state, states[-1])
+    assert same_bits(excinfo.value.state, states[-1])
