@@ -7,9 +7,9 @@ Subcommands:
   diagnose-weak   weak-form residual defect across resolutions
 
 Exit codes: 0 success, 1 run failure (blow-up and friends), 2 usage error.
-CSV files are UTF-8 with LF line endings and %.17g numbers, so identical
-configurations produce byte-identical output.  Relative --out paths land in
-$CONSERVA_OUT_DIR when that is set.
+CSV files are UTF-8 with LF line endings, %d integer columns and %.17g
+numbers, so identical configurations produce byte-identical output.
+Relative --out paths land in $CONSERVA_OUT_DIR when that is set.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from ..records import RunConfig
 from . import runner, weak
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _out_path(name):
     path = Path(name)
     if not path.is_absolute():
@@ -41,9 +37,14 @@ def _out_path(name):
     return path
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """One line per row: integer columns as %d, the others as %.17g floats."""
+    columns = [np.asarray(c) for c in columns]
+    ints = [c.dtype.kind in "iu" for c in columns]
+    row = ",".join("%d" if i else "%.17g" for i in ints)
+    values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(columns, ints)]
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows)
+    lines.extend(row % r for r in zip(*values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -52,12 +53,10 @@ def _write_solution(path, mesh, model, record):
     state = record.final_state
     if record.averages is not None:
         state = model.from_aux(state)  # point values are kept in mapped variables
-    rows = [[x] + list(u) for x, u in zip(mesh.dof_x, state)]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, [mesh.dof_x, *state.T])
     if record.averages is not None:
         avg_path = path.with_suffix(".averages.csv")
-        rows = [[x] + list(u) for x, u in zip(mesh.cell_centers, record.final_averages)]
-        _write_csv(avg_path, header, rows)
+        _write_csv(avg_path, header, [mesh.cell_centers, *record.final_averages.T])
 
 
 def _write_ledger(path, names, record):
@@ -66,13 +65,9 @@ def _write_ledger(path, names, record):
         header = ["step", "time", "mass", "momentum", "energy", "entropy", "alpha_max", "fallback_cells"]
     else:
         header = ["step", "time", "mass", "entropy", "alpha_max", "fallback_cells"]
-    rows = []
-    for k in range(len(led.time)):
-        row = [str(k), led.time[k]]
-        row.extend(led.totals[k])
-        row.extend([led.entropy[k], led.alpha_max[k], str(int(led.fallback_cells[k]))])
-        rows.append(row)
-    _write_csv(path, header, rows)
+    step = np.arange(len(led.time))
+    columns = [step, led.time, *led.totals.T, led.entropy, led.alpha_max, led.fallback_cells]
+    _write_csv(path, header, columns)
 
 
 def _parse_nx_list(text):
@@ -223,11 +218,8 @@ def _cmd_recover_fluxes(config):
     out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
     path = _out_path(out)
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]
-    rows = [
-        [str(k), str(int(mesh.cell_dofs[k, 0])), str(int(mesh.cell_dofs[k, 1]))] + list(f)
-        for k, f in enumerate(edge_fluxes)
-    ]
-    _write_csv(path, header, rows)
+    columns = [np.arange(len(edge_fluxes)), *mesh.cell_dofs.T, *edge_fluxes.T]
+    _write_csv(path, header, columns)
     print(f"wrote {path}")
     return 0
 
@@ -241,7 +233,7 @@ def _cmd_diagnose_weak(config, nx_list):
         _, mesh, _ = runner.build_problem(cfg)
         bumps = weak.default_bumps(mesh, float(record.times[-1]), shock_path=case.shock_path)
         defect = weak.weak_residual_diagnostic(record, case.model, mesh, bumps)
-        lines.append(f"{nx},{_fmt(defect)}")
+        lines.append(f"{nx},{defect:.17g}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if config.out:

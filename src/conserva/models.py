@@ -190,8 +190,11 @@ class Euler(PhysicsModel):
         # one component at a time: several times faster than reducing
         # isfinite(u) over the size-3 axis
         finite = np.isfinite(u[..., 0]) & np.isfinite(u[..., 1]) & np.isfinite(u[..., 2])
-        safe = np.where(finite[..., None], u, 1.0)
-        rho, _, e_int = self._decompose(safe)
+        # a zero density or an overflowing mom/rho makes e_int -inf or nan,
+        # which compares False: an answer, not a warning; `finite` masks the
+        # rows whose inputs are already non-finite
+        with np.errstate(all="ignore"):
+            rho, _, e_int = self._decompose(u)
         return finite & (rho > ADMISSIBLE_FLOOR) & (e_int > ADMISSIBLE_FLOOR)
 
     # -- physics --------------------------------------------------------

@@ -88,12 +88,92 @@ def test_bump_derivatives_match_finite_differences():
     x = np.linspace(0.15, 0.45, 7)
     t = np.full_like(x, 0.45)
     h = 1e-6
+
+    def value(x, t):
+        return bump.space(x)[0] * bump.time(t)[0]
+
+    (b_x, db_x), (b_t, db_t) = bump.space(x), bump.time(t)
     np.testing.assert_allclose(
-        bump.dx(x, t), (bump.value(x + h, t) - bump.value(x - h, t)) / (2 * h), atol=1e-5
+        db_x * b_t, (value(x + h, t) - value(x - h, t)) / (2 * h), atol=1e-5
     )
     np.testing.assert_allclose(
-        bump.dt(x, t), (bump.value(x, t + h) - bump.value(x, t - h)) / (2 * h), atol=1e-5
+        b_x * db_t, (value(x, t + h) - value(x, t - h)) / (2 * h), atol=1e-5
     )
+
+
+def _per_bump_weak_defect(record, model, mesh, bumps):
+    """The weak diagnostic as one pass per (bump, snapshot) pair with phi_t and
+    phi_x evaluated at every quadrature point: the oracle of the contraction."""
+    times = np.asarray(record.times, dtype=float)
+    gp, gw = np.polynomial.legendre.leggauss(3)
+    x_left, x_right = mesh.nodes[:-1], mesh.nodes[1:]
+    xq = 0.5 * (x_left + x_right)[:, None] + 0.5 * (x_right - x_left)[:, None] * gp
+    wq = (0.5 * (x_right - x_left)[:, None] * gw)[..., None]
+    frac = 0.5 * (gp + 1.0)
+    tw = np.zeros_like(times)
+    tw[1:] += 0.5 * np.diff(times)
+    tw[:-1] += 0.5 * np.diff(times)
+
+    def quadrature_states(u):
+        u_l, u_r = u[mesh.cell_dofs[:, 0]], u[mesh.cell_dofs[:, 1]]
+        return u_l[:, None, :] + (u_r - u_l)[:, None, :] * frac[None, :, None]
+
+    total = 0.0
+    for bump in bumps:
+        b_x, db_x = bump.space(xq)
+        defect = np.zeros(record.states[0].shape[1])
+        for t, w_t, u in zip(times, tw, record.states):
+            if abs(t - bump.t0) >= bump.rt:
+                continue
+            b_t, db_t = bump.time(np.full_like(xq, t))
+            u_q = quadrature_states(u)
+            phi_t = (b_x * db_t)[..., None]
+            phi_x = (db_x * b_t)[..., None]
+            defect += w_t * (wq * (phi_t * u_q + phi_x * model.flux(u_q))).sum(axis=(0, 1))
+        if bump.t0 - bump.rt < times[0]:
+            phi0 = (b_x * bump.time(np.full_like(xq, times[0]))[0])[..., None]
+            defect += (wq * phi0 * quadrature_states(record.states[0])).sum(axis=(0, 1))
+        total += float(np.abs(defect).sum())
+    return total
+
+
+@pytest.mark.parametrize(
+    "case_id, nx, t_end", [("burgers-riemann", 100, 1.0), ("sod", 100, 0.2)]
+)
+def test_weak_diagnostic_matches_per_bump_loop(case_id, nx, t_end):
+    # the contraction reorders the sums, so agreement is to rounding, not bits
+    config = RunConfig(case=case_id, scheme="fv-rusanov", nx=nx, t_end=t_end, snapshot_every=1)
+    case, mesh, _ = build_problem(config)
+    record = run(config)
+    bumps = default_bumps(mesh, t_end, shock_path=case.shock_path)
+    got = weak_residual_diagnostic(record, case.model, mesh, bumps)
+    want = _per_bump_weak_defect(record, case.model, mesh, bumps)
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_weak_diagnostic_initial_slice_term():
+    # a bump reaching back past t = 0 picks up int phi(x, 0) u0 dx
+    config = RunConfig(
+        case="burgers-riemann", scheme="fv-rusanov", nx=100, t_end=1.0, snapshot_every=1
+    )
+    case, mesh, _ = build_problem(config)
+    record = run(config)
+    bumps = [
+        BumpTestFunction(x0=0.0, t0=0.1, rx=0.3, rt=0.2),
+        BumpTestFunction(x0=0.5, t0=0.5, rx=0.3, rt=0.3),
+    ]
+    assert bumps[0].t0 - bumps[0].rt < record.times[0]
+    got = weak_residual_diagnostic(record, case.model, mesh, bumps)
+    want = _per_bump_weak_defect(record, case.model, mesh, bumps)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # for a constant field the time integral equals -int phi(x, 0) u dx, so
+    # only the initial-slice term brings the defect down to the quadrature floor
+    record.states = [np.full_like(s, 0.7) for s in record.states]
+    x = np.linspace(-1.0, 2.0, 30001)
+    slice_term = 0.7 * np.trapezoid(bumps[0].space(x)[0], x) * bumps[0].time(np.zeros(1))[0][0]
+    assert slice_term > 0.1
+    assert weak_residual_diagnostic(record, case.model, mesh, bumps[:1]) <= 1e-3 * slice_term
 
 
 def test_default_bumps_straddle_shock_path():

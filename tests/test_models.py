@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError, DomainError
-from conserva.models import Advection, Burgers, Euler
+from conserva.models import ADMISSIBLE_FLOOR, Advection, Burgers, Euler
 
-from conftest import random_euler_states
+from conftest import random_euler_states, same_bits
 
 
 def test_burgers_flux_values():
@@ -84,6 +86,43 @@ def test_inadmissible_states_raise():
     except DomainError as err:
         exc = err
     assert exc is not None and exc.index == (1,)
+
+
+def _mask_with_safe_copy(model, u):
+    """Euler.admissible_mask as it was: non-finite rows replaced by ones first."""
+    finite = np.isfinite(u).all(axis=-1)
+    with np.errstate(all="ignore"):
+        rho, _, e_int = model._decompose(np.where(finite[..., None], u, 1.0))
+    return finite & (rho > ADMISSIBLE_FLOOR) & (e_int > ADMISSIBLE_FLOOR)
+
+
+@pytest.mark.parametrize("state", [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1e-200, 1e200, 1.0]])
+def test_zero_or_overflowing_density_raises_domain_error(state):
+    # mom/rho divides by zero or overflows here; that is an answer, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            Euler(gamma=1.4).require_admissible(np.array([state]))
+
+
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-200, 1e-12, 1.0, -1.0, 2.5,
+            1e200, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(3)),
+                  elements=st.one_of(st.sampled_from(_AWKWARD), st.floats())))
+def test_property_require_admissible_raises_domain_error_never_a_warning(u):
+    model = Euler(gamma=1.4)
+    want = _mask_with_safe_copy(model, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(model.admissible_mask(u), want)
+        if want.all():
+            model.require_admissible(u)
+        else:
+            with pytest.raises(DomainError):
+                model.require_admissible(u)
 
 
 def test_gamma_must_exceed_one():
