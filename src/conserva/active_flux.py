@@ -28,14 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SplittingError, StepRejectedError
+from .errors import StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
 from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
-from .schemes import _rusanov, _ssp_stages, _stage_flux_weights, march
+from .schemes import _boundary_outflux, _rusanov, _ssp_stages, _stage_flux_weights, march
 
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
+_GAUSS5 = np.polynomial.legendre.leggauss(5)  # for the initial cell averages
 # ((a, b), flux weight) per stage: stage = a * u^n + b * (stage + dt * rate)
 _SSP3 = tuple(zip(_ssp_stages("ssprk3"), _stage_flux_weights(_ssp_stages("ssprk3"))))
 
@@ -48,12 +49,12 @@ class AfState:
     points: np.ndarray
 
 
-def initialize(model, mesh, u0_of_x, quad_points=5):
+def initialize(model, mesh, u0_of_x):
     """Exact point values and Gauss-quadrature cell averages of u0."""
     nodes = mesh.nodes
     mids = mesh.cell_centers
     half = 0.5 * mesh.cell_sizes
-    gp, gw = np.polynomial.legendre.leggauss(quad_points)
+    gp, gw = _GAUSS5
     averages = np.zeros((mesh.ncell, model.p))
     for xi, w in zip(gp, gw):
         averages += 0.5 * w * u0_of_x(mids + half * xi)
@@ -73,35 +74,14 @@ def recover_midpoint(averages, u_left, u_right):
     return (6.0 * averages - u_left - u_right) / 4.0
 
 
-def _apply_split(model, points, d, sign, states):
-    """J^{sign} d at the nodes for the mapped-variable system.
-
-    ``states`` are the conserved states of ``points``.
-    """
+def _apply_split(model, points, d, sign):
+    """J^{sign} d at the nodes: the flux derivative at the points of a scalar
+    law, whose map is the identity; Euler's analytic eigenstructure otherwise."""
     if model.p == 1:
-        lam = model.jacobian(states)[..., 0, 0]
+        lam = model.jacobian(points)[..., 0, 0]
         lam = np.maximum(lam, 0.0) if sign > 0 else np.minimum(lam, 0.0)
         return lam[..., None] * d
-    split = getattr(model, "primitive_split_apply", None)
-    if split is not None:
-        return split(points, d, sign)
-    # generic route: J = P (df/du) P^{-1} at each node, eigendecomposition
-    P = model.aux_jacobian(states)
-    J = P @ model.jacobian(states) @ np.linalg.inv(P)
-    lam, R = np.linalg.eig(J)
-    if np.abs(lam.imag).max() > 1e-9 * max(np.abs(lam.real).max(), 1.0):
-        raise SplittingError("mapped Jacobian has complex eigenvalues")
-    lam = lam.real
-    lam = np.maximum(lam, 0.0) if sign > 0 else np.minimum(lam, 0.0)
-    R = R.real
-    try:
-        amp = np.linalg.solve(R, d[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SplittingError(f"mapped Jacobian is defective: {exc}") from exc
-    cond = np.linalg.cond(R)
-    if not np.isfinite(cond).all() or cond.max() > 1e12:
-        raise SplittingError("mapped Jacobian is not numerically diagonalisable")
-    return np.einsum("...ij,...j->...i", R, lam * amp)
+    return model.primitive_split_apply(points, d, sign)
 
 
 def point_update(mesh, state, model, u_nodes):
@@ -120,8 +100,8 @@ def point_update(mesh, state, model, u_nodes):
     slope_right = (-3.0 * v_left + 4.0 * v_mid - v_right) / dx  # at each cell's left node
     slope_left = (3.0 * v_right - 4.0 * v_mid + v_left) / dx  # at each cell's right node
     contrib = scatter_cell_ends(
-        _apply_split(model, v_left, slope_right, -1, u_left),
-        _apply_split(model, v_right, slope_left, +1, u_right),
+        _apply_split(model, v_left, slope_right, -1),
+        _apply_split(model, v_right, slope_left, +1),
         mesh.ndof,
     )
     return -contrib
@@ -201,8 +181,7 @@ def _rhs(mesh, state, model, plan, base=None):
         dv[bad] = dv_fb
     f_left, f_right = gather_cell_ends(face_flux, mesh.cell_dofs)
     dub = -(f_right - f_left) / mesh.cell_sizes[:, None]
-    boundary = np.zeros(model.p) if mesh.periodic else face_flux[-1] - face_flux[0]
-    return dub, dv, boundary
+    return dub, dv, _boundary_outflux(mesh, face_flux)
 
 
 def _detect(mesh, model, candidate, previous):

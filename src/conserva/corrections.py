@@ -43,7 +43,7 @@ class CorrectionReport:
     clamped: np.ndarray
 
 
-def entropy_correction(residuals, states, model, entropy_flux=None):
+def entropy_correction(residuals, states, model):
     """Shift residuals so each element produces at least its boundary entropy flux.
 
     The correction r_sigma = alpha_K (v_sigma - v_bar) is zero-sum, and
@@ -65,12 +65,8 @@ def entropy_correction(residuals, states, model, entropy_flux=None):
 
     # element boundary entropy flux; traces at element ends are single valued,
     # so a consistent numerical entropy flux reduces to the model's there
-    if entropy_flux is None:
-        g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states), dofs)
-        g_bound = g_right - g_left
-    else:
-        u_left, u_right = gather_cell_ends(nodes.states, dofs)
-        g_bound = entropy_flux(+1, u_right, u_right) + entropy_flux(-1, u_left, u_left)
+    g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states), dofs)
+    g_bound = g_right - g_left
 
     production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
     deficit = g_bound - production

@@ -43,10 +43,6 @@ class CorrectionError(ConservaError):
         self.elements = elements
 
 
-class SplittingError(ConservaError):
-    """Jacobian could not be numerically diagonalised for upwind splitting."""
-
-
 class StepRejectedError(ConservaError):
     """A time step produced an inadmissible state and should be retried."""
 

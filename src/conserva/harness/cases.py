@@ -99,9 +99,9 @@ SOD_LEFT = (1.0, 0.0, 1.0)
 SOD_RIGHT = (0.125, 0.0, 0.1)
 
 
-def _sod(gamma, domain=(0.0, 1.0)):
+def _sod(gamma):
     model = Euler(gamma=gamma)
-    split = 0.5 * (domain[0] + domain[1])
+    split = 0.5  # diaphragm at the domain midpoint
 
     def u0(x):
         x = np.asarray(x, dtype=float)
@@ -123,12 +123,11 @@ def _sod(gamma, domain=(0.0, 1.0)):
     return Case(
         name="sod",
         model=model,
-        domain=domain,
+        domain=(0.0, 1.0),
         boundary="transmissive",
         t_end=0.2,
         u0=u0,
         exact_solution=sol,
-        notes="diaphragm at the domain midpoint; domain (-0.5, 0.5) works too",
     )
 
 

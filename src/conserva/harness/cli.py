@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,47 +118,31 @@ _CONFIG_KEYS = {
     "tau-scale": float,
     "out": str,
 }
+# config keys spelled differently from their RunConfig field
+_FIELDS = {"tend": "t_end", "snapshot-every": "snapshot_every", "tau-scale": "tau_scale"}
 
 
 def _build_run_config(args):
+    """Config-file values, overridden by every flag that is set, over RunConfig's defaults."""
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(
             f"unknown config key(s) {', '.join(unknown)}; known: {', '.join(_CONFIG_KEYS)}"
         )
-    merged = {}
+    values = {}
     for key, value in file_values.items():
         try:
-            merged[key.replace("-", "_")] = _CONFIG_KEYS[key](value)
+            values[_FIELDS.get(key, key)] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ConfigError(f"cannot parse config value {key}={value!r}") from None
-
-    def pick(name, cli_value, default=None):
-        value = cli_value if cli_value is not None else merged.get(name)
-        return default if value is None else value
-
-    case = pick("case", args.case)
-    scheme = pick("scheme", args.scheme)
-    if case is None or scheme is None:
+    for key in _CONFIG_KEYS:  # a flag's dest is its key with _ for -; tau-scale has none
+        flag = getattr(args, key.replace("-", "_"), None)
+        if flag is not None:
+            values[_FIELDS.get(key, key)] = flag
+    if "case" not in values or "scheme" not in values:
         raise ConfigError("both --case and --scheme are required (flag or config file)")
-    # --detector is a plain store_true flag: set means on, unset defers to file
-    detector = True if args.detector else bool(merged.get("detector", False))
-    config = RunConfig(
-        case=case,
-        scheme=scheme,
-        nx=pick("nx", args.nx, 100),
-        cfl=pick("cfl", args.cfl),
-        t_end=pick("tend", args.tend),
-        boundary=pick("boundary", args.boundary),
-        gamma=pick("gamma", args.gamma, 1.4),
-        detector=detector,
-        integrator=pick("integrator", args.integrator),
-        snapshot_every=pick("snapshot_every", args.snapshot_every, 0),
-        out=pick("out", args.out),
-        tau_scale=merged.get("tau_scale", 1.0),
-    )
-    return config.validate()
+    return RunConfig(**values).validate()
 
 
 def _add_common(parser):
@@ -172,7 +157,8 @@ def _add_common(parser):
     parser.add_argument("--snapshot-every", dest="snapshot_every", type=int)
     parser.add_argument("--config", help="key=value file; explicit flags win")
     parser.add_argument("--out", help="output path (CSV or text)")
-    parser.add_argument("--detector", action="store_true", default=False,
+    # unset (None) defers to the config file; set means on
+    parser.add_argument("--detector", action="store_true", default=None,
                         help="enable the a posteriori fallback (active-flux)")
 
 
@@ -228,7 +214,7 @@ def _cmd_diagnose_weak(config, nx_list):
     case = runner.cases.case_library(config.case, gamma=config.gamma)
     lines = ["nx,defect"]
     for nx in nx_list:
-        cfg = RunConfig(**{**config.__dict__, "nx": int(nx), "snapshot_every": 1})
+        cfg = replace(config, nx=int(nx), snapshot_every=1)
         record = runner.run(cfg)
         _, mesh, _ = runner.build_problem(cfg)
         bumps = weak.default_bumps(mesh, float(record.times[-1]), shock_path=case.shock_path)

@@ -8,6 +8,10 @@ import numpy as np
 
 from ..errors import BranchError, ConfigError, VacuumError
 
+# Newton stopping rules of the two oracles
+RIEMANN_TOL, RIEMANN_MAX_ITER = 1e-12, 200
+SINE_TOL, SINE_MAX_ITER = 1e-14, 100
+
 
 @dataclass
 class RiemannSolution:
@@ -99,12 +103,12 @@ def _wave_function(p, rho_k, p_k, c_k, gamma):
     return f, df
 
 
-def exact_riemann_euler(left, right, gamma=1.4, tol=1e-12, max_iter=200):
+def exact_riemann_euler(left, right, gamma=1.4):
     """Star-region solve of the ideal-gas Riemann problem.
 
     left, right: primitive states (rho, v, p).  Newton iteration on the
     pressure function starting from the two-rarefaction guess; converges to
-    ``tol`` relative.  Raises VacuumError when the data generate vacuum.
+    ``RIEMANN_TOL`` relative.  Raises VacuumError when the data generate vacuum.
     """
     rl, ul, pl = map(float, left)
     rr, ur, pr = map(float, right)
@@ -120,12 +124,12 @@ def exact_riemann_euler(left, right, gamma=1.4, tol=1e-12, max_iter=200):
     z = 0.5 * (g - 1.0) / g
     p = ((cl + cr - 0.5 * (g - 1.0) * (ur - ul)) / (cl / pl**z + cr / pr**z)) ** (1.0 / z)
     p = max(p, 1e-14)
-    for _ in range(max_iter):
+    for _ in range(RIEMANN_MAX_ITER):
         fl, dfl = _wave_function(p, rl, pl, cl, g)
         fr, dfr = _wave_function(p, rr, pr, cr, g)
         delta = (fl + fr + (ur - ul)) / (dfl + dfr)
         p_new = max(p - delta, 1e-14)
-        if abs(p_new - p) < tol * p_new:
+        if abs(p_new - p) < RIEMANN_TOL * p_new:
             p = p_new
             break
         p = p_new
@@ -156,7 +160,7 @@ def burgers_riemann(u_left, u_right, x, t):
     return out
 
 
-def burgers_sine_exact(x, t, max_iter=100, tol=1e-14):
+def burgers_sine_exact(x, t):
     """Smooth solution of u_t + (u^2/2)_x = 0 with u(x, 0) = sin(pi x).
 
     Characteristics give u = sin(pi (x - u t)); Newton converges for
@@ -169,12 +173,12 @@ def burgers_sine_exact(x, t, max_iter=100, tol=1e-14):
         )
     x = np.asarray(x, dtype=float)
     u = np.sin(np.pi * x)
-    for _ in range(max_iter):
+    for _ in range(SINE_MAX_ITER):
         residual = u - np.sin(np.pi * (x - u * t))
         slope = 1.0 + np.pi * t * np.cos(np.pi * (x - u * t))
         du = residual / slope
         u = u - du
-        if np.abs(du).max() < tol:
+        if np.abs(du).max() < SINE_TOL:
             break
     return u
 

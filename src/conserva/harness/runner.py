@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .. import active_flux, schemes
@@ -101,7 +103,7 @@ def convergence_study(config, resolutions):
     rows = []
     previous = None
     for nx in resolutions:
-        cfg = RunConfig(**{**config.__dict__, "nx": int(nx)})
+        cfg = replace(config, nx=int(nx))
         record = run(cfg)
         err = l1_error(record, cfg)
         order = None

@@ -19,6 +19,9 @@ import numpy as np
 from ..errors import DiagnosticError
 from ..mesh import gather_cell_ends
 
+BUMP_TIME_FRACTIONS = (0.35, 0.55, 0.75)  # bump time levels, as fractions of t_final
+BUMP_OFFSETS = 3  # bumps per time level
+
 
 def _bump(s):
     """b(s) = exp(1 - 1/(1 - s^2)) for |s| < 1, zero elsewhere, and b'(s)."""
@@ -52,9 +55,7 @@ class BumpTestFunction:
         return b, db / self.rt
 
 
-def default_bumps(
-    mesh, t_final, shock_path=None, t_fractions=(0.35, 0.55, 0.75), offset_count=3
-):
+def default_bumps(mesh, t_final, shock_path=None):
     """A tile of bump placements straddling the shock path when one is known.
 
     Per time level one bump sits on the path (or mid-domain) with one more on
@@ -64,9 +65,9 @@ def default_bumps(
     a, b = float(mesh.nodes[0]), float(mesh.nodes[-1])
     width = b - a
     rx = 0.1 * width
-    spread = np.linspace(-1.0, 1.0, offset_count) * 0.117 * width
+    spread = np.linspace(-1.0, 1.0, BUMP_OFFSETS) * 0.117 * width
     bumps = []
-    for frac in t_fractions:
+    for frac in BUMP_TIME_FRACTIONS:
         t0 = frac * t_final
         rt = 0.85 * min(t0, t_final - t0)
         center = shock_path(t0) if shock_path is not None else 0.5 * (a + b)
@@ -77,16 +78,17 @@ def default_bumps(
 
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
+MIN_TIME_SAMPLES = 8  # snapshots inside each bump's time support
 
 
-def weak_residual_diagnostic(record, model, mesh, bumps=None, min_time_samples=8):
+def weak_residual_diagnostic(record, model, mesh, bumps=None):
     """Total absolute weak-form defect of a run over a family of bumps.
 
     Space is integrated cell by cell with 3-point Gauss quadrature of the
     piecewise-linear nodal representation, time with the trapezoid rule on
     the stored snapshots, with the flux evaluated once per snapshot for all
     bumps together; each bump's time support must contain at least
-    ``min_time_samples`` snapshots, otherwise the record is too sparse to
+    MIN_TIME_SAMPLES snapshots, otherwise the record is too sparse to
     trust and DiagnosticError is raised (rerun with snapshot_every=1).
     """
     times = np.asarray(record.times, dtype=float)
@@ -116,10 +118,10 @@ def weak_residual_diagnostic(record, model, mesh, bumps=None, min_time_samples=8
     seen = np.zeros(len(times), dtype=bool)  # snapshots inside some bump's support
     for i, bump in enumerate(bumps):
         inside = np.abs(times - bump.t0) < bump.rt
-        if inside.sum() < min_time_samples:
+        if inside.sum() < MIN_TIME_SAMPLES:
             raise DiagnosticError(
                 f"only {int(inside.sum())} snapshots inside the bump at t0={bump.t0}; "
-                f"need {min_time_samples}"
+                f"need {MIN_TIME_SAMPLES}"
             )
         b_x, db_x = bump.space(xq)
         space[i] = wq * b_x

@@ -91,15 +91,14 @@ class ResidualSet:
     """Residuals and boundary-flux shares for every element of a 1D mesh.
 
     phi, boundary_parts: (ncell, 2, p) arrays indexed like mesh.cell_dofs.
-    domain_boundary_flux: (ndof, p), the outward boundary flux closing the
-    update at domain-boundary DOFs; identically zero for interior DOFs and on
-    periodic meshes.
+    boundary_outflux: (p,), the net outward flux through the domain boundary,
+    f(u_last) - f(u_first); zero on periodic meshes.
     """
 
     cell_dofs: np.ndarray
     phi: np.ndarray
     boundary_parts: np.ndarray
-    domain_boundary_flux: np.ndarray
+    boundary_outflux: np.ndarray
     alpha_max: float = 0.0
 
     @property
@@ -114,17 +113,10 @@ class ResidualSet:
         """Sum residuals over the elements owning each DOF, shape (ndof, p)."""
         return scatter_cell_ends(self.phi[:, 0], self.phi[:, 1], ndof)
 
-    def net_boundary_outflux(self):
-        """Net outward flux through the domain boundary, shape (p,)."""
-        return self.domain_boundary_flux.sum(axis=0)
 
-
-def _domain_closure(mesh, nodes):
-    out = np.zeros((mesh.ndof, nodes.states.shape[1]))
-    if not mesh.periodic:
-        out[0] = -nodes.flux[0]
-        out[-1] = nodes.flux[-1]
-    return out
+def _boundary_outflux(mesh, flux):
+    """Net outward flux f(u_last) - f(u_first) of the node fluxes; zero if periodic."""
+    return np.zeros(flux.shape[1]) if mesh.periodic else flux[-1] - flux[0]
 
 
 def _node_kernels(mesh, states, model):
@@ -152,7 +144,7 @@ def fv_residuals_1d(mesh, states, flux, model):
 
     phi = np.stack([fhat - left.flux, right.flux - fhat], axis=1)
     bparts = np.stack([-left.flux, right.flux], axis=1)
-    return ResidualSet(mesh.cell_dofs, phi, bparts, _domain_closure(mesh, nodes))
+    return ResidualSet(mesh.cell_dofs, phi, bparts, _boundary_outflux(mesh, nodes.flux))
 
 
 def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
@@ -190,7 +182,7 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
         phi[:, 1] += -wq * f_q + wq * h * stab
 
     bparts = np.stack([-left.flux, right.flux], axis=1)
-    return ResidualSet(mesh.cell_dofs, phi, bparts, _domain_closure(mesh, nodes))
+    return ResidualSet(mesh.cell_dofs, phi, bparts, _boundary_outflux(mesh, nodes.flux))
 
 
 def triangle_fv_residuals(states, normals, numerical_flux, physical_flux):
@@ -371,7 +363,7 @@ class TwoFieldGasScheme:
         bparts = np.concatenate(
             [base.boundary_parts[:, :, :2], bparts_e[:, :, None]], axis=2
         )
-        return ResidualSet(dofs, phi, bparts, base.domain_boundary_flux)
+        return ResidualSet(dofs, phi, bparts, base.boundary_outflux)
 
     def conserved_totals(self, w):
         u = self.to_conserved(w)
@@ -557,7 +549,7 @@ def integrate(
         for (a_coef, b_coef), w in zip(stages, flux_weights):
             residuals = assemble(cur, dt)
             alpha_max = max(alpha_max, residuals.alpha_max)
-            bflux = bflux + w * dt * residuals.net_boundary_outflux()
+            bflux = bflux + w * dt * residuals.boundary_outflux
             stage_new = rd_step(mesh, cur, residuals, dt, model=model)
             cur = a_coef * u + b_coef * stage_new
         if not np.isfinite(cur).all():

@@ -176,68 +176,6 @@ def test_af_integrate_sod_mass_ledger():
     assert record.ledger.fallback_cells.sum() > 0  # the jump trips the detector
 
 
-class _ToyCoupled:
-    """Two-component linear system with flux matrix [[0, 1], [1, 0]]."""
-
-    p = 2
-    names = ("a", "b")
-
-    def flux(self, u):
-        return np.asarray(u)[..., ::-1].copy()
-
-    def jacobian(self, u):
-        u = np.asarray(u)
-        J = np.zeros(u.shape[:-1] + (2, 2))
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = 1.0
-        return J
-
-    def from_aux(self, w):
-        return np.array(w, dtype=float, copy=True)
-
-    def to_aux(self, u):
-        return np.array(u, dtype=float, copy=True)
-
-    def aux_jacobian(self, u):
-        u = np.asarray(u)
-        return np.broadcast_to(np.eye(2), u.shape[:-1] + (2, 2)).copy()
-
-
-class _ToyDefective(_ToyCoupled):
-    """Jordan-block flux matrix: not diagonalisable."""
-
-    def jacobian(self, u):
-        u = np.asarray(u)
-        J = np.zeros(u.shape[:-1] + (2, 2))
-        J[..., 0, 1] = 1.0
-        return J
-
-
-def test_generic_split_matches_analytic_wave_splitting(rng):
-    from conserva.active_flux import _apply_split
-
-    model = _ToyCoupled()
-    w = rng.normal(size=(10, 2))
-    d = rng.normal(size=(10, 2))
-    plus = _apply_split(model, w, d, +1, model.from_aux(w))
-    minus = _apply_split(model, w, d, -1, model.from_aux(w))
-    J_plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
-    J_minus = 0.5 * np.array([[-1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_allclose(plus, d @ J_plus.T, atol=1e-12)
-    np.testing.assert_allclose(minus, d @ J_minus.T, atol=1e-12)
-    np.testing.assert_allclose(plus + minus, d[..., ::-1], atol=1e-12)
-
-
-def test_generic_split_rejects_defective_jacobian(rng):
-    from conserva.active_flux import _apply_split
-    from conserva.errors import SplittingError
-
-    model = _ToyDefective()
-    w = rng.normal(size=(4, 2))
-    with pytest.raises(SplittingError):
-        _apply_split(model, w, rng.normal(size=(4, 2)), +1, model.from_aux(w))
-
-
 # ---------------------------------------------------------------------------
 # detector path: base rates shared by re-runs, fallback at flagged nodes only
 # ---------------------------------------------------------------------------

@@ -50,21 +50,22 @@ def test_entropy_correction_inactive_when_defect_nonpositive():
 
 
 def test_entropy_correction_formula_value():
-    # one element with engineered deficit 0.3 and direction norm 0.1 -> alpha 3
+    # one element with deficit 0.3 and direction norm delta^2 / 2 = 0.1 -> alpha 3
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     delta = np.sqrt(0.2)
     states = np.array([[-delta / 2], [delta / 2], [delta / 2]])
     res = fv_residuals_1d(mesh, states, NumericalFlux("central", model), model)
-    res.phi[...] = 0.0  # production = 0 on both elements
     res.boundary_parts[...] = 0.0
+    # entropy production v . phi on element 0 is g_bound - 0.3; element 1 has
+    # equal end states, so its boundary entropy flux and production are zero
+    g = model.entropy_flux(states)
+    res.phi[...] = 0.0
+    res.phi[0, 1] = (g[1] - g[0] - 0.3) / (delta / 2)
 
-    def fabricated_entropy_flux(n, u_left, u_right):
-        # element boundary integral becomes 0.3 on element 0 and 0 on element 1
-        return n * np.where(np.asarray(u_left)[..., 0] > 0, 0.3, 0.0)
-
-    corrected, report = entropy_correction(res, states, model, fabricated_entropy_flux)
+    corrected, report = entropy_correction(res, states, model)
     assert report.alpha[0] == pytest.approx(3.0)
+    assert report.alpha[1] == 0.0
     assert report.post_defect[0] == pytest.approx(0.0, abs=1e-12)
     # correction keeps the element conservation relation intact
     np.testing.assert_allclose(corrected.element_defect(), res.element_defect(), atol=1e-13)
@@ -80,17 +81,17 @@ def test_entropy_correction_constant_states_alpha_zero():
 
 
 def test_entropy_correction_degenerate_direction_raises():
+    # equal entropy variables on element 0, whose production -0.5 leaves a
+    # deficit 0.5 below its zero boundary entropy flux
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[0.5], [0.5], [0.5]])
     res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
-
-    def inflating_flux(n, u_left, u_right):
-        return np.where(n > 0, 1.0, 0.0)  # fake positive boundary entropy flux
+    res.phi[0] = [[-1.0], [0.0]]
 
     with pytest.raises(CorrectionError) as excinfo:
-        entropy_correction(res, states, model, inflating_flux)
-    assert excinfo.value.elements is not None
+        entropy_correction(res, states, model)
+    np.testing.assert_array_equal(excinfo.value.elements, [0])
 
 
 def test_entropy_correction_zero_sum_per_element(rng):

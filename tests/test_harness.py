@@ -49,15 +49,6 @@ def test_shu_osher_initial_profile():
     assert w[1, 0] == pytest.approx(1.0 + 0.2 * np.sin(0.0))
 
 
-def test_sod_case_alternate_domain():
-    from conserva.harness.cases import _sod
-
-    case = _sod(1.4, domain=(-0.5, 0.5))
-    u = case.u0(np.array([-0.25, 0.25]))
-    assert u[0, 0] == pytest.approx(1.0)
-    assert u[1, 0] == pytest.approx(0.125)
-
-
 # ---------------------------------------------------------------------------
 # weak diagnostic
 # ---------------------------------------------------------------------------

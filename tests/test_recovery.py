@@ -191,7 +191,7 @@ def _supg_residuals(n=24):
 
 def _with_phi(residuals, phi, bparts=None):
     bparts = residuals.boundary_parts if bparts is None else bparts
-    return ResidualSet(residuals.cell_dofs, phi, bparts, residuals.domain_boundary_flux)
+    return ResidualSet(residuals.cell_dofs, phi, bparts, residuals.boundary_outflux)
 
 
 def test_reconstruct_names_exactly_the_shifted_element():
