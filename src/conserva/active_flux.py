@@ -151,7 +151,9 @@ def _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux):
     u_pts = u_nodes[nodes]
     pts = NodeKernels(u_pts, face_flux[nodes], model.max_wave_speed(u_pts))
     neighbors = _neighbor_averages(mesh, state.averages, u_nodes, nodes)
-    left, right = NodeKernels.unchecked(model, neighbors).pair()
+    left, right = NodeKernels(
+        neighbors, model.flux(neighbors), model.max_wave_speed(neighbors)
+    ).pair()
     du = -(_rusanov(pts, right) - _rusanov(left, pts)) / width
     # chain rule back to the mapped variables
     P = model.aux_jacobian(u_pts)

@@ -56,16 +56,19 @@ def entropy_correction(residuals, states, model):
     need a correction but have all entropy variables equal cannot be fixed
     this way and raise CorrectionError.  ``states`` are the node states or
     their ``models.NodeKernels``: entropy variables, entropy fluxes and wave
-    speeds are evaluated at the nodes and gathered to the cell ends.
+    speeds are evaluated at the nodes (the entropy flux from the bundle's
+    entropy, if it holds one) and gathered to the cell ends.  Without an
+    element to fix, the degeneracy and clamp tests are skipped.
     """
     nodes = NodeKernels.of(model, states)
     dofs = residuals.cell_dofs
-    v_left, v_right = gather_cell_ends(model.entropy_variables(nodes.states), dofs)
-    v_cells = np.stack([v_left, v_right], axis=1)
+    # (ncell, 2, p) in one take, the bits of stacking both cell-end gathers
+    v_cells = np.take(model.entropy_variables(nodes.states), dofs, axis=0)
+    v_left, v_right = v_cells[:, 0], v_cells[:, 1]
 
     # element boundary entropy flux; traces at element ends are single valued,
     # so a consistent numerical entropy flux reduces to the model's there
-    g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states), dofs)
+    g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states, nodes.entropy), dofs)
     g_bound = g_right - g_left
 
     production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
@@ -75,34 +78,37 @@ def entropy_correction(residuals, states, model):
     # +0.0, at a tenth of its cost
     v_bar = ((v_left + v_right + 0.0) / 2)[:, None, :]
     centered = v_cells - v_bar
-    denom = np.einsum("kdp,kdp->k", centered, centered)
-
-    vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
-    degenerate = denom < DEGENERATE_TOLERANCE * vbar_scale
     needs_fix = deficit > 1e-12
-    impossible = needs_fix & degenerate
-    if impossible.any():
-        bad = np.flatnonzero(impossible)
-        raise CorrectionError(
-            f"entropy correction impossible on elements {bad.tolist()}: "
-            "all entropy variables equal but the deficit is positive",
-            elements=bad,
-        )
+    # without an element to fix, r = +0.0 * centered: phi + r keeps the full
+    # formula's bits, which can turn a -0.0 residual into +0.0
+    alpha, clamped = np.zeros(len(deficit)), needs_fix
+    if needs_fix.any():
+        denom = np.einsum("kdp,kdp->k", centered, centered)
+        vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
+        degenerate = denom < DEGENERATE_TOLERANCE * vbar_scale
+        impossible = needs_fix & degenerate
+        if impossible.any():
+            bad = np.flatnonzero(impossible)
+            raise CorrectionError(
+                f"entropy correction impossible on elements {bad.tolist()}: "
+                "all entropy variables equal but the deficit is positive",
+                elements=bad,
+            )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(needs_fix & ~degenerate, deficit / denom, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(needs_fix & ~degenerate, deficit / denom, 0.0)
 
-    speed_left, speed_right = gather_cell_ends(nodes.speed, dofs)
-    speed = np.maximum(speed_left, speed_right)
-    cap = ALPHA_CLAMP_FACTOR * np.maximum(speed, 1e-300)
-    clamped = alpha > cap
-    if clamped.any():
-        log.warning(
-            "entropy correction clamped on %d element(s); alpha max %.3e",
-            int(clamped.sum()),
-            float(alpha.max()),
-        )
-        alpha = np.minimum(alpha, cap)
+        speed_left, speed_right = gather_cell_ends(nodes.speed, dofs)
+        speed = np.maximum(speed_left, speed_right)
+        cap = ALPHA_CLAMP_FACTOR * np.maximum(speed, 1e-300)
+        clamped = alpha > cap
+        if clamped.any():
+            log.warning(
+                "entropy correction clamped on %d element(s); alpha max %.3e",
+                int(clamped.sum()),
+                float(alpha.max()),
+            )
+            alpha = np.minimum(alpha, cap)
 
     r = alpha[:, None, None] * centered
     corrected = replace(
@@ -134,15 +140,16 @@ def energy_update_identity(rho0, v0, e0, rho1, v1, e1):
 
 
 def nonconservative_energy_correction(
-    phi_rho, phi_mom, phi_e, v_old, v_new, cell_dofs, boundary_energy_flux
+    phi_rho, phi_mom, phi_e, v_old, v_new, boundary_energy_flux
 ):
     """Make an internal-energy discretisation conserve total energy.
 
     phi_rho, phi_mom, phi_e: (ncell, 2) residual components; the density and
-    momentum residuals stay untouched.  v_old, v_new: per-DOF velocities
-    before and after the step (the momentum/density updates do not depend on
-    the energy residual, so v_new is available first).  For each element the
-    same amount r^K is added to every energy residual so that
+    momentum residuals stay untouched.  v_old, v_new: (ncell, 2) velocities
+    at the element DOFs before and after the step (the momentum/density
+    updates do not depend on the energy residual, so v_new is available
+    first).  For each element the same amount r^K is added to every energy
+    residual so that
 
         boundary_energy_flux_K = sum_sigma [ phi_e
                                              + (v_new + v_old)/2 * phi_mom
@@ -156,8 +163,8 @@ def nonconservative_energy_correction(
     phi_rho = np.asarray(phi_rho, dtype=float)
     phi_mom = np.asarray(phi_mom, dtype=float)
     phi_e = np.asarray(phi_e, dtype=float)
-    vh_cells = gather_cell_ends(0.5 * (v_new + v_old), cell_dofs).T
-    vp_cells = gather_cell_ends(0.5 * (v_new * v_old), cell_dofs).T
+    vh_cells = 0.5 * (v_new + v_old)
+    vp_cells = 0.5 * (v_new * v_old)
     current = (phi_e + vh_cells * phi_mom - vp_cells * phi_rho).sum(axis=1)
     r = (np.asarray(boundary_energy_flux, dtype=float) - current) / phi_e.shape[1]
     return phi_e + r[:, None], r

@@ -55,7 +55,6 @@ def run(config: RunConfig) -> SolutionRecord:
             t_end=t_end,
             integrator=integrator,
             snapshot_every=config.snapshot_every,
-            conserved_totals=gas.conserved_totals,
         )
         record.states = [gas.to_conserved(w) for w in record.states]
     else:

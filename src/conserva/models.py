@@ -60,6 +60,12 @@ class PhysicsModel:
             )
         return u
 
+    def node_kernels(self, u, entropy=False):
+        """The unchecked ``NodeKernels`` of states u, with their entropy if asked;
+        one hook, so that a model can share work between the kernels."""
+        eta = self.entropy(u) if entropy else None
+        return NodeKernels(u, self.flux(u), self.max_wave_speed(u), self.admissible_mask(u), eta)
+
     # -- variable map (identity unless overridden) ---------------------
     def to_aux(self, u):
         return np.array(u, dtype=float, copy=True)
@@ -102,7 +108,8 @@ class Advection(PhysicsModel):
     def entropy_variables(self, u):
         return np.array(u, dtype=float, copy=True)
 
-    def entropy_flux(self, u):
+    def entropy_flux(self, u, entropy=None):
+        """The entropy flux; a closed form in u, so a known ``entropy`` is not read."""
         u = np.asarray(u, dtype=float)
         return 0.5 * self.a * u[..., 0] ** 2
 
@@ -138,7 +145,8 @@ class Burgers(PhysicsModel):
     def entropy_variables(self, u):
         return np.array(u, dtype=float, copy=True)
 
-    def entropy_flux(self, u):
+    def entropy_flux(self, u, entropy=None):
+        """The entropy flux; a closed form in u, so a known ``entropy`` is not read."""
         u = np.asarray(u, dtype=float)
         return u[..., 0] ** 3 / 3.0
 
@@ -185,28 +193,47 @@ class Euler(PhysicsModel):
         _, _, e_int = self._decompose(u)
         return (self.gamma - 1.0) * e_int
 
-    def admissible_mask(self, u):
-        u = np.asarray(u, dtype=float)
+    @staticmethod
+    def _admissible(u, rho, e_int):
         # one component at a time: several times faster than reducing
-        # isfinite(u) over the size-3 axis
+        # isfinite(u) over the size-3 axis; `finite` masks the rows whose
+        # inputs are already non-finite
         finite = np.isfinite(u[..., 0]) & np.isfinite(u[..., 1]) & np.isfinite(u[..., 2])
-        # a zero density or an overflowing mom/rho makes e_int -inf or nan,
-        # which compares False: an answer, not a warning; `finite` masks the
-        # rows whose inputs are already non-finite
-        with np.errstate(all="ignore"):
-            rho, _, e_int = self._decompose(u)
         return finite & (rho > ADMISSIBLE_FLOOR) & (e_int > ADMISSIBLE_FLOOR)
 
-    # -- physics --------------------------------------------------------
-    def flux(self, u):
+    def admissible_mask(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self._decompose(u)
-        pres = (self.gamma - 1.0) * e_int
+        # a zero density or an overflowing mom/rho makes e_int -inf or nan,
+        # which compares False: an answer, not a warning
+        with np.errstate(all="ignore"):
+            rho, _, e_int = self._decompose(u)
+        return self._admissible(u, rho, e_int)
+
+    def node_kernels(self, u, entropy=False):
+        """Mask, flux and wave speed from one ``_decompose``, bit for bit those of
+        the separate methods, and like the mask silent on inadmissible rows."""
+        u = np.asarray(u, dtype=float)
+        with np.errstate(all="ignore"):
+            rho, vel, e_int = self._decompose(u)
+            pres = (self.gamma - 1.0) * e_int
+            flux = self._flux(u, vel, pres)
+            speed = np.abs(vel) + np.sqrt(self.gamma * pres / rho)
+        mask = self._admissible(u, rho, e_int)
+        return NodeKernels(u, flux, speed, mask, self._entropy(rho, pres) if entropy else None)
+
+    # -- physics --------------------------------------------------------
+    @staticmethod
+    def _flux(u, vel, pres):
         out = np.empty_like(u)
         out[..., 0] = u[..., 1]
         out[..., 1] = u[..., 1] * vel + pres
         out[..., 2] = (u[..., 2] + pres) * vel
         return out
+
+    def flux(self, u):
+        u = np.asarray(u, dtype=float)
+        _, vel, e_int = self._decompose(u)
+        return self._flux(u, vel, (self.gamma - 1.0) * e_int)
 
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
@@ -225,15 +252,16 @@ class Euler(PhysicsModel):
 
     def entropy(self, u):
         u = np.asarray(u, dtype=float)
-        rho = u[..., 0]
-        pres = self.pressure(u)
+        return self._entropy(u[..., 0], self.pressure(u))
+
+    def _entropy(self, rho, pres):
         return rho * (self.gamma * np.log(rho) - np.log(pres))
 
     def entropy_variables(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self._decompose(u)
-        pres = self.pressure(u)
+        rho, vel, e_int = self._decompose(u)
+        pres = (g - 1.0) * e_int
         s = np.log(pres) - g * np.log(rho)
         v = np.empty_like(u)
         v[..., 0] = g - s - 0.5 * (g - 1.0) * rho * vel**2 / pres
@@ -241,10 +269,11 @@ class Euler(PhysicsModel):
         v[..., 2] = -(g - 1.0) * rho / pres
         return v
 
-    def entropy_flux(self, u):
+    def entropy_flux(self, u, entropy=None):
+        """v * eta, reading eta from ``entropy`` when the caller already has it."""
         u = np.asarray(u, dtype=float)
         vel = u[..., 1] / u[..., 0]
-        return vel * self.entropy(u)
+        return vel * (self.entropy(u) if entropy is None else entropy)
 
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
@@ -321,33 +350,35 @@ class Euler(PhysicsModel):
 
 @dataclass(frozen=True)
 class NodeKernels:
-    """The model kernels a stage's residuals read, evaluated once at its nodes.
+    """The model kernels read on a set of states, evaluated once at its nodes.
 
-    states (n, p), their fluxes f(states) (n, p) and wave speed bounds (n,).
-    Every kernel is elementwise, so a row gathered from the bundle equals the
-    kernel of the gathered state bit for bit: residuals gather cell ends from
-    one bundle instead of evaluating the model on every cell end.
+    states (n, p), their fluxes f(states) (n, p) and wave speed bounds (n,);
+    ``model.node_kernels`` adds the admissibility mask and, if asked, the
+    entropy (n,).  Every kernel is elementwise, so a row gathered from the
+    bundle equals the kernel of the gathered state bit for bit: residuals
+    gather cell ends from one bundle instead of evaluating the model on
+    every cell end.
     """
 
     states: np.ndarray
     flux: np.ndarray
     speed: np.ndarray
+    admissible: np.ndarray | None = None
+    entropy: np.ndarray | None = None
 
     @classmethod
     def of(cls, model, states):
-        """The bundle of admissible states; a bundle is returned as it is.
+        """The bundle of admissible states; a bundle is returned as it is, once
+        its mask, if it has one, passes.
 
         An inadmissible state raises DomainError carrying its row index, the
         DOF index for node states.
         """
-        if isinstance(states, cls):
-            return states
-        return cls.unchecked(model, model.require_admissible(states))
-
-    @classmethod
-    def unchecked(cls, model, states):
-        """The bundle without the admissibility check."""
-        return cls(states, model.flux(states), model.max_wave_speed(states))
+        if not isinstance(states, cls):
+            states = model.node_kernels(np.asarray(states, dtype=float))
+        if states.admissible is not None and not states.admissible.all():
+            model.require_admissible(states.states)  # the same mask: names the row
+        return states
 
     def cell_ends(self, cell_dofs):
         """(left, right) bundles at the two end nodes of every cell."""

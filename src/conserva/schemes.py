@@ -13,9 +13,10 @@ gas scheme) followed by an ordered tuple of zero-sum corrections;
 ``march`` is the one time-marching loop: ``integrate`` and the two-field
 scheme's ``af_integrate`` hand it a step function.
 
-Residuals are functions of node quantities, so each stage evaluates the
-model once at its nodes (``models.NodeKernels``) and gathers the cell ends
-from that bundle.
+Residuals are functions of node quantities, so the model is evaluated once
+at the nodes (``models.NodeKernels``) and the cell ends are gathered from
+that bundle.  ``integrate`` keeps one bundle per accepted state, not per
+stage: the CFL speed, the ledger and the next step's first stage read it.
 
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
@@ -142,8 +143,13 @@ def fv_residuals_1d(mesh, states, flux, model):
     left, right = nodes.cell_ends(mesh.cell_dofs)
     fhat = flux(+1, left, right)
 
-    phi = np.stack([fhat - left.flux, right.flux - fhat], axis=1)
-    bparts = np.stack([-left.flux, right.flux], axis=1)
+    # written in place: the bits of np.stack(..., axis=1) without its copies
+    phi = np.empty((len(fhat), 2) + fhat.shape[1:])
+    np.subtract(fhat, left.flux, out=phi[:, 0])
+    np.subtract(right.flux, fhat, out=phi[:, 1])
+    bparts = np.empty_like(phi)
+    np.negative(left.flux, out=bparts[:, 0])
+    bparts[:, 1] = right.flux
     return ResidualSet(mesh.cell_dofs, phi, bparts, _boundary_outflux(mesh, nodes.flux))
 
 
@@ -257,8 +263,9 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
     the residuals inside every element with zero sum, so the base residual's
     conservation survives.  With corrections, the base and every correction
     read one ``NodeKernels`` bundle per call; a base alone builds its own,
-    and the gas scheme, which assembles in (rho, m, e) variables, reads only
-    the states.
+    and the gas scheme, which assembles in (rho, m, e) variables, takes plain
+    conserved states; ``integrate`` drives it with the scheme itself as the
+    watched model, as ``runner.run`` does.
     """
     row = SCHEMES.get(scheme_id)
     if row is None or row.base == ACTIVE_FLUX:
@@ -295,8 +302,9 @@ class TwoFieldGasScheme:
     Intended for forward Euler stepping: the discrete energy identity is an
     identity per Euler substep.
 
-    The scheme is also the model ``integrate`` watches: admissibility, wave
-    speeds and entropy are those of the gas model, read through (rho, m, e).
+    The scheme is also the model ``integrate`` watches: admissibility of the
+    (rho, m, e) states, and their ``node_kernels``, the gas model's bundle of
+    their conserved form, which keeps them for assembly.
     """
 
     def __init__(self, model, mesh):
@@ -315,16 +323,24 @@ class TwoFieldGasScheme:
         out[..., 2] = u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0]
         return out
 
+    def node_kernels(self, w, entropy=False):
+        """The gas model's bundle of w converted once, keeping w for assembly."""
+        nodes = self.model.node_kernels(self.to_conserved(w), entropy)
+        return _GasNodes(**vars(nodes), w=w)
+
     def assemble(self, w, dt):
+        """Residuals of (rho, m, e) states w, or of their ``node_kernels``."""
         mesh, model = self.mesh, self.model
-        nodes = NodeKernels.of(model, self.to_conserved(w))
+        nodes = NodeKernels.of(model, w if isinstance(w, _GasNodes) else self.node_kernels(w))
+        w = nodes.w
         base = fv_residuals_1d(mesh, nodes, self.fv_flux, model)
         phi_rho = base.phi[:, :, 0]
         phi_mom = base.phi[:, :, 1]
 
         dofs = mesh.cell_dofs
         v_old = w[:, 1] / w[:, 0]
-        vel_l, vel_r = gather_cell_ends(v_old, dofs)
+        v_old_cells = gather_cell_ends(v_old, dofs)
+        vel_l, vel_r = v_old_cells
         e_l, e_r = gather_cell_ends(w[:, 2], dofs)
         p_l, p_r = gather_cell_ends(model.pressure(nodes.states), dofs)
         speed_l, speed_r = gather_cell_ends(nodes.speed, dofs)
@@ -349,20 +365,22 @@ class TwoFieldGasScheme:
         # -f_E(u_left) and f_E(u_right), the energy part of the base's boundary
         # parts; their sum is the element's boundary energy flux
         nodal_e_flux = base.boundary_parts[:, :, 2]
+        v_old_cells = v_old_cells.T
+        v_new_cells = gather_cell_ends(v_new, dofs).T
         phi_e, _ = corrections.nonconservative_energy_correction(
-            phi_rho, phi_mom, phi_e, v_old, v_new, dofs, nodal_e_flux[:, 1] + nodal_e_flux[:, 0]
+            phi_rho, phi_mom, phi_e, v_old_cells, v_new_cells,
+            nodal_e_flux[:, 1] + nodal_e_flux[:, 0],
         )
 
-        phi = np.concatenate([base.phi[:, :, :2], phi_e[:, :, None]], axis=2)
+        # the base's own arrays, with their energy column replaced
+        phi, bparts = base.phi, base.boundary_parts
+        phi[:, :, 2] = phi_e
         # boundary share of the corrected internal-energy equation: the total
         # energy flux minus the velocity-weighted momentum/density residuals,
         # so the corrected residuals sum exactly to their boundary parts
-        vh = gather_cell_ends(0.5 * (v_new + v_old), dofs).T
-        vp = gather_cell_ends(0.5 * (v_new * v_old), dofs).T
-        bparts_e = nodal_e_flux - vh * phi_mom + vp * phi_rho
-        bparts = np.concatenate(
-            [base.boundary_parts[:, :, :2], bparts_e[:, :, None]], axis=2
-        )
+        vh = 0.5 * (v_new_cells + v_old_cells)
+        vp = 0.5 * (v_new_cells * v_old_cells)
+        bparts[:, :, 2] = nodal_e_flux - vh * phi_mom + vp * phi_rho
         return ResidualSet(dofs, phi, bparts, base.boundary_outflux)
 
     def conserved_totals(self, w):
@@ -376,11 +394,10 @@ class TwoFieldGasScheme:
         finite = np.isfinite(w[..., 0]) & np.isfinite(w[..., 1]) & np.isfinite(w[..., 2])
         return finite & (w[..., 0] > 1e-12) & (w[..., 2] > 1e-12)
 
-    def max_wave_speed(self, w):
-        return self.model.max_wave_speed(self.to_conserved(w))
 
-    def entropy(self, w):
-        return self.model.entropy(self.to_conserved(w))
+@dataclass(frozen=True)
+class _GasNodes(NodeKernels):
+    w: np.ndarray | None = None  # the (rho, m, e) states converted to ``states``
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +541,12 @@ def integrate(
 ):
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
-    assemble(states, dt) -> ResidualSet.  model supplies the wave speeds, the
-    admissibility test and the entropy, in the variables the states are kept
-    in.  The ledger's totals come from conserved_totals(states), by default
-    the volume-weighted sums; its boundary account is the net outflux each
+    assemble(states, dt) -> ResidualSet, on the states or their bundle.  model
+    supplies, in the variables the states are kept in, the admissibility test
+    and ``node_kernels``: each accepted state's one bundle, which the CFL
+    speed, the ledger and the next step's first stage read.  The ledger's
+    totals come from conserved_totals(states), by default the volume-weighted
+    sums of the bundle's states; its boundary account is the net outflux each
     stage's residuals carry; alpha_max is the largest correction coefficient
     reported by the assembler.  See ``march`` for steps, retries and errors.
     """
@@ -537,35 +556,42 @@ def integrate(
 
     if conserved_totals is None:
         vols = mesh.volumes[:, None]
-        conserved_totals = lambda u: (vols * u).sum(axis=0)
+        totals = lambda s: (vols * s[1].states).sum(axis=0)
+    else:
+        totals = lambda s: conserved_totals(s[0])
 
     stages = _ssp_stages(integrator)
     flux_weights = _stage_flux_weights(stages)
 
-    def advance(u, dt):
+    def accepted(u):
+        # march's state; the next assembly checks the bundle's mask
+        return u, model.node_kernels(u, entropy=True)
+
+    def advance(state, dt):
+        u, given = state
         cur = u
         alpha_max = 0.0
         bflux = np.zeros(u.shape[1])
         for (a_coef, b_coef), w in zip(stages, flux_weights):
-            residuals = assemble(cur, dt)
+            residuals = assemble(given, dt)
             alpha_max = max(alpha_max, residuals.alpha_max)
             bflux = bflux + w * dt * residuals.boundary_outflux
             stage_new = rd_step(mesh, cur, residuals, dt, model=model)
-            cur = a_coef * u + b_coef * stage_new
+            cur = given = a_coef * u + b_coef * stage_new
         if not np.isfinite(cur).all():
             raise StepRejectedError("non-finite state", location=None)
-        return cur, bflux, alpha_max, 0
+        return accepted(cur), bflux, alpha_max, 0
 
     times, snapshots, ledger = march(
-        states,
+        accepted(states),
         advance,
-        speed=lambda u: float(model.max_wave_speed(u).max()),
+        speed=lambda s: float(s[1].speed.max()),
         length=float(mesh.volumes.min()),
         cfl=cfl,
         t_end=t_end,
-        totals=conserved_totals,
-        entropy=lambda u: float((mesh.volumes * model.entropy(u)).sum()),
-        snapshot=np.copy,
+        totals=totals,
+        entropy=lambda s: float((mesh.volumes * s[1].entropy).sum()),
+        snapshot=lambda s: np.copy(s[0]),
         snapshot_every=snapshot_every,
         stop_after_steps=stop_after_steps,
     )

@@ -129,13 +129,12 @@ def test_energy_identity_random_sweep(rng):
 
 
 def test_nc_energy_correction_identity_already_satisfied():
-    dofs = np.array([[0, 1]])
     phi_rho = np.zeros((1, 2))
     phi_mom = np.zeros((1, 2))
     phi_e = np.array([[0.25, 0.75]])
-    v = np.zeros(2)
+    v = np.zeros((1, 2))
     corrected, r = nonconservative_energy_correction(
-        phi_rho, phi_mom, phi_e, v, v, dofs, np.array([1.0])
+        phi_rho, phi_mom, phi_e, v, v, np.array([1.0])
     )
     assert r[0] == pytest.approx(0.0)
     np.testing.assert_array_equal(corrected, phi_e)
@@ -143,13 +142,12 @@ def test_nc_energy_correction_identity_already_satisfied():
 
 def test_nc_energy_correction_uniform_share():
     # three-DOF element, target - current = 0.6 -> r = 0.2 on every DOF
-    dofs = np.array([[0, 1, 2]])
     phi_rho = np.zeros((1, 3))
     phi_mom = np.zeros((1, 3))
     phi_e = np.array([[0.1, 0.2, 0.3]])
-    v = np.zeros(3)
+    v = np.zeros((1, 3))
     corrected, r = nonconservative_energy_correction(
-        phi_rho, phi_mom, phi_e, v, v, dofs, np.array([1.2])
+        phi_rho, phi_mom, phi_e, v, v, np.array([1.2])
     )
     assert r[0] == pytest.approx(0.2)
     np.testing.assert_allclose(corrected, [[0.3, 0.4, 0.5]])
@@ -237,3 +235,85 @@ def test_energy_correction_closes_every_element(problem, dt):
     terms = np.abs(res.phi) + np.abs(res.boundary_parts)
     terms[:, :, 2] += vh * np.abs(res.phi[:, :, 1]) + vp * np.abs(res.phi[:, :, 0])
     assert (np.abs(res.element_defect()) <= 16 * EPS * terms.sum(axis=1)).all()
+
+
+# ---------------------------------------------------------------------------
+# early exit when no element needs a fix
+# ---------------------------------------------------------------------------
+
+
+def _full_entropy_correction(residuals, states, model):
+    """The whole formula, every step taken: (phi, alpha, r, pre, post, clamped, alpha_max)."""
+    from conserva.corrections import ALPHA_CLAMP_FACTOR, DEGENERATE_TOLERANCE
+
+    dofs = residuals.cell_dofs
+    v = model.entropy_variables(states)
+    v_cells = np.stack([v[dofs[:, 0]], v[dofs[:, 1]]], axis=1)
+    g = model.entropy_flux(states)
+    g_bound = g[dofs[:, 1]] - g[dofs[:, 0]]
+    deficit = g_bound - np.einsum("kdp,kdp->k", v_cells, residuals.phi)
+    v_bar = v_cells.mean(axis=1, keepdims=True)
+    centered = v_cells - v_bar
+    denom = np.einsum("kdp,kdp->k", centered, centered)
+    vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
+    degenerate = denom < DEGENERATE_TOLERANCE * vbar_scale
+    needs_fix = deficit > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(needs_fix & ~degenerate, deficit / denom, 0.0)
+    speed = model.max_wave_speed(states)
+    cap = ALPHA_CLAMP_FACTOR * np.maximum(np.maximum(speed[dofs[:, 0]], speed[dofs[:, 1]]), 1e-300)
+    clamped = alpha > cap
+    alpha = np.minimum(alpha, cap) if clamped.any() else alpha
+    r = alpha[:, None, None] * centered
+    phi = residuals.phi + r
+    post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
+    alpha_max = float(alpha.max()) if len(alpha) else 0.0
+    return phi, alpha, r, -deficit, post, np.flatnonzero(clamped), alpha_max
+
+
+def _no_fix_problem(model_name, seed):
+    """Rusanov residuals that need no fix, with -0.0 entries among them."""
+    rng = np.random.default_rng(seed)
+    mesh = uniform_mesh(0.0, 1.0, int(rng.integers(4, 40)), boundary="periodic")
+    if model_name == "burgers":
+        model = Burgers()
+        # plateaus give elements with equal ends, whose residuals are zero
+        states = np.repeat(rng.uniform(-2.0, 2.0, mesh.ndof // 2 + 1), 2)[: mesh.ndof, None]
+    else:
+        model = Euler(1.4)
+        states = random_euler_states(rng, mesh.ndof)
+        states[rng.random(mesh.ndof) < 0.3] = states[0]
+    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res.phi[res.phi == 0.0] = -0.0
+    return model, states, res
+
+
+@pytest.mark.parametrize("model_name", ["burgers", "euler"])
+@pytest.mark.parametrize("seed", range(8))
+def test_entropy_correction_early_exit_keeps_the_full_formula_bits(model_name, seed):
+    from conftest import same_bits
+
+    model, states, res = _no_fix_problem(model_name, seed)
+    phi, alpha, r, pre, post, clamped, alpha_max = _full_entropy_correction(res, states, model)
+    assert not alpha.any()  # the early exit's precondition: no element needs a fix
+    for given_states in (states, model.node_kernels(states, entropy=True)):
+        corrected, report = entropy_correction(res, given_states, model)
+        # residuals and both defects keep the full formula's bits, signed zeros
+        # included: post_defect is measured on the corrected residuals, so a
+        # zero there carries the sign the full formula gives it
+        assert same_bits(corrected.phi, phi)
+        assert same_bits(report.pre_defect, pre)
+        assert same_bits(report.post_defect, post)
+        assert same_bits(report.corrections, r)
+        assert same_bits(report.alpha, alpha) and not report.alpha.any()
+        assert report.clamped.size == 0 and same_bits(report.clamped, clamped)
+        assert corrected.alpha_max == alpha_max == 0.0
+
+
+def test_entropy_correction_early_exit_turns_minus_zero_residuals_into_plus_zero():
+    # phi + 0 * (v - v_bar): an element with equal ends has v - v_bar = +0.0
+    model, states, res = _no_fix_problem("burgers", 0)
+    minus_zero = (res.phi == 0.0) & np.signbit(res.phi)
+    assert minus_zero.any()
+    corrected, _ = entropy_correction(res, states, model)
+    assert (~np.signbit(corrected.phi[minus_zero])).any()

@@ -1,0 +1,141 @@
+"""Every accepted run configuration writes the bytes recorded in golden_outputs.json.
+
+The configurations come from the scheme table, not from a hand list: every
+(case, scheme) pair that ``RunConfig.validate`` accepts, under each
+integrator its row allows, on both boundary kinds, and for active flux with
+and without the detector.  Each runs at nx=32 to a quarter of its case's end
+time.  A finished run is recorded as the sha256 of its final state (and
+final averages) and of every ledger array; a run that ends in ``RunError``
+as the error class and step.  One inadmissible initial Euler state records
+the index its ``DomainError`` carries.
+
+The digests hold for the numpy version they were made with; under another
+one the test skips.  Regenerate them, after a change that is meant to move
+outputs, with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conserva.errors import ConfigError, DomainError, RunError
+from conserva.harness import case_library
+from conserva.harness.runner import build_problem, run
+from conserva.records import ACTIVE_FLUX, CASE_IDS, NC_ENERGY, SCHEMES, RunConfig
+from conserva.schemes import TwoFieldGasScheme, integrate, residual_assembler
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+NX = 32
+T_FRACTION = 0.25
+LEDGER_FIELDS = ("time", "totals", "entropy", "boundary_accum", "alpha_max", "fallback_cells")
+
+
+def _configs():
+    for case, (scheme, row) in itertools.product(CASE_IDS, SCHEMES.items()):
+        detectors = (False, True) if row.base == ACTIVE_FLUX else (False,)
+        for integrator, boundary, detector in itertools.product(
+            row.integrators, ("periodic", "transmissive"), detectors
+        ):
+            config = RunConfig(
+                case=case, scheme=scheme, nx=NX, boundary=boundary,
+                integrator=integrator, detector=detector,
+                t_end=T_FRACTION * case_library(case).t_end,
+            )
+            try:
+                yield config.validate()
+            except ConfigError:
+                continue
+
+
+def _key(config):
+    return "/".join(
+        [config.case, config.scheme, config.integrator, config.boundary]
+        + (["detector"] if config.detector else [])
+    )
+
+
+def _sha(array):
+    array = np.ascontiguousarray(array)
+    return hashlib.sha256(str((array.dtype.str, array.shape)).encode() + array.tobytes()).hexdigest()
+
+
+def _outcome(config):
+    try:
+        record = run(config)
+    except RunError as exc:
+        return {"error": type(exc).__name__, "step": exc.step}
+    digests = {"final_state": _sha(record.final_state)}
+    if record.final_averages is not None:
+        digests["final_averages"] = _sha(record.final_averages)
+    for name in LEDGER_FIELDS:
+        digests[f"ledger.{name}"] = _sha(getattr(record.ledger, name))
+    return digests
+
+
+def _domain_error_index(scheme):
+    """The DOF index of an inadmissible initial Sod state, through integrate."""
+    config = RunConfig(case="sod", scheme=scheme, nx=NX)
+    case, mesh, u0 = build_problem(config)
+    u0 = u0.copy()
+    # negative density and internal energy: finite wave speed, so the run
+    # reaches assembly, whose admissibility check names the DOF
+    u0[NX // 3] = [-1.0, 0.0, -1.0]
+    if SCHEMES[scheme].base == NC_ENERGY:
+        # the route runner.run takes: the gas scheme watches (rho, m, e) states
+        gas = TwoFieldGasScheme(case.model, mesh)
+        watched, u0, assemble = gas, gas.from_conserved(u0), gas.assemble
+    else:
+        watched, assemble = case.model, residual_assembler(scheme, case.model, mesh)
+    try:
+        integrate(watched, mesh, u0, assemble, cfl=0.4, t_end=case.t_end)
+    except DomainError as exc:
+        return [int(i) for i in exc.index]
+    return None
+
+
+def outcomes():
+    with np.errstate(all="ignore"):
+        results = {_key(config): _outcome(config) for config in _configs()}
+        for scheme in ("fv-rusanov", "fv-entropy-corrected", "nc-energy-corrected"):
+            results[f"domain-error/sod/{scheme}"] = {"index": _domain_error_index(scheme)}
+    return results
+
+
+def _recorded():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_every_accepted_configuration_writes_the_recorded_bytes():
+    recorded = _recorded()
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {recorded['numpy']}, running {np.__version__}")
+    got = outcomes()
+    assert sorted(got) == sorted(recorded["outcomes"])
+    changed = [key for key in got if got[key] != recorded["outcomes"][key]]
+    assert changed == []
+
+
+def test_the_recorded_space_holds_the_known_failures():
+    # the nine accepted configurations that end in RunError, and the
+    # DomainError locations, are part of the record, not filtered out
+    outcomes_ = _recorded()["outcomes"]
+    errors = {key: value for key, value in outcomes_.items() if "error" in value}
+    assert len(errors) == 9
+    assert all(value["error"] == "RunError" and value["step"] >= 1 for value in errors.values())
+    domain = [value["index"] for key, value in outcomes_.items() if key.startswith("domain-error")]
+    assert domain == [[NX // 3]] * 3
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({"numpy": np.__version__, "nx": NX, "outcomes": outcomes()}, indent=1,
+                   sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN}")

@@ -259,3 +259,61 @@ def test_euler_entropy_variables_are_entropy_gradient(rng):
         np.testing.assert_allclose(
             model.entropy_variables(u), _fd_gradient(model.entropy, u, h), atol=1e-5
         )
+
+
+# ---------------------------------------------------------------------------
+# node_kernels: one hook for mask, flux and wave speed
+# ---------------------------------------------------------------------------
+
+
+def _admissible_row(draw):
+    rho = draw(st.floats(1e-3, 1e3))
+    vel = draw(st.floats(-1e3, 1e3))
+    pres = draw(st.floats(1e-3, 1e3))
+    return [rho, rho * vel, pres / 0.4 + 0.5 * rho * vel**2]
+
+
+@st.composite
+def _mixed_euler_rows(draw):
+    """Admissible, finite but inadmissible and non-finite rows, in any order."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["admissible", "awkward", "any"]))
+        if kind == "admissible":
+            rows.append(_admissible_row(draw))
+        else:
+            values = st.sampled_from(_AWKWARD) if kind == "awkward" else st.floats()
+            rows.append([draw(values) for _ in range(3)])
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_euler_rows())
+def test_property_euler_node_kernels_equal_the_separate_kernels(u):
+    model = Euler(gamma=1.4)
+    with warnings.catch_warnings():
+        # like admissible_mask, the shared kernel answers on any row, silently
+        warnings.simplefilter("error")
+        nodes = model.node_kernels(u)
+    with np.errstate(all="ignore"):
+        assert same_bits(nodes.admissible, model.admissible_mask(u))
+        assert same_bits(nodes.flux, model.flux(u))
+        assert same_bits(nodes.speed, model.max_wave_speed(u))
+        assert nodes.entropy is None
+        assert same_bits(model.node_kernels(u, entropy=True).entropy, model.entropy(u))
+        # the entropy flux read from a known entropy
+        assert same_bits(model.entropy_flux(u, model.entropy(u)), model.entropy_flux(u))
+    assert nodes.states is u
+
+
+@pytest.mark.parametrize("model", [Burgers(), Advection(a=-0.7)], ids=["burgers", "advection"])
+def test_default_node_kernels_call_the_separate_kernels(model, rng):
+    u = rng.uniform(-2.0, 2.0, (9, 1))
+    u[[2, 5]] = [[np.nan], [np.inf]]
+    nodes = model.node_kernels(u, entropy=True)
+    assert same_bits(nodes.admissible, model.admissible_mask(u))
+    assert same_bits(nodes.flux, model.flux(u))
+    assert same_bits(nodes.speed, model.max_wave_speed(u))
+    assert same_bits(nodes.entropy, model.entropy(u))
+    assert model.node_kernels(u).entropy is None

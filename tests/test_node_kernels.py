@@ -254,17 +254,25 @@ def test_gas_scheme_assembly_matches_per_cell_formulas_bitwise(boundary, seed, d
 def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary, monkeypatch):
     mesh, model, states = _problem("euler", boundary, 3)
     want = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
+    # every model evaluation at a set of states: a bundle, or a bare flux
     calls = []
-    original = Euler.flux
-    monkeypatch.setattr(
-        Euler, "flux", lambda self, u: calls.append(np.shape(u)) or original(self, u)
-    )
+    for name in ("node_kernels", "flux"):
+        original = getattr(Euler, name)
+        monkeypatch.setattr(
+            Euler, name,
+            lambda self, u, *args, _name=name, _fn=original: (
+                calls.append((_name, np.shape(u))) or _fn(self, u, *args)
+            ),
+        )
     got = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
     assert same_bits(got.phi, want.phi)
     # fv: the bundle only; supg: the bundle plus three quadrature points; the
     # gas scheme: its own bundle of (rho, m, e) states converted back, only
-    assert calls[0] == states.shape
-    assert len(calls) == (4 if scheme_id == "supg" else 1)
+    assert calls[0] == ("node_kernels", states.shape)
+    if scheme_id == "supg":
+        assert calls[1:] == [("flux", (mesh.ncell, 3))] * 3
+    else:
+        assert calls[1:] == []
 
 
 @pytest.mark.parametrize("leading", [(), (7,), (5, 4)])
@@ -334,3 +342,43 @@ def test_domain_error_carries_the_dof_index(residuals):
         residuals(mesh, states, model)
     assert excinfo.value.index == (mesh.ndof - 1,)
     assert same_bits(excinfo.value.state, states[-1])
+
+
+# ---------------------------------------------------------------------------
+# integrate evaluates each accepted state once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme_id", ["fv-rusanov", "fv-entropy-corrected", "nc-energy-corrected"])
+def test_integrate_evaluates_each_accepted_state_once(scheme_id, monkeypatch):
+    from conserva.harness.runner import build_problem
+    from conserva.records import NC_ENERGY, SCHEMES, RunConfig
+    from conserva.schemes import integrate
+
+    steps = 12
+    case, mesh, u0 = build_problem(RunConfig(case="sod", scheme=scheme_id, nx=64))
+    model = case.model
+    calls = {"node_kernels": 0, "max_wave_speed": 0, "entropy": 0, "to_conserved": 0}
+    for owner, name in [(Euler, "node_kernels"), (Euler, "max_wave_speed"), (Euler, "entropy"),
+                        (TwoFieldGasScheme, "to_conserved")]:
+        original = getattr(owner, name)
+
+        def counting(self, *args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    if SCHEMES[scheme_id].base == NC_ENERGY:
+        gas = TwoFieldGasScheme(model, mesh)
+        watched, states, assemble = gas, gas.from_conserved(u0), gas.assemble
+    else:
+        watched, states, assemble = model, u0, residual_assembler(scheme_id, model, mesh)
+    record = integrate(watched, mesh, states, assemble, cfl=0.4, t_end=case.t_end,
+                       stop_after_steps=steps)
+    assert record.ledger.nsteps == steps
+    # the initial state and every accepted one: one bundle each, read by the
+    # CFL speed, the ledger's entropy and the next step's assembly alike
+    assert calls["node_kernels"] == steps + 1
+    assert calls["max_wave_speed"] == calls["entropy"] == 0
+    assert calls["to_conserved"] == (steps + 1 if watched is not model else 0)
