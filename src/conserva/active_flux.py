@@ -32,7 +32,8 @@ from .errors import StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
 from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
-from .schemes import _boundary_outflux, _rusanov, _ssp_stages, _stage_flux_weights, march
+from .schemes import _boundary_outflux, _rusanov, _ssp_combine, _ssp_stages, _stage_flux_weights
+from .schemes import march
 
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
@@ -226,8 +227,8 @@ def _ssp3_step(mesh, state, model, dt, flagged, base=None):
         base = None
         boundary = boundary + w * dt * bflux
         cur = AfState(
-            a * state.averages + b * (cur.averages + dt * dub),
-            a * state.points + b * (cur.points + dt * dv),
+            _ssp_combine(a, state.averages, b, cur.averages + dt * dub),
+            _ssp_combine(a, state.points, b, cur.points + dt * dv),
         )
     return cur, boundary
 

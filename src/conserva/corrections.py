@@ -140,20 +140,21 @@ def energy_update_identity(rho0, v0, e0, rho1, v1, e1):
 
 
 def nonconservative_energy_correction(
-    phi_rho, phi_mom, phi_e, v_old, v_new, boundary_energy_flux
+    phi_rho, phi_mom, phi_e, v_half_sum, v_half_prod, boundary_energy_flux
 ):
     """Make an internal-energy discretisation conserve total energy.
 
     phi_rho, phi_mom, phi_e: (ncell, 2) residual components; the density and
-    momentum residuals stay untouched.  v_old, v_new: (ncell, 2) velocities
-    at the element DOFs before and after the step (the momentum/density
-    updates do not depend on the energy residual, so v_new is available
-    first).  For each element the same amount r^K is added to every energy
-    residual so that
+    momentum residuals stay untouched.  v_half_sum = (v_new + v_old)/2 and
+    v_half_prod = (v_new * v_old)/2: (ncell, 2) velocity weights at the
+    element DOFs, from the velocities before and after the step (the
+    momentum/density updates do not depend on the energy residual, so v_new
+    is available first).  For each element the same amount r^K is added to
+    every energy residual so that
 
         boundary_energy_flux_K = sum_sigma [ phi_e
-                                             + (v_new + v_old)/2 * phi_mom
-                                             - (v_new * v_old)/2 * phi_rho ]
+                                             + v_half_sum * phi_mom
+                                             - v_half_prod * phi_rho ]
 
     holds exactly, mirroring the total-energy increment identity; summing the
     updates then telescopes total energy to the domain boundary flux.
@@ -163,8 +164,11 @@ def nonconservative_energy_correction(
     phi_rho = np.asarray(phi_rho, dtype=float)
     phi_mom = np.asarray(phi_mom, dtype=float)
     phi_e = np.asarray(phi_e, dtype=float)
-    vh_cells = 0.5 * (v_new + v_old)
-    vp_cells = 0.5 * (v_new * v_old)
-    current = (phi_e + vh_cells * phi_mom - vp_cells * phi_rho).sum(axis=1)
+    terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho
+    # column by column from +0.0: the bits of terms.sum(axis=1) for fewer than
+    # 8 DOFs per element, without numpy's slow reduction over a short axis
+    current = 0.0
+    for column in terms.T:
+        current = current + column
     r = (np.asarray(boundary_energy_flux, dtype=float) - current) / phi_e.shape[1]
     return phi_e + r[:, None], r

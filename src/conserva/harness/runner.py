@@ -68,15 +68,6 @@ def run(config: RunConfig) -> SolutionRecord:
             integrator=integrator,
             snapshot_every=config.snapshot_every,
         )
-    record.meta.update(
-        case=config.case,
-        scheme=config.scheme,
-        nx=config.nx,
-        cfl=cfl,
-        t_end=t_end,
-        boundary=mesh.boundary,
-        gamma=config.gamma,
-    )
     return record
 
 

@@ -3,7 +3,7 @@ and the harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class SolutionRecord:
     states: list
     ledger: Ledger
     averages: list | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def final_state(self):

@@ -329,63 +329,65 @@ class TwoFieldGasScheme:
         return _GasNodes(**vars(nodes), w=w)
 
     def assemble(self, w, dt):
-        """Residuals of (rho, m, e) states w, or of their ``node_kernels``."""
+        """Residuals of (rho, m, e) states w, or of their ``node_kernels``.
+
+        Each energy term is formed once, in the (2, ncell) layout of
+        ``gather_cell_ends`` so that products run along the cells.
+        """
         mesh, model = self.mesh, self.model
         nodes = NodeKernels.of(model, w if isinstance(w, _GasNodes) else self.node_kernels(w))
         w = nodes.w
         base = fv_residuals_1d(mesh, nodes, self.fv_flux, model)
-        phi_rho = base.phi[:, :, 0]
-        phi_mom = base.phi[:, :, 1]
+        # the base's own arrays; their energy columns are replaced below
+        phi, bparts = base.phi, base.boundary_parts
+        phi_rho, phi_mom = phi[:, :, :2].T.copy()
+        # -f_E(u_left) and f_E(u_right), the energy part of the base's boundary
+        # parts; their sum is the element's boundary energy flux
+        nodal_e_flux = bparts[:, :, 2].T.copy()
 
         dofs = mesh.cell_dofs
-        v_old = w[:, 1] / w[:, 0]
-        v_old_cells = gather_cell_ends(v_old, dofs)
-        vel_l, vel_r = v_old_cells
-        e_l, e_r = gather_cell_ends(w[:, 2], dofs)
+        w_ends = gather_cell_ends(w, dofs)
+        v_old = w_ends[..., 1] / w_ends[..., 0]
+        vel_l, vel_r = v_old
+        e_l, e_r = w_ends[..., 2]
         p_l, p_r = gather_cell_ends(model.pressure(nodes.states), dofs)
-        speed_l, speed_r = gather_cell_ends(nodes.speed, dofs)
-        alpha = np.maximum(speed_l, speed_r)
+        alpha = np.maximum(*gather_cell_ends(nodes.speed, dofs))
 
         # centred total + Rusanov-type redistribution for the energy equation
         total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
-        phi_e = np.stack(
-            [0.5 * total - 0.5 * alpha * (e_r - e_l), 0.5 * total + 0.5 * alpha * (e_r - e_l)],
-            axis=1,
-        )
+        half = 0.5 * total
+        damping = 0.5 * alpha * (e_r - e_l)
+        phi_e = np.empty_like(phi_rho)
+        np.subtract(half, damping, out=phi_e[0])
+        np.add(half, damping, out=phi_e[1])
 
         # velocities after the uncorrected density/momentum update
-        incr = scatter_cell_ends(base.phi[:, 0, :2], base.phi[:, 1, :2], mesh.ndof)
-        rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
-        mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
-        with np.errstate(all="ignore"):
-            # a transient nonpositive rho_new poisons the step with nans and
-            # the integrator then rejects and retries it with a smaller dt
-            v_new = mom_new / rho_new if dt > 0 else v_old
+        if dt > 0:
+            ratio = dt / mesh.volumes
+            rho_new = w[:, 0] - ratio * scatter_cell_ends(*phi_rho, mesh.ndof)
+            mom_new = w[:, 1] - ratio * scatter_cell_ends(*phi_mom, mesh.ndof)
+            with np.errstate(all="ignore"):
+                # a transient nonpositive rho_new poisons the step with nans and
+                # the integrator then rejects and retries it with a smaller dt
+                v_new = gather_cell_ends(mom_new / rho_new, dofs)
+        else:
+            v_new = v_old
 
-        # -f_E(u_left) and f_E(u_right), the energy part of the base's boundary
-        # parts; their sum is the element's boundary energy flux
-        nodal_e_flux = base.boundary_parts[:, :, 2]
-        v_old_cells = v_old_cells.T
-        v_new_cells = gather_cell_ends(v_new, dofs).T
-        phi_e, _ = corrections.nonconservative_energy_correction(
-            phi_rho, phi_mom, phi_e, v_old_cells, v_new_cells,
-            nodal_e_flux[:, 1] + nodal_e_flux[:, 0],
+        # the velocity weights of the total-energy increment identity, shared
+        # by the correction and the energy boundary parts
+        v_half_sum = 0.5 * (v_new + v_old)
+        v_half_prod = 0.5 * (v_new * v_old)
+
+        corrected, _ = corrections.nonconservative_energy_correction(
+            phi_rho.T, phi_mom.T, phi_e.T, v_half_sum.T, v_half_prod.T,
+            nodal_e_flux[1] + nodal_e_flux[0],
         )
-
-        # the base's own arrays, with their energy column replaced
-        phi, bparts = base.phi, base.boundary_parts
-        phi[:, :, 2] = phi_e
+        phi[:, :, 2] = corrected
         # boundary share of the corrected internal-energy equation: the total
         # energy flux minus the velocity-weighted momentum/density residuals,
         # so the corrected residuals sum exactly to their boundary parts
-        vh = 0.5 * (v_new_cells + v_old_cells)
-        vp = 0.5 * (v_new_cells * v_old_cells)
-        bparts[:, :, 2] = nodal_e_flux - vh * phi_mom + vp * phi_rho
+        bparts[:, :, 2] = (nodal_e_flux - v_half_sum * phi_mom + v_half_prod * phi_rho).T
         return ResidualSet(dofs, phi, bparts, base.boundary_outflux)
-
-    def conserved_totals(self, w):
-        u = self.to_conserved(w)
-        return (self.mesh.volumes[:, None] * u).sum(axis=0)
 
     # the model interface integrate() uses, on (rho, m, e) states
     def admissible_mask(self, w):
@@ -430,6 +432,12 @@ def _ssp_stages(integrator):
     if integrator == "ssprk3":
         return ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))
     raise ConfigError(f"unknown integrator {integrator!r}")
+
+
+def _ssp_combine(a, u, b, x):
+    """a * u + b * x; a (0, 1) stage returns x itself, with the same bits, as
+    x = u -+ c * r (c >= 0) is -0.0 only where the finite u is, like 0.0 * u."""
+    return x if a == 0.0 and b == 1.0 else a * u + b * x
 
 
 def _stage_flux_weights(stages):
@@ -536,29 +544,22 @@ def integrate(
     t_end,
     integrator="euler",
     snapshot_every=0,
-    conserved_totals=None,
     stop_after_steps=None,
 ):
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
     assemble(states, dt) -> ResidualSet, on the states or their bundle.  model
     supplies, in the variables the states are kept in, the admissibility test
-    and ``node_kernels``: each accepted state's one bundle, which the CFL
-    speed, the ledger and the next step's first stage read.  The ledger's
-    totals come from conserved_totals(states), by default the volume-weighted
-    sums of the bundle's states; its boundary account is the net outflux each
+    (which rejects non-finite states) and ``node_kernels``: each accepted
+    state's one bundle, which the CFL speed, the ledger and the next step's
+    first stage read.  The ledger's totals are the volume-weighted sums of the
+    bundle's (conserved) states; its boundary account is the net outflux each
     stage's residuals carry; alpha_max is the largest correction coefficient
     reported by the assembler.  See ``march`` for steps, retries and errors.
     """
     states = np.asarray(u0, dtype=float)
     if states.ndim != 2 or states.shape[0] != mesh.ndof:
         raise ConfigError(f"u0 must be ({mesh.ndof}, p)")
-
-    if conserved_totals is None:
-        vols = mesh.volumes[:, None]
-        totals = lambda s: (vols * s[1].states).sum(axis=0)
-    else:
-        totals = lambda s: conserved_totals(s[0])
 
     stages = _ssp_stages(integrator)
     flux_weights = _stage_flux_weights(stages)
@@ -577,8 +578,10 @@ def integrate(
             alpha_max = max(alpha_max, residuals.alpha_max)
             bflux = bflux + w * dt * residuals.boundary_outflux
             stage_new = rd_step(mesh, cur, residuals, dt, model=model)
-            cur = given = a_coef * u + b_coef * stage_new
-        if not np.isfinite(cur).all():
+            cur = given = _ssp_combine(a_coef, u, b_coef, stage_new)
+        # a (0, 1) last stage is rd_step's result, which has passed the
+        # admissibility test, and admissible states are finite
+        if cur is not stage_new and not np.isfinite(cur).all():
             raise StepRejectedError("non-finite state", location=None)
         return accepted(cur), bflux, alpha_max, 0
 
@@ -589,7 +592,7 @@ def integrate(
         length=float(mesh.volumes.min()),
         cfl=cfl,
         t_end=t_end,
-        totals=totals,
+        totals=lambda s: (mesh.volumes[:, None] * s[1].states).sum(axis=0),
         entropy=lambda s: float((mesh.volumes * s[1].entropy).sum()),
         snapshot=lambda s: np.copy(s[0]),
         snapshot_every=snapshot_every,

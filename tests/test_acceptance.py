@@ -176,7 +176,6 @@ def test_criterion_4_conservation_ledgers_500_steps():
     record = schemes.integrate(
         gas, mesh, gas.from_conserved(u0), gas.assemble,
         cfl=0.4, t_end=1e9, integrator="euler", stop_after_steps=500,
-        conserved_totals=gas.conserved_totals,
     )
     defect = record.ledger.totals - record.ledger.totals[0] + record.ledger.boundary_accum
     energy_scale = abs(record.ledger.totals[0][2])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conserva.active_flux import af_integrate, initialize
 from conserva.errors import ConfigError, GeometryError, RunError
@@ -9,6 +11,7 @@ from conserva.models import Advection, Burgers, Euler
 from conserva.records import RunConfig
 from conserva.schemes import (
     NumericalFlux,
+    _ssp_combine,
     fv_residuals_1d,
     integrate,
     rd_step,
@@ -17,7 +20,7 @@ from conserva.schemes import (
     triangle_fv_residuals,
 )
 
-from conftest import random_euler_states
+from conftest import random_euler_states, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +257,26 @@ def test_rd_step_single_riemann_cell_matches_hand_update():
     assert updated[1, 0] == pytest.approx(1.0 - 0.1 * (0.75 - 0.5))
     # right DOF: f(0) - fhat(1,0) over half volume
     assert updated[2, 0] == pytest.approx(0.0 - 0.1 / 0.5 * (0.0 - 0.75))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(u=_FINITE, r=_FINITE, c=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+@example(u=-0.0, r=0.0, c=1.0)
+@example(u=-0.0, r=-0.0, c=0.0)
+@example(u=0.0, r=0.0, c=2.0)
+@example(u=5e-324, r=5e-324, c=1.0)
+@example(u=-5e-324, r=-5e-324, c=1.0)
+def test_a_zero_one_stage_is_its_new_states_bitwise(u, r, c):
+    # a stage's new states are x = u - c * r (residual update, c = dt / volume)
+    # or u + c * r (active flux); the (0, 1) combination must keep their bits
+    u, r, c = np.float64(u), np.float64(r), np.float64(c)
+    with np.errstate(over="ignore"):
+        for x in (u - c * r, u + c * r):
+            assert same_bits(0.0 * u + 1.0 * x, x)
+            assert _ssp_combine(0.0, u, 1.0, x) is x
 
 
 def _advection_setup(n, cfl=0.4):
