@@ -302,5 +302,6 @@ def af_integrate(
         times=times,
         states=[points for points, _ in snapshots],
         ledger=ledger,
+        mesh=mesh,
         averages=[averages for _, averages in snapshots],
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import recovery, schemes
 from ..errors import ConfigError, ConservaError
-from ..records import RunConfig
+from ..records import INTEGRATORS, RunConfig
 from . import runner, weak
 
 
@@ -49,20 +49,18 @@ def _write_csv(path, header, columns):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_solution(path, mesh, model, record):
-    header = ["x"] + list(model.names)
-    state = record.final_state
-    if record.averages is not None:
-        state = model.from_aux(state)  # point values are kept in mapped variables
-    _write_csv(path, header, [mesh.dof_x, *state.T])
+def _write_solution(path, record):
+    mesh = record.mesh
+    header = ["x"] + list(record.case.model.names)
+    _write_csv(path, header, [mesh.dof_x, *record.conserved(-1).T])
     if record.averages is not None:
         avg_path = path.with_suffix(".averages.csv")
         _write_csv(avg_path, header, [mesh.cell_centers, *record.final_averages.T])
 
 
-def _write_ledger(path, names, record):
+def _write_ledger(path, record):
     led = record.ledger
-    if len(names) == 3:
+    if len(record.case.model.names) == 3:
         header = ["step", "time", "mass", "momentum", "energy", "entropy", "alpha_max", "fallback_cells"]
     else:
         header = ["step", "time", "mass", "entropy", "alpha_max", "fallback_cells"]
@@ -153,7 +151,7 @@ def _add_common(parser):
     parser.add_argument("--tend", type=float, help="final time (case default otherwise)")
     parser.add_argument("--gamma", type=float, help="heat-capacity ratio for gas cases")
     parser.add_argument("--boundary", choices=["periodic", "transmissive"])
-    parser.add_argument("--integrator", choices=["euler", "ssprk2", "ssprk3"])
+    parser.add_argument("--integrator", choices=INTEGRATORS)
     parser.add_argument("--snapshot-every", dest="snapshot_every", type=int)
     parser.add_argument("--config", help="key=value file; explicit flags win")
     parser.add_argument("--out", help="output path (CSV or text)")
@@ -174,13 +172,21 @@ def build_parser():
 
 
 def _cmd_run(config):
-    case, mesh, _ = runner.build_problem(config)
     record = runner.run(config)
     out = config.out or f"{config.case}-{config.scheme}.csv"
     path = _out_path(out)
-    _write_solution(path, mesh, case.model, record)
-    _write_ledger(path.with_suffix(".ledger.csv"), case.model.names, record)
+    _write_solution(path, record)
+    _write_ledger(path.with_suffix(".ledger.csv"), record)
     print(f"wrote {path} and {path.with_suffix('.ledger.csv')}")
+    return 0
+
+
+def _print_table(config, lines):
+    """Write the table's lines to stdout, and to --out when it is set."""
+    text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
+    if config.out:
+        _out_path(config.out).write_text(text, encoding="utf-8", newline="\n")
     return 0
 
 
@@ -189,18 +195,15 @@ def _cmd_convergence(config, nx_list):
     lines = [f"{'nx':>6s} {'L1_error':>24s} {'order':>8s}"]
     for nx, err, order in rows:
         lines.append(f"{nx:6d} {err:24.16e} {'' if order is None else f'{order:8.3f}'}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if config.out:
-        _out_path(config.out).write_text(text, encoding="utf-8", newline="\n")
-    return 0
+    return _print_table(config, lines)
 
 
 def _cmd_recover_fluxes(config):
     case, mesh, u0 = runner.build_problem(config)
-    assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
-    residuals = assemble(u0, 0.0)
-    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, residuals)
+    _, states, assemble = schemes.residual_assembler(
+        config.scheme, case.model, mesh, u0, config.tau_scale
+    )
+    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(states, 0.0))
     out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
     path = _out_path(out)
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]
@@ -211,20 +214,12 @@ def _cmd_recover_fluxes(config):
 
 
 def _cmd_diagnose_weak(config, nx_list):
-    case = runner.cases.case_library(config.case, gamma=config.gamma)
     lines = ["nx,defect"]
     for nx in nx_list:
-        cfg = replace(config, nx=int(nx), snapshot_every=1)
-        record = runner.run(cfg)
-        _, mesh, _ = runner.build_problem(cfg)
-        bumps = weak.default_bumps(mesh, float(record.times[-1]), shock_path=case.shock_path)
-        defect = weak.weak_residual_diagnostic(record, case.model, mesh, bumps)
-        lines.append(f"{nx},{defect:.17g}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if config.out:
-        _out_path(config.out).write_text(text, encoding="utf-8", newline="\n")
-    return 0
+        record = runner.run(replace(config, nx=int(nx), snapshot_every=1))
+        lines.append(f"{nx},{weak.weak_residual_diagnostic(record):.17g}")
+        del record  # its snapshots go before the next resolution runs
+    return _print_table(config, lines)
 
 
 def main(argv=None):

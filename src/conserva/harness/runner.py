@@ -9,8 +9,8 @@ import numpy as np
 from .. import active_flux, schemes
 from ..errors import ConfigError
 from ..mesh import uniform_mesh
-from ..records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, RunConfig, SolutionRecord
-from ..schemes import TwoFieldGasScheme
+from ..records import ACTIVE_FLUX, SCHEMES, RunConfig, SolutionRecord
+from ..schemes import TwoFieldGasScheme  # noqa: F401; perfbench traces it here
 from . import cases
 
 
@@ -25,66 +25,39 @@ def build_problem(config):
 
 
 def run(config: RunConfig) -> SolutionRecord:
-    """Execute one configured run and return its record."""
+    """Execute one configured run and return its record, which carries the
+    case and mesh it ran on."""
     case, mesh, u0 = build_problem(config)
-    model = case.model
-    cfl = config.resolved_cfl()
-    t_end = config.t_end if config.t_end is not None else case.t_end
-    integrator = config.resolved_integrator()
-    base = SCHEMES[config.scheme].base
-
-    if base == ACTIVE_FLUX:
-        state0 = active_flux.initialize(model, mesh, case.u0)
+    settings = dict(
+        cfl=config.resolved_cfl(),
+        t_end=config.t_end if config.t_end is not None else case.t_end,
+        snapshot_every=config.snapshot_every,
+    )
+    if SCHEMES[config.scheme].base == ACTIVE_FLUX:
+        state0 = active_flux.initialize(case.model, mesh, case.u0)
         record = active_flux.af_integrate(
-            model,
-            mesh,
-            state0,
-            cfl=cfl,
-            t_end=t_end,
-            detector=config.detector,
-            snapshot_every=config.snapshot_every,
+            case.model, mesh, state0, detector=config.detector, **settings
         )
-    elif base == NC_ENERGY:
-        gas = TwoFieldGasScheme(model, mesh)
-        record = schemes.integrate(
-            gas,
-            mesh,
-            gas.from_conserved(u0),
-            gas.assemble,
-            cfl=cfl,
-            t_end=t_end,
-            integrator=integrator,
-            snapshot_every=config.snapshot_every,
-        )
-        record.states = [gas.to_conserved(w) for w in record.states]
     else:
-        record = schemes.integrate(
-            model,
-            mesh,
-            u0,
-            schemes.residual_assembler(config.scheme, model, mesh, config.tau_scale),
-            cfl=cfl,
-            t_end=t_end,
-            integrator=integrator,
-            snapshot_every=config.snapshot_every,
+        watched, states, assemble = schemes.residual_assembler(
+            config.scheme, case.model, mesh, u0, config.tau_scale
         )
+        record = schemes.integrate(
+            watched, mesh, states, assemble, integrator=config.resolved_integrator(), **settings
+        )
+    record.case = case
     return record
 
 
-def l1_error(record, config):
-    """L1 distance between a finished run and the case's exact solution."""
-    case, mesh, _ = build_problem(config)
+def l1_error(record):
+    """L1 distance between a finished run of a case and its exact solution."""
+    case, mesh = record.case, record.mesh
     if case.exact_solution is None:
-        raise ConfigError(f"case {config.case!r} has no exact solution")
-    t = float(record.times[-1])
-    reference = case.exact_solution(mesh.dof_x, t)
-    if record.averages is not None:
-        # compare the conserved point values at the nodes; comparing averages
-        # against point samples of the exact solution would stall at order 2
-        state = case.model.from_aux(record.final_state)
-    else:
-        state = record.final_state
-    diff = np.abs(state - reference)
+        raise ConfigError(f"case {case.name!r} has no exact solution")
+    reference = case.exact_solution(mesh.dof_x, float(record.times[-1]))
+    # conserved point values at the nodes for active flux too: comparing its
+    # averages against point samples of the exact solution would stall at order 2
+    diff = np.abs(record.conserved(-1) - reference)
     return float((mesh.volumes[:, None] * diff).sum())
 
 
@@ -93,9 +66,7 @@ def convergence_study(config, resolutions):
     rows = []
     previous = None
     for nx in resolutions:
-        cfg = replace(config, nx=int(nx))
-        record = run(cfg)
-        err = l1_error(record, cfg)
+        err = l1_error(run(replace(config, nx=int(nx))))
         order = None
         if previous is not None and err > 0:
             n_prev, e_prev = previous

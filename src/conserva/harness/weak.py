@@ -81,10 +81,12 @@ _GAUSS3 = np.polynomial.legendre.leggauss(3)
 MIN_TIME_SAMPLES = 8  # snapshots inside each bump's time support
 
 
-def weak_residual_diagnostic(record, model, mesh, bumps=None):
-    """Total absolute weak-form defect of a run over a family of bumps.
+def weak_residual_diagnostic(record, bumps=None):
+    """Total absolute weak-form defect of a run of a case over a family of
+    bumps, by default ``default_bumps`` around the case's shock path.
 
-    Space is integrated cell by cell with 3-point Gauss quadrature of the
+    The field is the record's conserved snapshots (``record.conserved``) on
+    its mesh, with the case model's flux.  Space is integrated cell by cell with 3-point Gauss quadrature of the
     piecewise-linear nodal representation, time with the trapezoid rule on
     the stored snapshots, with the flux evaluated once per snapshot for all
     bumps together; each bump's time support must contain at least
@@ -94,8 +96,9 @@ def weak_residual_diagnostic(record, model, mesh, bumps=None):
     times = np.asarray(record.times, dtype=float)
     if len(times) < 3:
         raise DiagnosticError("record holds too few snapshots; rerun with snapshot_every=1")
+    model, mesh = record.case.model, record.mesh
     if bumps is None:
-        bumps = default_bumps(mesh, float(times[-1]))
+        bumps = default_bumps(mesh, float(times[-1]), shock_path=record.case.shock_path)
 
     gp, gw = _GAUSS3
     x_left = mesh.nodes[:-1]
@@ -141,10 +144,10 @@ def weak_residual_diagnostic(record, model, mesh, bumps=None):
     # iint (phi_t u + phi_x f(u)): one flux evaluation per snapshot, all bumps at once
     defect = np.zeros((len(bumps), record.states[0].shape[1]))
     for k in np.flatnonzero(seen):
-        u_q = quadrature_states(record.states[k])
+        u_q = quadrature_states(record.conserved(k))
         f_q = model.flux(u_q)
         defect += time_t[:, k, None] * (space @ u_q) + time_x[:, k, None] * (space_x @ f_q)
     # + int phi(x, 0) u0 dx
     if start.any():
-        defect += start[:, None] * (space @ quadrature_states(record.states[0]))
+        defect += start[:, None] * (space @ quadrature_states(record.conserved(0)))
     return float(np.abs(defect).sum())

@@ -132,16 +132,21 @@ class Ledger:
 
 @dataclass
 class SolutionRecord:
-    """Time series of states plus the conservation/entropy ledgers.
+    """Time series of states plus the conservation/entropy ledgers, with the
+    mesh they live on and, for a run of a configured case, that case.
 
-    ``states`` holds per-DOF arrays (point values for the two-field scheme,
-    whose cell averages then appear in ``averages``).
+    ``states`` holds per-DOF arrays: conserved states for a residual scheme,
+    point values of the mapped variables for the two-field scheme, whose
+    conserved cell averages then appear in ``averages``.  ``conserved`` is
+    the one reader that undoes this.
     """
 
     times: np.ndarray
     states: list
     ledger: Ledger
+    mesh: object
     averages: list | None = None
+    case: object = None
 
     @property
     def final_state(self):
@@ -150,3 +155,8 @@ class SolutionRecord:
     @property
     def final_averages(self):
         return None if self.averages is None else self.averages[-1]
+
+    def conserved(self, k):
+        """Snapshot k's conserved states at the DOFs."""
+        state = self.states[k]
+        return state if self.averages is None else self.case.model.from_aux(state)

@@ -234,10 +234,11 @@ def rusanov_2d(physical_flux, wave_speed):
     """Two-point Rusanov flux for a 2D flux tensor, for triangle elements."""
 
     def fhat(n, u_a, u_b):
+        # the 1D Rusanov flux of the normal flux f(u) . n, whose speed bound
+        # is |n| times the wave speed
         nn = float(np.hypot(n[0], n[1]))
-        avg = 0.5 * (physical_flux(u_a) + physical_flux(u_b)) @ n
-        alpha = max(wave_speed(u_a), wave_speed(u_b))
-        return avg - 0.5 * alpha * nn * (u_b - u_a)
+        a, b = (NodeKernels(u, physical_flux(u) @ n, nn * wave_speed(u)) for u in (u_a, u_b))
+        return _rusanov(a, b)
 
     return fhat
 
@@ -254,18 +255,21 @@ def _entropy_corrected(residuals, states, model):
 _CORRECTIONS = {"entropy": _entropy_corrected}
 
 
-def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
-    """assemble(states, dt) -> ResidualSet of a residual scheme id, on conserved states.
+def residual_assembler(scheme_id, model, mesh, u0, tau_scale=1.0):
+    """(watched, states, assemble) of a residual scheme id started from the
+    conserved states u0: ``integrate(watched, mesh, states, assemble, ...)``
+    marches it, and ``assemble(states, dt) -> ResidualSet`` gives its
+    residuals on the states it marches.
 
     Reads the id's row of ``records.SCHEMES``: the base residual is Rusanov
     finite volume (``fv``), SUPG with the given tau scale (``supg``) or the
     two-field gas scheme (``nc-energy``); each correction then redistributes
     the residuals inside every element with zero sum, so the base residual's
-    conservation survives.  With corrections, the base and every correction
-    read one ``NodeKernels`` bundle per call; a base alone builds its own,
-    and the gas scheme, which assembles in (rho, m, e) variables, takes plain
-    conserved states; ``integrate`` drives it with the scheme itself as the
-    watched model, as ``runner.run`` does.
+    conservation survives.  FV and SUPG march u0 itself, watched by the
+    model; with corrections, the base and every correction read one
+    ``NodeKernels`` bundle per call, and a base alone builds its own.  The
+    gas scheme marches (rho, m, e) states and is its own watched model; it
+    takes no corrections.
     """
     row = SCHEMES.get(scheme_id)
     if row is None or row.base == ACTIVE_FLUX:
@@ -273,8 +277,8 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
         raise ConfigError(f"{scheme_id!r} is not a residual scheme; known: {', '.join(known)}")
     if row.base == NC_ENERGY:
         gas = TwoFieldGasScheme(model, mesh)
-        base = lambda u, dt: gas.assemble(gas.from_conserved(u), dt)
-    elif row.base == SUPG:
+        return gas, gas.from_conserved(u0), gas.assemble
+    if row.base == SUPG:
         base = lambda u, dt: supg_residuals_1d(mesh, u, model, tau_scale=tau_scale)
     else:
         flux = NumericalFlux("rusanov", model)
@@ -289,7 +293,7 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
             residuals = correct(residuals, states, model)
         return residuals
 
-    return assemble
+    return model, u0, assemble
 
 
 class TwoFieldGasScheme:
@@ -391,10 +395,9 @@ class TwoFieldGasScheme:
 
     # the model interface integrate() uses, on (rho, m, e) states
     def admissible_mask(self, w):
+        """The gas model's rule, read on the density and internal energy of w."""
         w = np.asarray(w, dtype=float)
-        # one component at a time, as Euler.admissible_mask
-        finite = np.isfinite(w[..., 0]) & np.isfinite(w[..., 1]) & np.isfinite(w[..., 2])
-        return finite & (w[..., 0] > 1e-12) & (w[..., 2] > 1e-12)
+        return self.model._admissible(w, w[..., 0], w[..., 2])
 
 
 @dataclass(frozen=True)
@@ -553,9 +556,10 @@ def integrate(
     (which rejects non-finite states) and ``node_kernels``: each accepted
     state's one bundle, which the CFL speed, the ledger and the next step's
     first stage read.  The ledger's totals are the volume-weighted sums of the
-    bundle's (conserved) states; its boundary account is the net outflux each
-    stage's residuals carry; alpha_max is the largest correction coefficient
-    reported by the assembler.  See ``march`` for steps, retries and errors.
+    bundle's (conserved) states, which the record's snapshots copy; its
+    boundary account is the net outflux each stage's residuals carry;
+    alpha_max is the largest correction coefficient reported by the
+    assembler.  See ``march`` for steps, retries and errors.
     """
     states = np.asarray(u0, dtype=float)
     if states.ndim != 2 or states.shape[0] != mesh.ndof:
@@ -594,8 +598,8 @@ def integrate(
         t_end=t_end,
         totals=lambda s: (mesh.volumes[:, None] * s[1].states).sum(axis=0),
         entropy=lambda s: float((mesh.volumes * s[1].entropy).sum()),
-        snapshot=lambda s: np.copy(s[0]),
+        snapshot=lambda s: np.copy(s[1].states),
         snapshot_every=snapshot_every,
         stop_after_steps=stop_after_steps,
     )
-    return SolutionRecord(times=times, states=snapshots, ledger=ledger)
+    return SolutionRecord(times=times, states=snapshots, ledger=ledger, mesh=mesh)

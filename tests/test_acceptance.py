@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conserva import active_flux, corrections, recovery, schemes
-from conserva.harness import build_problem, case_library, runner, weak
+from conserva.harness import case_library, runner, weak
 from conserva.mesh import element_graph, uniform_mesh
 from conserva.models import Burgers, Euler
 from conserva.records import RunConfig
@@ -171,10 +171,10 @@ def test_criterion_4_conservation_ledgers_500_steps():
     # corrected two-field gas scheme: total-energy drift on a periodic run
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 64, boundary="periodic")
-    gas = schemes.TwoFieldGasScheme(model, mesh)
     u0 = _smooth_euler_states(model, mesh.dof_x)
+    watched, states, assemble = schemes.residual_assembler("nc-energy-corrected", model, mesh, u0)
     record = schemes.integrate(
-        gas, mesh, gas.from_conserved(u0), gas.assemble,
+        watched, mesh, states, assemble,
         cfl=0.4, t_end=1e9, integrator="euler", stop_after_steps=500,
     )
     defect = record.ledger.totals - record.ledger.totals[0] + record.ledger.boundary_accum
@@ -236,8 +236,8 @@ def test_criterion_5_entropy_correction_and_negative_control():
 
 def test_criterion_6_shock_location_and_weak_residual():
     config = RunConfig(case="burgers-riemann", scheme="fv-rusanov", nx=400, t_end=1.0)
-    case, mesh, _ = build_problem(config)
     record = runner.run(config)
+    mesh = record.mesh
     u = record.final_state[:, 0]
     x = mesh.dof_x
     crossing = None
@@ -253,10 +253,7 @@ def test_criterion_6_shock_location_and_weak_residual():
         cfg = RunConfig(
             case="burgers-riemann", scheme="fv-rusanov", nx=nx, t_end=1.0, snapshot_every=1
         )
-        rec = runner.run(cfg)
-        _, m, _ = build_problem(cfg)
-        bumps = weak.default_bumps(m, 1.0, shock_path=case.shock_path)
-        defects.append(weak.weak_residual_diagnostic(rec, case.model, m, bumps))
+        defects.append(weak.weak_residual_diagnostic(runner.run(cfg)))
     monotone = defects[0] > defects[1] > defects[2]
     _report(
         6,
@@ -268,11 +265,9 @@ def test_criterion_6_shock_location_and_weak_residual():
 
 def test_criterion_7_sod_against_exact_riemann():
     t0 = time.perf_counter()
-    case = case_library("sod")
-
     cfg_fv = RunConfig(case="sod", scheme="fv-rusanov", nx=1000, t_end=0.2)
     rec_fv = runner.run(cfg_fv)
-    _, mesh, _ = build_problem(cfg_fv)
+    case, mesh = rec_fv.case, rec_fv.mesh
     exact_nodes = case.exact_solution(mesh.dof_x, 0.2)
     err_fv = float(
         (mesh.volumes * np.abs(rec_fv.final_state[:, 0] - exact_nodes[:, 0])).sum()

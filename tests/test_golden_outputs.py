@@ -9,6 +9,10 @@ final averages) and of every ledger array; a run that ends in ``RunError``
 as the error class and step.  One inadmissible initial Euler state records
 the index its ``DomainError`` carries.
 
+The command line is pinned too: for a fixed list of commands, covering each
+residual scheme and active flux on a scalar and a gas case, the sha256 of
+its stdout and of every file it writes.
+
 The digests hold for the numpy version they were made with; under another
 one the test skips.  Regenerate them, after a change that is meant to move
 outputs, with
@@ -16,9 +20,12 @@ outputs, with
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +33,10 @@ import pytest
 
 from conserva.errors import ConfigError, DomainError, RunError
 from conserva.harness import case_library
+from conserva.harness.cli import main
 from conserva.harness.runner import build_problem, run
-from conserva.records import ACTIVE_FLUX, CASE_IDS, NC_ENERGY, SCHEMES, RunConfig
-from conserva.schemes import TwoFieldGasScheme, integrate, residual_assembler
+from conserva.records import ACTIVE_FLUX, CASE_IDS, SCHEMES, RunConfig
+from conserva.schemes import integrate, residual_assembler
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 NX = 32
@@ -86,14 +94,9 @@ def _domain_error_index(scheme):
     # negative density and internal energy: finite wave speed, so the run
     # reaches assembly, whose admissibility check names the DOF
     u0[NX // 3] = [-1.0, 0.0, -1.0]
-    if SCHEMES[scheme].base == NC_ENERGY:
-        # the route runner.run takes: the gas scheme watches (rho, m, e) states
-        gas = TwoFieldGasScheme(case.model, mesh)
-        watched, u0, assemble = gas, gas.from_conserved(u0), gas.assemble
-    else:
-        watched, assemble = case.model, residual_assembler(scheme, case.model, mesh)
+    watched, states, assemble = residual_assembler(scheme, case.model, mesh, u0)
     try:
-        integrate(watched, mesh, u0, assemble, cfl=0.4, t_end=case.t_end)
+        integrate(watched, mesh, states, assemble, cfl=0.4, t_end=case.t_end)
     except DomainError as exc:
         return [int(i) for i in exc.index]
     return None
@@ -104,6 +107,58 @@ def outcomes():
         results = {_key(config): _outcome(config) for config in _configs()}
         for scheme in ("fv-rusanov", "fv-entropy-corrected", "nc-energy-corrected"):
             results[f"domain-error/sod/{scheme}"] = {"index": _domain_error_index(scheme)}
+    return results
+
+
+# each writes to its own directory; nx <= 64 keeps them quick
+CLI_COMMANDS = (
+    "run --case sod --scheme fv-rusanov --nx 32 --tend 0.05",
+    "run --case sod --scheme fv-entropy-corrected --nx 32 --tend 0.05",
+    "run --case sod --scheme supg --nx 32 --tend 0.05",
+    "run --case sod --scheme nc-energy-corrected --nx 32 --tend 0.05",
+    "run --case sod --scheme active-flux --detector --nx 32 --tend 0.05",
+    "run --case burgers-sine --scheme active-flux --nx 32",
+    "run --case advection-sine --scheme fv-entropy-corrected --nx 32 --tend 0.5"
+    " --integrator ssprk2 --snapshot-every 4",
+    "run --case burgers-riemann --scheme supg --nx 32 --tend 0.25",
+    "recover-fluxes --case sod --scheme fv-rusanov --nx 32",
+    "recover-fluxes --case sod --scheme fv-entropy-corrected --nx 32",
+    "recover-fluxes --case sod --scheme supg --nx 32",
+    "recover-fluxes --case sod --scheme nc-energy-corrected --nx 32",
+    "recover-fluxes --case burgers-sine --scheme supg --nx 32",
+    "convergence --case burgers-sine --scheme fv-rusanov --nx-list 16,32,64",
+    "convergence --case sod --scheme supg --nx-list 16,32 --tend 0.05",
+    "convergence --case sod --scheme nc-energy-corrected --nx-list 16,32 --tend 0.05",
+    "convergence --case advection-sine --scheme active-flux --nx-list 16,32 --tend 0.5",
+    "convergence --case sod --scheme active-flux --detector --nx-list 16,32 --tend 0.05",
+    "diagnose-weak --case burgers-riemann --scheme fv-rusanov --nx-list 32,64",
+    "diagnose-weak --case sod --scheme fv-entropy-corrected --nx-list 32",
+    "diagnose-weak --case sod --scheme supg --nx-list 32,64",
+    "diagnose-weak --case sod --scheme nc-energy-corrected --nx-list 32,64",
+    "diagnose-weak --case burgers-riemann --scheme active-flux --detector --nx-list 32,64",
+    "diagnose-weak --case sod --scheme active-flux --detector --nx-list 32,64",
+)
+
+
+def _cli_outcome(command, out_dir):
+    """Exit code and digests of stdout (with out_dir masked) and of each written file."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(command.split() + ["--out", str(out_dir / "out.csv")])
+    text = stdout.getvalue().replace(str(out_dir), "<out>")
+    digests = {"exit": code, "stdout": hashlib.sha256(text.encode()).hexdigest()}
+    for path in sorted(out_dir.iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def cli_outcomes():
+    with tempfile.TemporaryDirectory() as tmp:
+        results = {}
+        for i, command in enumerate(CLI_COMMANDS):
+            out_dir = Path(tmp) / str(i)
+            out_dir.mkdir()
+            results[command] = _cli_outcome(command, out_dir)
     return results
 
 
@@ -121,6 +176,17 @@ def test_every_accepted_configuration_writes_the_recorded_bytes():
     assert changed == []
 
 
+def test_every_pinned_command_writes_the_recorded_bytes():
+    recorded = _recorded()
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {recorded['numpy']}, running {np.__version__}")
+    got = cli_outcomes()
+    assert all(outcome["exit"] == 0 for outcome in got.values())
+    assert sorted(got) == sorted(recorded["cli"])
+    changed = [key for key in got if got[key] != recorded["cli"][key]]
+    assert changed == []
+
+
 def test_the_recorded_space_holds_the_known_failures():
     # the nine accepted configurations that end in RunError, and the
     # DomainError locations, are part of the record, not filtered out
@@ -134,8 +200,8 @@ def test_the_recorded_space_holds_the_known_failures():
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps({"numpy": np.__version__, "nx": NX, "outcomes": outcomes()}, indent=1,
-                   sort_keys=True) + "\n",
+        json.dumps({"numpy": np.__version__, "nx": NX, "outcomes": outcomes(),
+                    "cli": cli_outcomes()}, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     print(f"wrote {GOLDEN}")

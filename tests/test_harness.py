@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conserva.errors import ConfigError, DiagnosticError
-from conserva.harness import case_library, weak_residual_diagnostic
+from conserva.harness import case_library, cases, runner, weak_residual_diagnostic
 from conserva.harness.cases import SHU_OSHER_LEFT
 from conserva.harness.cli import main
 from conserva.harness.runner import build_problem, run
@@ -58,20 +58,18 @@ def test_weak_diagnostic_constant_solution_defect_tiny():
     config = RunConfig(
         case="advection-sine", scheme="fv-rusanov", nx=200, t_end=1.0, snapshot_every=1
     )
-    case, mesh, _ = build_problem(config)
     record = run(config)
     # overwrite with the exact constant solution: defect is pure quadrature
     record.states = [np.full_like(s, 0.7) for s in record.states]
-    defect = weak_residual_diagnostic(record, case.model, mesh)
+    defect = weak_residual_diagnostic(record)
     assert defect <= 5e-5  # time-trapezoid floor; scheme defects sit near 1e-2
 
 
 def test_weak_diagnostic_needs_dense_snapshots():
     config = RunConfig(case="burgers-riemann", scheme="fv-rusanov", nx=50, t_end=0.5)
-    case, mesh, _ = build_problem(config)
     record = run(config)  # only initial and final snapshots stored
     with pytest.raises(DiagnosticError):
-        weak_residual_diagnostic(record, case.model, mesh)
+        weak_residual_diagnostic(record)
 
 
 def test_bump_derivatives_match_finite_differences():
@@ -134,10 +132,10 @@ def _per_bump_weak_defect(record, model, mesh, bumps):
 def test_weak_diagnostic_matches_per_bump_loop(case_id, nx, t_end):
     # the contraction reorders the sums, so agreement is to rounding, not bits
     config = RunConfig(case=case_id, scheme="fv-rusanov", nx=nx, t_end=t_end, snapshot_every=1)
-    case, mesh, _ = build_problem(config)
     record = run(config)
+    case, mesh = record.case, record.mesh
     bumps = default_bumps(mesh, t_end, shock_path=case.shock_path)
-    got = weak_residual_diagnostic(record, case.model, mesh, bumps)
+    got = weak_residual_diagnostic(record, bumps)
     want = _per_bump_weak_defect(record, case.model, mesh, bumps)
     assert got > 0.0
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -148,15 +146,14 @@ def test_weak_diagnostic_initial_slice_term():
     config = RunConfig(
         case="burgers-riemann", scheme="fv-rusanov", nx=100, t_end=1.0, snapshot_every=1
     )
-    case, mesh, _ = build_problem(config)
     record = run(config)
     bumps = [
         BumpTestFunction(x0=0.0, t0=0.1, rx=0.3, rt=0.2),
         BumpTestFunction(x0=0.5, t0=0.5, rx=0.3, rt=0.3),
     ]
     assert bumps[0].t0 - bumps[0].rt < record.times[0]
-    got = weak_residual_diagnostic(record, case.model, mesh, bumps)
-    want = _per_bump_weak_defect(record, case.model, mesh, bumps)
+    got = weak_residual_diagnostic(record, bumps)
+    want = _per_bump_weak_defect(record, record.case.model, record.mesh, bumps)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     # for a constant field the time integral equals -int phi(x, 0) u dx, so
     # only the initial-slice term brings the defect down to the quadrature floor
@@ -164,7 +161,7 @@ def test_weak_diagnostic_initial_slice_term():
     x = np.linspace(-1.0, 2.0, 30001)
     slice_term = 0.7 * np.trapezoid(bumps[0].space(x)[0], x) * bumps[0].time(np.zeros(1))[0][0]
     assert slice_term > 0.1
-    assert weak_residual_diagnostic(record, case.model, mesh, bumps[:1]) <= 1e-3 * slice_term
+    assert weak_residual_diagnostic(record, bumps[:1]) <= 1e-3 * slice_term
 
 
 def test_default_bumps_straddle_shock_path():
@@ -181,11 +178,11 @@ def test_default_bumps_straddle_shock_path():
         assert mesh.nodes[0] <= bump.x0 - bump.rx and bump.x0 + bump.rx <= mesh.nodes[-1]
 
 
-def _broken_advective_run(mesh, u0, t_end):
+def _broken_advective_run(case, mesh, t_end):
     # upwind differencing of the advective form u_t + u u_x = 0: stable, but
     # not in flux form, so the (1, 0) shock freezes instead of moving at 1/2
     dx = mesh.cell_sizes[0]
-    u = u0[:, 0].copy()
+    u = case.u0(mesh.dof_x)[:, 0]
     t, times, states = 0.0, [0.0], [u[:, None].copy()]
     while t < t_end - 1e-12:
         dt = min(0.4 * dx / max(np.abs(u).max(), 1e-12), t_end - t)
@@ -196,7 +193,9 @@ def _broken_advective_run(mesh, u0, t_end):
         times.append(t)
         states.append(u[:, None].copy())
     assert np.isfinite(u).all()
-    return SolutionRecord(times=np.asarray(times), states=states, ledger=None)
+    return SolutionRecord(
+        times=np.asarray(times), states=states, ledger=None, mesh=mesh, case=case
+    )
 
 
 def test_weak_diagnostic_flags_nonconservative_scheme():
@@ -205,12 +204,9 @@ def test_weak_diagnostic_flags_nonconservative_scheme():
         config = RunConfig(
             case="burgers-riemann", scheme="fv-rusanov", nx=nx, t_end=1.0, snapshot_every=1
         )
-        case, mesh, u0 = build_problem(config)
         record = run(config)
-        bumps = default_bumps(mesh, 1.0, shock_path=case.shock_path)
-        good = weak_residual_diagnostic(record, case.model, mesh, bumps)
-        broken = _broken_advective_run(mesh, u0, 1.0)
-        bad = weak_residual_diagnostic(broken, case.model, mesh, bumps)
+        good = weak_residual_diagnostic(record)
+        bad = weak_residual_diagnostic(_broken_advective_run(record.case, record.mesh, 1.0))
         defects[nx] = (good, bad)
     # conservative defect falls under refinement; the broken one stagnates
     assert defects[400][0] < 0.5 * defects[100][0]
@@ -431,6 +427,53 @@ def test_cli_diagnose_weak(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "nx,defect"
     assert len(lines) == 3
+
+
+def test_cli_diagnose_weak_reads_the_conserved_states_of_active_flux(monkeypatch, capsys):
+    # active flux keeps its points in (rho, v, p); the weak form is stated in
+    # the conserved variables, whose defect falls with nx
+    records = []
+    original = runner.run
+    monkeypatch.setattr(runner, "run", lambda config: records.append(original(config)) or records[-1])
+    assert main(["diagnose-weak", "--case", "sod", "--scheme", "active-flux", "--detector",
+                 "--nx-list", "100,200,400"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    defects = [float(defect) for _, defect in rows]
+    assert defects[0] > defects[1] > defects[2]
+    assert defects[0] < 1e-2
+    for (_, printed), record in zip(rows, records):
+        conserved = SolutionRecord(
+            times=record.times, states=[record.case.model.from_aux(s) for s in record.states],
+            ledger=record.ledger, mesh=record.mesh, case=record.case,
+        )
+        assert printed == f"{weak_residual_diagnostic(conserved):.17g}"
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["run", "--case", "sod", "--scheme", "nc-energy-corrected", "--nx", "16",
+          "--tend", "0.02"], 1),
+        (["run", "--case", "sod", "--scheme", "active-flux", "--detector", "--nx", "16",
+          "--tend", "0.02"], 1),
+        (["convergence", "--case", "burgers-sine", "--scheme", "fv-rusanov",
+          "--nx-list", "8,16,32"], 3),
+        (["diagnose-weak", "--case", "burgers-riemann", "--scheme", "fv-rusanov",
+          "--nx-list", "32,48,64"], 3),
+    ],
+    ids=["run", "run-active-flux", "convergence", "diagnose-weak"],
+)
+def test_cli_builds_each_problem_once(tmp_path, monkeypatch, argv, builds):
+    # every reader of a run takes its case and mesh from the record
+    counts = {"build_problem": 0, "case_library": 0}
+    for module, name in ((runner, "build_problem"), (cases, "case_library")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert counts == {"build_problem": builds, "case_library": builds}
 
 
 def test_cli_blowup_returns_one(tmp_path):

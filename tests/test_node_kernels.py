@@ -322,7 +322,8 @@ def test_gas_assembly_equals_its_unshared_formulas_bitwise(seed, boundary, dt):
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary, monkeypatch):
     mesh, model, states = _problem("euler", boundary, 3)
-    want = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
+    _, marched, assemble = residual_assembler(scheme_id, model, mesh, states, 0.7)
+    want = assemble(marched, 1e-3)
     # every model evaluation at a set of states: a bundle, or a bare flux
     calls = []
     for name in ("node_kernels", "flux"):
@@ -333,7 +334,7 @@ def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary,
                 calls.append((_name, np.shape(u))) or _fn(self, u, *args)
             ),
         )
-    got = residual_assembler(scheme_id, model, mesh, 0.7)(states, 1e-3)
+    got = assemble(marched, 1e-3)
     assert same_bits(got.phi, want.phi)
     # fv: the bundle only; supg: the bundle plus three quadrature points; the
     # gas scheme: its own bundle of (rho, m, e) states converted back, only
@@ -421,7 +422,7 @@ def test_domain_error_carries_the_dof_index(residuals):
 @pytest.mark.parametrize("scheme_id", ["fv-rusanov", "fv-entropy-corrected", "nc-energy-corrected"])
 def test_integrate_evaluates_each_accepted_state_once(scheme_id, monkeypatch):
     from conserva.harness.runner import build_problem
-    from conserva.records import NC_ENERGY, SCHEMES, RunConfig
+    from conserva.records import RunConfig
     from conserva.schemes import integrate
 
     steps = 12
@@ -438,11 +439,7 @@ def test_integrate_evaluates_each_accepted_state_once(scheme_id, monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    if SCHEMES[scheme_id].base == NC_ENERGY:
-        gas = TwoFieldGasScheme(model, mesh)
-        watched, states, assemble = gas, gas.from_conserved(u0), gas.assemble
-    else:
-        watched, states, assemble = model, u0, residual_assembler(scheme_id, model, mesh)
+    watched, states, assemble = residual_assembler(scheme_id, model, mesh, u0)
     record = integrate(watched, mesh, states, assemble, cfl=0.4, t_end=case.t_end,
                        stop_after_steps=steps)
     assert record.ledger.nsteps == steps
