@@ -75,16 +75,6 @@ def recover_midpoint(averages, u_left, u_right):
     return (6.0 * averages - u_left - u_right) / 4.0
 
 
-def _apply_split(model, points, d, sign):
-    """J^{sign} d at the nodes: the flux derivative at the points of a scalar
-    law, whose map is the identity; Euler's analytic eigenstructure otherwise."""
-    if model.p == 1:
-        lam = model.jacobian(points)[..., 0, 0]
-        lam = np.maximum(lam, 0.0) if sign > 0 else np.minimum(lam, 0.0)
-        return lam[..., None] * d
-    return model.primitive_split_apply(points, d, sign)
-
-
 def point_update(mesh, state, model, u_nodes):
     """dv/dt at the nodes by upwind splitting of the mapped-variable system.
 
@@ -92,17 +82,22 @@ def point_update(mesh, state, model, u_nodes):
     dv/dx = (-3 v_i + 4 v_{i+1/2} - v_{i+1}) / dx, mirrored on the left; the
     missing side at a transmissive boundary contributes zero (constant
     extension).  J^+ takes the left-cell slope, J^- the right-cell slope.
-    ``u_nodes`` are the conserved states of ``state.points``.
+    ``u_nodes`` are the conserved states of ``state.points``.  The split's
+    quantities are computed once per node and read at both cell ends.
     """
-    v_left, v_right = gather_cell_ends(state.points, mesh.cell_dofs)
+    points = state.points
+    if mesh.periodic:  # the last cell ends at node 0
+        points = np.concatenate([points, points[:1]])
+    v_left, v_right = points[:-1], points[1:]
     u_left, u_right = gather_cell_ends(u_nodes, mesh.cell_dofs)
-    v_mid = model.to_aux(recover_midpoint(state.averages, u_left, u_right))
+    four_mid = 4.0 * model.to_aux(recover_midpoint(state.averages, u_left, u_right))
     dx = mesh.cell_sizes[:, None]
-    slope_right = (-3.0 * v_left + 4.0 * v_mid - v_right) / dx  # at each cell's left node
-    slope_left = (3.0 * v_right - 4.0 * v_mid + v_left) / dx  # at each cell's right node
+    slope_right = (-3.0 * v_left + four_mid - v_right) / dx  # at each cell's left node
+    slope_left = (3.0 * v_right - four_mid + v_left) / dx  # at each cell's right node
+    chars = model.characteristics(points)
     contrib = scatter_cell_ends(
-        _apply_split(model, v_left, slope_right, -1),
-        _apply_split(model, v_right, slope_left, +1),
+        model.split_apply([q[:-1] for q in chars], slope_right, -1),
+        model.split_apply([q[1:] for q in chars], slope_left, +1),
         mesh.ndof,
     )
     return -contrib
@@ -113,22 +108,11 @@ def point_update(mesh, state, model, u_nodes):
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_averages(mesh, averages, u_nodes, nodes):
-    """Left/right neighbour states of the given nodes, stacked as (2, n, p).
-
-    Interior nodes sit between two cells; a transmissive end node takes its
-    own point state as the missing neighbour.
-    """
-    if mesh.periodic:
-        ext = np.vstack([averages[-1:], averages])
-    else:
-        ext = np.vstack([u_nodes[:1], averages, u_nodes[-1:]])
-    return np.take(ext, (nodes, nodes + 1), axis=0)
-
-
 def _fallback_plan(mesh, flagged):
-    """(flagged-node mask over all DOFs, its indices, their update widths) of
-    the flagged cells, or None when no cell is flagged; fixed for a step."""
+    """(flagged-node mask over all DOFs, its indices, their update widths, and
+    (left, left, node, right, right) rows of each in [averages; node states])
+    of the flagged cells, or None when no cell is flagged; fixed for a step.
+    A transmissive end node is its own missing neighbour."""
     if not flagged.any():
         return None
     mask = scatter_cell_ends(flagged, flagged, mesh.ndof)  # both nodes of each flagged cell
@@ -136,30 +120,35 @@ def _fallback_plan(mesh, flagged):
     width = mesh.volumes.copy()
     if not mesh.periodic:
         width[[0, -1]] *= 2.0  # whole end cells, not the half-width end volumes
-    return mask, nodes, width[nodes, None]
+    ncell = mesh.ncell
+    rows = nodes + np.array([[-1], [-1], [ncell], [0], [0]])
+    if nodes[0] == 0:  # the wrapped last cell, or node 0's own state
+        rows[:2, 0] = ncell - 1 if mesh.periodic else ncell
+    if nodes[-1] == ncell:  # transmissive: the last node's own state
+        rows[3:, -1] = 2 * ncell
+    return mask, nodes, width[nodes, None], rows
 
 
-def _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux):
+def _fallback_point_rate(state, model, plan, u_nodes):
     """First-order finite volume rates at the flagged nodes of ``plan``.
 
     Returns (point rates at the flagged nodes, the plan's flagged-node mask,
-    robust fluxes at those nodes).  ``u_nodes`` and ``face_flux`` are the
-    conserved states of ``state.points`` and their fluxes; the three Rusanov
-    fluxes share one bundle of the node states and one of their neighbours,
-    so the model is evaluated once per state.
+    robust fluxes at those nodes).  ``u_nodes`` are the conserved states of
+    ``state.points``.  The model is evaluated once on the plan's rows, and
+    one Rusanov flux of rows [0:3] against rows [2:5] gives the faces
+    (left, node), (left, right) and (node, right).
     """
-    mask, nodes, width = plan
-    u_pts = u_nodes[nodes]
-    pts = NodeKernels(u_pts, face_flux[nodes], model.max_wave_speed(u_pts))
-    neighbors = _neighbor_averages(mesh, state.averages, u_nodes, nodes)
-    left, right = NodeKernels(
-        neighbors, model.flux(neighbors), model.max_wave_speed(neighbors)
-    ).pair()
-    du = -(_rusanov(pts, right) - _rusanov(left, pts)) / width
+    mask, _, width, rows = plan
+    states = np.take(np.concatenate([state.averages, u_nodes]), rows, axis=0)
+    flux, speed = model.flux(states), model.max_wave_speed(states)
+    f_left, robust, f_right = _rusanov(
+        NodeKernels(states[:3], flux[:3], speed[:3]), NodeKernels(states[2:], flux[2:], speed[2:])
+    )
+    du = -(f_right - f_left) / width
     # chain rule back to the mapped variables
-    P = model.aux_jacobian(u_pts)
+    P = model.aux_jacobian(states[2])
     dv = np.einsum("nij,nj->ni", P, du)
-    return dv, mask, _rusanov(left, right)
+    return dv, mask, robust
 
 
 def _base_rates(mesh, state, model):
@@ -177,43 +166,45 @@ def _rhs(mesh, state, model, plan, base=None):
     """
     u_nodes, face_flux, dv = _base_rates(mesh, state, model) if base is None else base
     if plan is not None:
-        dv_fb, bad, robust = _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux)
+        dv_fb, _, robust = _fallback_point_rate(state, model, plan, u_nodes)
         face_flux = face_flux.copy()
-        face_flux[bad] = robust
+        face_flux[plan[1]] = robust
         dv = dv.copy()
-        dv[bad] = dv_fb
+        dv[plan[1]] = dv_fb
     f_left, f_right = gather_cell_ends(face_flux, mesh.cell_dofs)
     dub = -(f_right - f_left) / mesh.cell_sizes[:, None]
     return dub, dv, _boundary_outflux(mesh, face_flux)
 
 
-def _detect(mesh, model, candidate, previous):
+def _dmp_bounds(mesh, averages):
+    """(lower, upper) bounds of the relaxed discrete maximum principle on the
+    leading average component, from the averages a step starts from."""
+    old = averages[:, 0]
+    # neighbours across the ends: wrapped, or the end cell itself
+    ends = (old[-1:], old[:1]) if mesh.periodic else (old[:1], old[-1:])
+    ext = np.concatenate([ends[0], old, ends[1]])
+    lo = np.minimum(np.minimum(ext[:-2], ext[1:-1]), ext[2:])
+    hi = np.maximum(np.maximum(ext[:-2], ext[1:-1]), ext[2:])
+    slack = np.maximum(DMP_RELAX_ABS, DMP_RELAX_REL * (hi - lo))
+    return lo - slack, hi + slack
+
+
+def _detect(mesh, model, candidate, nodes, bounds):
     """Flag cells whose candidate step is non-physical or oscillatory.
 
-    Reads the raw arrays: a non-finite row fails ``admissible_mask``, and a
+    ``nodes`` is the ``model.node_kernels`` bundle of the candidate's points
+    in conserved variables, ``bounds`` the step's ``_dmp_bounds``.  Reads the
+    raw arrays: a non-finite row fails the admissibility masks, and a
     non-finite node or average only reaches the mid values of cells it flags.
     """
-    averages = candidate.averages
+    averages, ncell = candidate.averages, mesh.ncell
     with np.errstate(all="ignore"):
-        bad = ~model.admissible_mask(averages)
-        u_pts = model.from_aux(candidate.points)
-        node_bad_left, node_bad_right = gather_cell_ends(
-            ~model.admissible_mask(u_pts), mesh.cell_dofs
-        )
-        bad |= node_bad_left | node_bad_right
-        u_mid = recover_midpoint(averages, *gather_cell_ends(u_pts, mesh.cell_dofs))
-        bad |= ~model.admissible_mask(u_mid)
-
-        # relaxed discrete maximum principle on the leading average component
-        field_new = averages[:, 0]
-        old = previous.averages[:, 0]
-        # neighbours across the ends: wrapped, or the end cell itself
-        ends = (old[-1:], old[:1]) if mesh.periodic else (old[:1], old[-1:])
-        ext = np.concatenate([ends[0], old, ends[1]])
-        lo = np.minimum(np.minimum(ext[:-2], ext[1:-1]), ext[2:])
-        hi = np.maximum(np.maximum(ext[:-2], ext[1:-1]), ext[2:])
-        slack = np.maximum(DMP_RELAX_ABS, DMP_RELAX_REL * (hi - lo))
-        bad |= (field_new < lo - slack) | (field_new > hi + slack)
+        node_ok_left, node_ok_right = gather_cell_ends(nodes.admissible, mesh.cell_dofs)
+        u_mid = recover_midpoint(averages, *gather_cell_ends(nodes.states, mesh.cell_dofs))
+        ok = model.admissible_mask(np.concatenate([averages, u_mid]))  # averages, then mids
+        bad = ~(ok[:ncell] & ok[ncell:] & node_ok_left & node_ok_right)
+        lower, upper = bounds
+        bad |= (averages[:, 0] < lower) | (averages[:, 0] > upper)
     return bad
 
 
@@ -254,27 +245,35 @@ def af_integrate(
     """
     sizes = mesh.cell_sizes[:, None]
 
+    def accepted(state):
+        # march's state: the points' one bundle, which the CFL speed, the next
+        # step's base rates and the detector's node test read
+        with np.errstate(all="ignore"):
+            return state, model.node_kernels(model.from_aux(state.points))
+
     def speed(s):
         with np.errstate(all="ignore"):
-            return max(
-                float(model.max_wave_speed(s.averages).max()),
-                float(model.max_wave_speed(model.from_aux(s.points)).max()),
-            )
+            # np.maximum, not max(): a NaN speed on either side is a blow-up
+            return float(np.maximum(model.max_wave_speed(s[0].averages).max(), s[1].speed.max()))
 
     def entropy(s):
         # without the detector a finite but inadmissible state can reach the
         # ledger; entropy is then meaningless and recorded as nan
         with np.errstate(all="ignore"):
-            return float((mesh.cell_sizes * model.entropy(s.averages)).sum())
+            return float((mesh.cell_sizes * model.entropy(s[0].averages)).sum())
 
-    def advance(state, dt):
+    def advance(s, dt):
+        state, nodes = s
         flagged = np.zeros(mesh.ncell, dtype=bool)
+        checked = None  # the candidate the detector accepted, with its bundle
         with np.errstate(all="ignore"):
-            base = _base_rates(mesh, state, model)
+            base = nodes.states, nodes.flux, point_update(mesh, state, model, nodes.states)
             candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged, base)
             if detector:
+                bounds = _dmp_bounds(mesh, state.averages)
                 for _ in range(2):
-                    bad = _detect(mesh, model, candidate, state)
+                    checked = accepted(candidate)
+                    bad = _detect(mesh, model, candidate, checked[1], bounds)
                     if not (bad & ~flagged).any():
                         break
                     flagged |= bad
@@ -283,18 +282,20 @@ def af_integrate(
             np.isfinite(candidate.averages).all() and np.isfinite(candidate.points).all()
         ):
             raise StepRejectedError("non-finite state", location=None)
-        return candidate, boundary, 0.0, int(flagged.sum())
+        if checked is None or checked[0] is not candidate:
+            checked = accepted(candidate)
+        return checked, boundary, 0.0, int(flagged.sum())
 
     times, snapshots, ledger = march(
-        state0,
+        accepted(state0),
         advance,
         speed=speed,
         length=float(mesh.cell_sizes.min()),
         cfl=cfl,
         t_end=t_end,
-        totals=lambda s: (sizes * s.averages).sum(axis=0),
+        totals=lambda s: (sizes * s[0].averages).sum(axis=0),
         entropy=entropy,
-        snapshot=lambda s: (s.points.copy(), s.averages.copy()),
+        snapshot=lambda s: (s[0].points.copy(), s[0].averages.copy()),
         snapshot_every=snapshot_every,
         stop_after_steps=stop_after_steps,
     )

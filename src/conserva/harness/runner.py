@@ -27,7 +27,10 @@ def build_problem(config):
 def run(config: RunConfig) -> SolutionRecord:
     """Execute one configured run and return its record, which carries the
     case and mesh it ran on."""
-    case, mesh, u0 = build_problem(config)
+    return _run_problem(config, *build_problem(config))
+
+
+def _run_problem(config, case, mesh, u0):
     settings = dict(
         cfl=config.resolved_cfl(),
         t_end=config.t_end if config.t_end is not None else case.t_end,
@@ -66,7 +69,11 @@ def convergence_study(config, resolutions):
     rows = []
     previous = None
     for nx in resolutions:
-        err = l1_error(run(replace(config, nx=int(nx))))
+        config_nx = replace(config, nx=int(nx))
+        case, mesh, u0 = build_problem(config_nx)
+        if case.exact_solution is None:  # before the first run, not after it
+            raise ConfigError(f"case {case.name!r} has no exact solution")
+        err = l1_error(_run_problem(config_nx, case, mesh, u0))
         order = None
         if previous is not None and err > 0:
             n_prev, e_prev = previous

@@ -85,14 +85,20 @@ def scatter_cell_ends(left, right, ndof):
 def gather_cell_ends(values, cell_dofs):
     """Per-DOF values at the two ends of every cell, shape (2, ncell, ...).
 
-    The counterpart of ``scatter_cell_ends``: row 0 holds the values at each
-    cell's left DOF and row 1 those at its right DOF, so ``left, right =
-    gather_cell_ends(values, cell_dofs)`` equals ``values[cell_dofs[:, 0]]``
-    and ``values[cell_dofs[:, 1]]`` byte for byte (row k holds local DOF k
-    when cells own more DOFs).  One ``np.take`` along the first axis gathers
-    them all, several times faster than fancy indexing.
+    The counterpart of ``scatter_cell_ends`` for the cells of a ``Mesh1D``:
+    ``left, right = gather_cell_ends(values, cell_dofs)`` equal
+    ``values[cell_dofs[:, 0]]`` and ``values[cell_dofs[:, 1]]`` byte for byte.
+    Cell i ends at DOF rows i and i + 1, so the result is a read-only view
+    of the rows, with row 0 appended on a periodic mesh.
     """
-    return np.take(values, cell_dofs.T, axis=0)
+    ncell = len(cell_dofs)
+    if len(values) == ncell:  # periodic: the last cell ends at DOF 0
+        values = np.concatenate([values, values[:1]])
+    values = np.ascontiguousarray(values)  # one buffer of rows
+    step = values.strides[:1]
+    ends = np.ndarray((2, ncell) + values.shape[1:], values.dtype, values, 0, step + values.strides)
+    ends.flags.writeable = False
+    return ends
 
 
 def uniform_mesh(a, b, n, boundary="periodic"):

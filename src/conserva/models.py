@@ -79,6 +79,18 @@ class PhysicsModel:
         eye = np.eye(self.p)
         return np.broadcast_to(eye, u.shape[:-1] + (self.p, self.p)).copy()
 
+    # -- upwind split of the mapped-variable system (scalar laws) ---------
+    def characteristics(self, w):
+        """The flux derivative at states w of a scalar law (its map is the identity)."""
+        return (self.jacobian(w)[..., 0, 0],)
+
+    @staticmethod
+    def split_apply(chars, d, sign):
+        """Apply J^+ or J^- (sign = +1/-1) to d at states of ``characteristics``."""
+        (lam,) = chars
+        lam = np.maximum(lam, 0.0) if sign > 0 else np.minimum(lam, 0.0)
+        return lam[..., None] * d
+
 
 @dataclass(frozen=True)
 class Advection(PhysicsModel):
@@ -322,25 +334,29 @@ class Euler(PhysicsModel):
         shape.  Uses the analytic eigenstructure (v-c, v, v+c), so no batched
         eigendecomposition is needed.
         """
+        return self.split_apply(self.characteristics(w), d, sign)
+
+    def characteristics(self, w):
+        """Per-state quantities of the primitive split of states w, each
+        elementwise: (rho, c, c^2, rho/(2c), 1/(2c^2), v-c, v, v+c)."""
         w = np.asarray(w, dtype=float)
-        d = np.asarray(d, dtype=float)
-        rho = w[..., 0]
-        vel = w[..., 1]
-        pres = w[..., 2]
-        c = np.sqrt(self.gamma * pres / rho)
+        rho, vel = w[..., 0], w[..., 1]
+        c = np.sqrt(self.gamma * w[..., 2] / rho)
         c2 = c**2
-        lam = (vel - c, vel, vel + c)
-        if sign > 0:
-            lam = tuple(np.maximum(l, 0.0) for l in lam)
-        else:
-            lam = tuple(np.minimum(l, 0.0) for l in lam)
+        return rho, c, c2, 0.5 * rho / c, 0.5 / c2, vel - c, vel, vel + c
+
+    @staticmethod
+    def split_apply(chars, d, sign):
+        """Apply J^+ or J^- (sign = +1/-1) to d at states of ``characteristics``."""
+        rho, c, c2, half_rho_c, half_c2, lam1, lam2, lam3 = chars
+        clip = np.maximum if sign > 0 else np.minimum
+        d = np.asarray(d, dtype=float)
         # characteristic amplitudes of d (x - y is x + (-y) bit for bit)
-        acoustic = 0.5 * rho / c * d[..., 1]
-        thermal = 0.5 / c2 * d[..., 2]
-        a1 = thermal - acoustic
-        a2 = d[..., 0] - d[..., 2] / c2
-        a3 = acoustic + thermal
-        b1, b2, b3 = lam[0] * a1, lam[1] * a2, lam[2] * a3
+        acoustic = half_rho_c * d[..., 1]
+        thermal = half_c2 * d[..., 2]
+        b1 = clip(lam1, 0.0) * (thermal - acoustic)
+        b2 = clip(lam2, 0.0) * (d[..., 0] - d[..., 2] / c2)
+        b3 = clip(lam3, 0.0) * (acoustic + thermal)
         out = np.empty_like(d)
         out[..., 0] = b1 + b2 + b3
         out[..., 1] = (b3 - b1) * c / rho

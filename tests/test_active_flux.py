@@ -12,6 +12,7 @@ from conserva.active_flux import (
     point_update,
     recover_midpoint,
 )
+from conserva.errors import RunError
 from conserva.harness import case_library
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
@@ -225,17 +226,15 @@ def test_flagged_rhs_leaves_the_base_untouched(sod_flagged):
 
 def test_fallback_at_flagged_nodes_equals_all_node_evaluation(sod_flagged):
     model, mesh, state, flagged = sod_flagged
-    u_nodes, face_flux, _ = _base_rates(mesh, state, model)
+    u_nodes, _, _ = _base_rates(mesh, state, model)
     plan = _fallback_plan(mesh, flagged)
-    dv, bad_nodes, robust = _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux)
+    dv, bad_nodes, robust = _fallback_point_rate(state, model, plan, u_nodes)
     # the observer of the fallback reads a full DOF mask
     assert bad_nodes.shape == (mesh.ndof,) and bad_nodes.dtype == bool
     assert 0 < bad_nodes.sum() < mesh.ndof
     assert dv.shape == robust.shape == (bad_nodes.sum(), model.p)
     all_plan = _fallback_plan(mesh, np.ones(mesh.ncell, dtype=bool))
-    dv_all, all_nodes, robust_all = _fallback_point_rate(
-        mesh, state, model, all_plan, u_nodes, face_flux
-    )
+    dv_all, all_nodes, robust_all = _fallback_point_rate(state, model, all_plan, u_nodes)
     assert all_nodes.all()
     assert dv.tobytes() == dv_all[bad_nodes].tobytes()
     assert robust.tobytes() == robust_all[bad_nodes].tobytes()
@@ -243,10 +242,10 @@ def test_fallback_at_flagged_nodes_equals_all_node_evaluation(sod_flagged):
 
 def test_flagged_rhs_overrides_exactly_the_flagged_nodes(sod_flagged):
     model, mesh, state, flagged = sod_flagged
-    u_nodes, face_flux, dv_base = _base_rates(mesh, state, model)
+    u_nodes, _, dv_base = _base_rates(mesh, state, model)
     plan = _fallback_plan(mesh, flagged)
     _, dv, _ = _rhs(mesh, state, model, plan)
-    dv_fb, bad_nodes, _ = _fallback_point_rate(mesh, state, model, plan, u_nodes, face_flux)
+    dv_fb, bad_nodes, _ = _fallback_point_rate(state, model, plan, u_nodes)
     assert dv[bad_nodes].tobytes() == dv_fb.tobytes()
     assert dv[~bad_nodes].tobytes() == dv_base[~bad_nodes].tobytes()
 
@@ -255,14 +254,12 @@ def test_point_update_hands_its_node_states_to_the_split(monkeypatch):
     # burgers-sine nx=100 with the detector, 10 steps: 30 point updates, each
     # splitting both cell ends; the split reads the conserved states that
     # point_update gathered instead of converting the points again
-    import conserva.active_flux as af
-
     case = case_library("burgers-sine")
     mesh = uniform_mesh(*case.domain, 100, boundary=case.boundary)
     state0 = initialize(case.model, mesh, case.u0)
     counts = {"splits": 0, "from_aux": 0, "from_aux_in_split": 0}
     inside = []
-    split, from_aux = af._apply_split, Burgers.from_aux
+    split, from_aux = Burgers.split_apply, Burgers.from_aux
 
     def counting_split(*args, **kwargs):
         counts["splits"] += 1
@@ -277,7 +274,7 @@ def test_point_update_hands_its_node_states_to_the_split(monkeypatch):
         counts["from_aux_in_split"] += bool(inside)
         return from_aux(self, w)
 
-    monkeypatch.setattr(af, "_apply_split", counting_split)
+    monkeypatch.setattr(Burgers, "split_apply", staticmethod(counting_split))
     monkeypatch.setattr(Burgers, "from_aux", counting_from_aux)
     record = af_integrate(
         case.model, mesh, state0, t_end=case.t_end, detector=True, stop_after_steps=10
@@ -286,3 +283,27 @@ def test_point_update_hands_its_node_states_to_the_split(monkeypatch):
     assert counts["splits"] == 60
     assert counts["from_aux_in_split"] == 0
     assert counts["from_aux"] > 0
+
+
+def test_nan_point_speed_is_a_blow_up_not_a_failed_step(monkeypatch):
+    # periodic shu-osher nx=32 without the detector: after the first step the
+    # averages' speeds are finite but a point speed is NaN, which the CFL
+    # speed must report instead of taking a dt and failing every halving
+    import conserva.active_flux as af
+
+    case = case_library("shu-osher")
+    mesh = uniform_mesh(*case.domain, 32, boundary="periodic")
+    state0 = initialize(case.model, mesh, case.u0)
+    steps = []
+    ssp3_step = af._ssp3_step
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return ssp3_step(*args, **kwargs)
+
+    monkeypatch.setattr(af, "_ssp3_step", counting_step)
+    with pytest.raises(RunError, match="blow-up at step 1") as excinfo:
+        af_integrate(case.model, mesh, state0, t_end=case.t_end)
+    assert excinfo.value.step == 1
+    # the first step's non-finite attempt and its halved retry; none at step 1
+    assert len(steps) == 2

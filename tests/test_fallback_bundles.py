@@ -18,6 +18,7 @@ from conserva.active_flux import (
     AfState,
     _base_rates,
     _detect,
+    _dmp_bounds,
     _fallback_plan,
     _rhs,
     point_update,
@@ -181,8 +182,8 @@ def test_flagged_rhs_equals_three_fresh_bundles_bitwise(problem):
 
 
 def test_flagged_rhs_evaluates_the_model_once_per_state(monkeypatch):
-    # with the base known, the fallback adds one flux call (the stacked
-    # neighbours) and two wave-speed calls (the flagged nodes, the neighbours)
+    # with the base known, the fallback adds one flux call and one wave-speed
+    # call, both on the stacked rows of the flagged nodes and their neighbours
     rng = np.random.default_rng(8)
     model = Euler(1.4)
     mesh = uniform_mesh(-1.0, 1.0, 40, boundary="transmissive")
@@ -201,9 +202,9 @@ def test_flagged_rhs_evaluates_the_model_once_per_state(monkeypatch):
 
         monkeypatch.setattr(Euler, name, counting)
     _rhs(mesh, state, model, _fallback_plan(mesh, flagged), base)
-    assert calls == {"flux": 1, "max_wave_speed": 2}
+    assert calls == {"flux": 1, "max_wave_speed": 1}
     _rhs(mesh, state, model, _fallback_plan(mesh, flagged))
-    assert calls == {"flux": 3, "max_wave_speed": 4}
+    assert calls == {"flux": 3, "max_wave_speed": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,10 @@ def test_detector_on_raw_arrays_equals_its_safe_copy_form(problem, injections):
     candidate = AfState(averages, points)
     with np.errstate(all="ignore"):
         want = _detect_reference(mesh, model, candidate, previous)
-    got = _detect(mesh, model, candidate, previous)  # quiet on its own
-    assert same_bits(got, want)
+        # the bundle of the candidate's points, as af_integrate builds it
+        nodes = model.node_kernels(model.from_aux(candidate.points))
+    got = _detect(mesh, model, candidate, nodes, _dmp_bounds(mesh, previous.averages))
+    assert same_bits(got, want)  # and quiet on its own
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +269,29 @@ def test_primitive_split_and_wave_speed_equal_their_longhand_bitwise(n, seed, ga
     u[rng.random(n) < 0.2, 2] *= -1.0  # negative pressure: NaN speeds on both sides
     with np.errstate(all="ignore"):
         assert same_bits(model.max_wave_speed(u), _wave_speed_reference(model, u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(1.1, 3.0))
+def test_split_at_both_cell_ends_of_one_node_set_equals_the_longhand_bitwise(n, seed, gamma):
+    # point_update computes the characteristics once on n + 1 node rows and
+    # reads them as rows [:-1] (J^- at left cell ends) and rows [1:] (J^+ at
+    # right cell ends)
+    rng = np.random.default_rng(seed)
+    model = Euler(gamma)
+    w = model.to_aux(random_euler_states(rng, n + 1, gamma=gamma))
+    near_zero = np.array([0.0, -0.0, 1e-300, -1e-300])
+    pick = rng.random(n + 1) < 0.5
+    w[pick, 1] = rng.choice(near_zero, size=int(pick.sum()))
+    d = rng.normal(size=(n, 3))
+    d[rng.random((n, 3)) < 0.3] = -0.0
+    chars = model.characteristics(w)
+    for rows, sign in ((slice(None, -1), -1), (slice(1, None), +1)):
+        got = model.split_apply(tuple(q[rows] for q in chars), d, sign)
+        assert same_bits(got, _split_reference(model, w[rows], d, sign))
+    # a scalar law's split scales d by its clipped flux derivative
+    burgers = Burgers()
+    chars = burgers.characteristics(w[:, 1:2])
+    for rows, clip, sign in ((slice(None, -1), np.minimum, -1), (slice(1, None), np.maximum, +1)):
+        got = burgers.split_apply(tuple(q[rows] for q in chars), d[:, :1], sign)
+        assert same_bits(got, clip(w[rows, 1], 0.0)[:, None] * d[:, :1])

@@ -476,6 +476,24 @@ def test_cli_builds_each_problem_once(tmp_path, monkeypatch, argv, builds):
     assert counts == {"build_problem": builds, "case_library": builds}
 
 
+def test_convergence_without_exact_solution_fails_before_any_run(monkeypatch, capsys):
+    # shu-osher has no exact solution: the error comes before the first
+    # resolution is marched, not after it
+    from conserva import schemes
+
+    marched = []
+    monkeypatch.setattr(runner, "run", lambda config: marched.append(config))
+    monkeypatch.setattr(schemes, "integrate", lambda *args, **kwargs: marched.append(args))
+    code = main(["convergence", "--case", "shu-osher", "--scheme", "fv-rusanov",
+                 "--nx-list", "2000"])
+    assert code == 2
+    assert "has no exact solution" in capsys.readouterr().err
+    assert marched == []
+    with pytest.raises(ConfigError, match="no exact solution"):
+        runner.convergence_study(RunConfig(case="shu-osher", scheme="fv-rusanov"), [2000, 4000])
+    assert marched == []
+
+
 def test_cli_blowup_returns_one(tmp_path):
     # the two-field scheme cannot survive the diaphragm without its detector
     code = main(

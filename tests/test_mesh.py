@@ -145,19 +145,24 @@ def _dof_values(draw):
     boundary = draw(st.sampled_from(["periodic", "transmissive"]))
     mesh = uniform_mesh(0.0, 1.0, ncell, boundary=boundary)
     if draw(st.booleans()):
-        return mesh, draw(hnp.arrays(bool, (mesh.ndof,), elements=st.booleans()))
-    shape = draw(st.sampled_from([(mesh.ndof,)] + [(mesh.ndof, p) for p in (1, 2, 3)]))
-    # signed zeros, NaN and infinities included
-    elements = st.one_of(
-        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]), st.floats(width=64)
-    )
-    return mesh, draw(hnp.arrays(float, shape, elements=elements))
+        values = draw(hnp.arrays(bool, (mesh.ndof, 2), elements=st.booleans()))
+    else:
+        shape = draw(st.sampled_from([(mesh.ndof, p) for p in (1, 2, 3, 4)]))
+        # signed zeros, NaN and infinities included
+        elements = st.one_of(
+            st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]), st.floats(width=64)
+        )
+        values = draw(hnp.arrays(float, shape, elements=elements))
+    # the whole rows (contiguous), one column, or every other column (strided)
+    columns = draw(st.sampled_from([slice(None), 0, slice(None, None, 2)]))
+    return mesh, values[:, columns]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_dof_values())
 def test_gather_cell_ends_matches_fancy_indexing_bitwise(case):
     mesh, values = case
+    before = values.tobytes()
     ends = gather_cell_ends(values, mesh.cell_dofs)
     assert len(ends) == 2
     for k in range(2):
@@ -165,6 +170,10 @@ def test_gather_cell_ends_matches_fancy_indexing_bitwise(case):
         assert ends[k].dtype == want.dtype
         assert ends[k].shape == want.shape
         assert ends[k].tobytes() == want.tobytes()
+    # a read-only view: writing into it raises and leaves the values alone
+    with pytest.raises(ValueError):
+        ends[0, 0] = ends[1, 0]
+    assert values.tobytes() == before
 
 
 @settings(max_examples=200, deadline=None)
