@@ -31,15 +31,12 @@ import numpy as np
 from .errors import StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
-from .records import ACTIVE_FLUX, SCHEMES, SolutionRecord
-from .schemes import _boundary_outflux, _rusanov, _ssp_combine, _ssp_stages, _stage_flux_weights
-from .schemes import march
+from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SolutionRecord
+from .schemes import _boundary_outflux, _rusanov, _ssp_combine, march
 
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
 _GAUSS5 = np.polynomial.legendre.leggauss(5)  # for the initial cell averages
-# ((a, b), flux weight) per stage: stage = a * u^n + b * (stage + dt * rate)
-_SSP3 = tuple(zip(_ssp_stages("ssprk3"), _stage_flux_weights(_ssp_stages("ssprk3"))))
 
 
 @dataclass
@@ -117,16 +114,16 @@ def _fallback_plan(mesh, flagged):
         return None
     mask = scatter_cell_ends(flagged, flagged, mesh.ndof)  # both nodes of each flagged cell
     nodes = np.flatnonzero(mask)
-    width = mesh.volumes.copy()
-    if not mesh.periodic:
-        width[[0, -1]] *= 2.0  # whole end cells, not the half-width end volumes
     ncell = mesh.ncell
+    width = mesh.volumes[nodes, None]
+    if not mesh.periodic:  # whole end cells, not the half-width end volumes
+        width[(nodes == 0) | (nodes == ncell)] *= 2.0
     rows = nodes + np.array([[-1], [-1], [ncell], [0], [0]])
     if nodes[0] == 0:  # the wrapped last cell, or node 0's own state
         rows[:2, 0] = ncell - 1 if mesh.periodic else ncell
     if nodes[-1] == ncell:  # transmissive: the last node's own state
         rows[3:, -1] = 2 * ncell
-    return mask, nodes, width[nodes, None], rows
+    return mask, nodes, width, rows
 
 
 def _fallback_point_rate(state, model, plan, u_nodes):
@@ -213,7 +210,7 @@ def _ssp3_step(mesh, state, model, dt, flagged, base=None):
     boundary = np.zeros(model.p)
     plan = _fallback_plan(mesh, flagged)
     cur = state
-    for (a, b), w in _SSP3:
+    for a, b, w in SSP_STAGES["ssprk3"]:
         dub, dv, bflux = _rhs(mesh, cur, model, plan, base)
         base = None
         boundary = boundary + w * dt * bflux

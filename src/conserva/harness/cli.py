@@ -112,12 +112,11 @@ _CONFIG_KEYS = {
     "boundary": str,
     "detector": _parse_switch,
     "integrator": str,
-    "snapshot-every": int,
     "tau-scale": float,
     "out": str,
 }
 # config keys spelled differently from their RunConfig field
-_FIELDS = {"tend": "t_end", "snapshot-every": "snapshot_every", "tau-scale": "tau_scale"}
+_FIELDS = {"tend": "t_end", "tau-scale": "tau_scale"}
 
 
 def _build_run_config(args):
@@ -152,7 +151,6 @@ def _add_common(parser):
     parser.add_argument("--gamma", type=float, help="heat-capacity ratio for gas cases")
     parser.add_argument("--boundary", choices=["periodic", "transmissive"])
     parser.add_argument("--integrator", choices=INTEGRATORS)
-    parser.add_argument("--snapshot-every", dest="snapshot_every", type=int)
     parser.add_argument("--config", help="key=value file; explicit flags win")
     parser.add_argument("--out", help="output path (CSV or text)")
     # unset (None) defers to the config file; set means on

@@ -398,13 +398,7 @@ class NodeKernels:
 
     def cell_ends(self, cell_dofs):
         """(left, right) bundles at the two end nodes of every cell."""
-        return NodeKernels(
-            *(gather_cell_ends(values, cell_dofs) for values in (self.states, self.flux, self.speed))
-        ).pair()
-
-    def pair(self):
-        """The two bundles of a bundle stacked along a leading axis of length 2."""
-        return (
-            NodeKernels(self.states[0], self.flux[0], self.speed[0]),
-            NodeKernels(self.states[1], self.flux[1], self.speed[1]),
+        states, flux, speed = (
+            gather_cell_ends(values, cell_dofs) for values in (self.states, self.flux, self.speed)
         )
+        return NodeKernels(states[0], flux[0], speed[0]), NodeKernels(states[1], flux[1], speed[1])

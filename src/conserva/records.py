@@ -11,7 +11,15 @@ from .errors import ConfigError
 
 CASE_IDS = ("advection-sine", "burgers-sine", "burgers-riemann", "sod", "shu-osher")
 EULER_CASES = ("sod", "shu-osher")
-INTEGRATORS = ("euler", "ssprk2", "ssprk3")
+# Shu-Osher form of each SSP integrator, one (a, b, w) per stage:
+# stage = a * u^n + b * (stage + dt * rate), and w is the dt-weight of the
+# stage's rate in the whole step, with which the ledger books boundary flux
+SSP_STAGES = {
+    "euler": ((0.0, 1.0, 1.0),),
+    "ssprk2": ((0.0, 1.0, 0.5), (0.5, 0.5, 0.5)),
+    "ssprk3": ((0.0, 1.0, 1.0 / 6.0), (0.75, 0.25, 1.0 / 6.0), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)),
+}
+INTEGRATORS = tuple(SSP_STAGES)
 
 # base residuals a scheme id can build on
 FV, SUPG, NC_ENERGY, ACTIVE_FLUX = "fv", "supg", "nc-energy", "active-flux"

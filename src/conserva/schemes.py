@@ -32,7 +32,7 @@ from . import corrections
 from .errors import ConfigError, GeometryError, RunError, StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
-from .records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, SUPG, Ledger, SolutionRecord
+from .records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, SSP_STAGES, SUPG, Ledger, SolutionRecord
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
 
@@ -427,29 +427,10 @@ def rd_step(mesh, states, residuals, dt, model=None):
     return new_states
 
 
-def _ssp_stages(integrator):
-    if integrator == "euler":
-        return ((0.0, 1.0),)
-    if integrator == "ssprk2":
-        return ((0.0, 1.0), (0.5, 0.5))
-    if integrator == "ssprk3":
-        return ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))
-    raise ConfigError(f"unknown integrator {integrator!r}")
-
-
 def _ssp_combine(a, u, b, x):
     """a * u + b * x; a (0, 1) stage returns x itself, with the same bits, as
     x = u -+ c * r (c >= 0) is -0.0 only where the finite u is, like 0.0 * u."""
     return x if a == 0.0 and b == 1.0 else a * u + b * x
-
-
-def _stage_flux_weights(stages):
-    """Effective dt-weight of each stage's flux evaluation in the full step."""
-    weights = []
-    for _, beta in stages:
-        weights = [beta * w for w in weights]
-        weights.append(beta)
-    return weights
 
 
 MAX_STEPS = 10_000_000
@@ -470,21 +451,20 @@ def march(state, advance, *, speed, length, cfl, t_end, totals, entropy, snapsho
     flux (so conservation can be checked exactly), alpha_max and
     flagged_cells for the initial state and after every step.
     snapshot(state) is kept every snapshot_every steps and at the end.
-    A non-finite speed, persistent rejection or MAX_STEPS steps raise
-    RunError with the step index.
+    A cfl or t_end that is not positive and finite raises ConfigError; a
+    non-finite speed, persistent rejection or MAX_STEPS steps raise RunError
+    with the step index.
 
     Returns (times, snapshots, ledger).
     """
     if not 0.0 < t_end < np.inf:
         raise ConfigError(f"t_end must be positive and finite, got {t_end}")
+    if not 0.0 < cfl < np.inf:
+        raise ConfigError(f"cfl must be positive and finite, got {cfl}")
     times = [0.0]
     snapshots = [snapshot(state)]
-    led_time = [0.0]
-    led_totals = [totals(state)]
-    led_entropy = [entropy(state)]
-    led_bflux = [np.zeros_like(led_totals[0])]
-    led_alpha = [0.0]
-    led_flagged = [0]
+    first = totals(state)
+    rows = [(0.0, first, entropy(state), np.zeros_like(first), 0.0, 0)]  # Ledger field order
 
     t = 0.0
     step = 0
@@ -512,12 +492,7 @@ def march(state, advance, *, speed, length, cfl, t_end, totals, entropy, snapsho
 
         t += dt
         step += 1
-        led_time.append(t)
-        led_totals.append(totals(state))
-        led_entropy.append(entropy(state))
-        led_bflux.append(led_bflux[-1] + bflux)
-        led_alpha.append(alpha_max)
-        led_flagged.append(flagged)
+        rows.append((t, totals(state), entropy(state), rows[-1][3] + bflux, alpha_max, flagged))
         if snapshot_every and step % snapshot_every == 0:
             times.append(t)
             snapshots.append(snapshot(state))
@@ -526,15 +501,7 @@ def march(state, advance, *, speed, length, cfl, t_end, totals, entropy, snapsho
         times.append(t)
         snapshots.append(snapshot(state))
 
-    ledger = Ledger(
-        time=np.asarray(led_time),
-        totals=np.asarray(led_totals),
-        entropy=np.asarray(led_entropy),
-        boundary_accum=np.asarray(led_bflux),
-        alpha_max=np.asarray(led_alpha),
-        fallback_cells=np.asarray(led_flagged, dtype=int),
-    )
-    return np.asarray(times), snapshots, ledger
+    return np.asarray(times), snapshots, Ledger(*map(np.asarray, zip(*rows)))
 
 
 def integrate(
@@ -565,8 +532,9 @@ def integrate(
     if states.ndim != 2 or states.shape[0] != mesh.ndof:
         raise ConfigError(f"u0 must be ({mesh.ndof}, p)")
 
-    stages = _ssp_stages(integrator)
-    flux_weights = _stage_flux_weights(stages)
+    stages = SSP_STAGES.get(integrator)
+    if stages is None:
+        raise ConfigError(f"unknown integrator {integrator!r}")
 
     def accepted(u):
         # march's state; the next assembly checks the bundle's mask
@@ -577,7 +545,7 @@ def integrate(
         cur = u
         alpha_max = 0.0
         bflux = np.zeros(u.shape[1])
-        for (a_coef, b_coef), w in zip(stages, flux_weights):
+        for a_coef, b_coef, w in stages:
             residuals = assemble(given, dt)
             alpha_max = max(alpha_max, residuals.alpha_max)
             bflux = bflux + w * dt * residuals.boundary_outflux

@@ -49,7 +49,6 @@ def _oracle_build_run_config(args):
         gamma=pick("gamma", args.gamma, 1.4),
         detector=detector,
         integrator=pick("integrator", args.integrator),
-        snapshot_every=pick("snapshot_every", args.snapshot_every, 0),
         out=pick("out", args.out),
         tau_scale=merged.get("tau_scale", 1.0),
     )
@@ -64,7 +63,6 @@ FLAG_VALUES = {
     "--gamma": ["1.4", "1.67", "1.0"],
     "--boundary": ["periodic", "transmissive"],
     "--integrator": ["euler", "ssprk3"],
-    "--snapshot-every": ["0", "3", "-1"],
     "--out": ["a.csv"],
     "--detector": [None],
 }
@@ -78,7 +76,6 @@ FILE_VALUES = {
     "boundary": ["periodic", "transmissive", "wall"],
     "detector": ["off", "off", "on", "ture"],
     "integrator": ["ssprk3", "ssprk3", "ssprk2", "rk4"],
-    "snapshot-every": ["0", "5"],
     "tau-scale": ["1.0", "1.0", "0.5", "-1"],
     "out": ["b.csv"],
 }

@@ -119,7 +119,7 @@ CLI_COMMANDS = (
     "run --case sod --scheme active-flux --detector --nx 32 --tend 0.05",
     "run --case burgers-sine --scheme active-flux --nx 32",
     "run --case advection-sine --scheme fv-entropy-corrected --nx 32 --tend 0.5"
-    " --integrator ssprk2 --snapshot-every 4",
+    " --integrator ssprk2",
     "run --case burgers-riemann --scheme supg --nx 32 --tend 0.25",
     "recover-fluxes --case sod --scheme fv-rusanov --nx 32",
     "recover-fluxes --case sod --scheme fv-entropy-corrected --nx 32",

@@ -8,13 +8,14 @@ from conserva.errors import ConfigError, GeometryError, RunError
 from conserva.harness import build_problem
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
-from conserva.records import RunConfig
+from conserva.records import INTEGRATORS, SSP_STAGES, RunConfig
 from conserva.schemes import (
     NumericalFlux,
     _ssp_combine,
     fv_residuals_1d,
     integrate,
     rd_step,
+    residual_assembler,
     rusanov_2d,
     supg_residuals_1d,
     triangle_fv_residuals,
@@ -279,6 +280,25 @@ def test_a_zero_one_stage_is_its_new_states_bitwise(u, r, c):
             assert _ssp_combine(0.0, u, 1.0, x) is x
 
 
+def _shu_osher_flux_weights(stages):
+    """Each stage's rate weight in the whole step, derived from the (a, b)
+    coefficients: every later stage scales the rates before it by its b."""
+    weights = []
+    for _, b, _ in stages:
+        weights = [b * w for w in weights]
+        weights.append(b)
+    return weights
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_ssp_table_flux_weights_are_the_shu_osher_derivation(integrator):
+    # the ledger books boundary flux with these weights, so they must equal the
+    # derived ones bit for bit, and a consistent step weighs its rates to 1
+    weights = [w for _, _, w in SSP_STAGES[integrator]]
+    assert weights == _shu_osher_flux_weights(SSP_STAGES[integrator])
+    assert sum(weights) == 1.0
+
+
 def _advection_setup(n, cfl=0.4):
     model = Advection(a=1.0)
     mesh = uniform_mesh(-1.0, 1.0, n, boundary="periodic")
@@ -311,6 +331,12 @@ def test_integrate_dt_halving_keeps_mass_ledger():
     mass_a = rec_a.ledger.totals[-1]
     mass_b = rec_b.ledger.totals[-1]
     assert abs(mass_a - mass_b).max() <= 1e-12
+
+
+def test_integrate_rejects_an_unknown_integrator():
+    model, mesh, u0, assemble = _advection_setup(16)
+    with pytest.raises(ConfigError, match="rk4"):
+        integrate(model, mesh, u0, assemble, cfl=0.4, t_end=0.1, integrator="rk4")
 
 
 def test_integrate_blowup_raises_run_error():
@@ -382,7 +408,26 @@ def test_marching_loop_rejects_a_non_finite_end_time(problem, t_end):
         march(t_end=t_end)
 
 
-@pytest.mark.parametrize("integrator", ["euler", "ssprk2", "ssprk3"])
+@pytest.mark.parametrize(
+    "cfl", [0.0, -0.4, float("inf"), float("nan")], ids=["zero", "negative", "inf", "nan"]
+)
+@pytest.mark.parametrize("scheme", ["fv-rusanov", "active-flux"])
+def test_marching_loop_rejects_a_cfl_that_is_not_positive_and_finite(scheme, cfl):
+    # zero took steps of dt = 0 up to MAX_STEPS, a negative number marched
+    # backwards, inf took all of t_end in one step and nan ended in RunError
+    # after every dt halving; the step limit keeps a loop that accepts them short
+    case, mesh, u0 = build_problem(RunConfig(case="burgers-sine", scheme=scheme, nx=16))
+    settings = dict(cfl=cfl, t_end=case.t_end, stop_after_steps=5)
+    with pytest.raises(ConfigError, match="cfl"):
+        with np.errstate(all="ignore"):
+            if scheme == "active-flux":
+                af_integrate(case.model, mesh, initialize(case.model, mesh, case.u0), **settings)
+            else:
+                watched, states, assemble = residual_assembler(scheme, case.model, mesh, u0)
+                integrate(watched, mesh, states, assemble, **settings)
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_integrate_boundary_accounting_transmissive(integrator, rng):
     model = Burgers()
     mesh = uniform_mesh(-1.0, 2.0, 60, boundary="transmissive")
