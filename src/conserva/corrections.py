@@ -1,11 +1,11 @@
 """Post-hoc residual corrections enforcing extra conservation statements.
 
-All corrections redistribute residuals inside an element with zero sum, so
-the original conservation relation (residual sum = boundary flux) survives
-exactly.  The entropy correction pushes every element's entropy production
-above its boundary entropy flux, the closed-form case of one linear
-constraint per element; the energy correction makes a scheme posed in
-(density, momentum, internal energy) variables conserve total energy.
+Each correction leaves an element's residuals summing to its boundary flux
+integral.  The entropy correction redistributes them with zero sum and pushes
+every element's entropy production above its boundary entropy flux, the
+closed-form case of one linear constraint per element; the energy correction
+turns the internal-energy residual of a scheme posed in (density, momentum,
+internal energy) into a total-energy residual with that sum.
 """
 
 from __future__ import annotations
@@ -142,24 +142,23 @@ def energy_update_identity(rho0, v0, e0, rho1, v1, e1):
 def nonconservative_energy_correction(
     phi_rho, phi_mom, phi_e, v_half_sum, v_half_prod, boundary_energy_flux
 ):
-    """Make an internal-energy discretisation conserve total energy.
+    """The total-energy residual of an internal-energy discretisation, made
+    locally conservative.
 
-    phi_rho, phi_mom, phi_e: (ncell, 2) residual components; the density and
-    momentum residuals stay untouched.  v_half_sum = (v_new + v_old)/2 and
-    v_half_prod = (v_new * v_old)/2: (ncell, 2) velocity weights at the
-    element DOFs, from the velocities before and after the step (the
-    momentum/density updates do not depend on the energy residual, so v_new
-    is available first).  For each element the same amount r^K is added to
-    every energy residual so that
+    phi_rho, phi_mom, phi_e: (ncell, 2) residual components.  v_half_sum =
+    (v_new + v_old)/2 and v_half_prod = (v_new * v_old)/2: (ncell, 2) velocity
+    weights at the element DOFs, from the velocities before and after the
+    step (the momentum/density updates do not depend on the energy residual,
+    so v_new is available first).  Each DOF's total-energy residual is the
+    right-hand side of the increment identity (``energy_update_identity``),
 
-        boundary_energy_flux_K = sum_sigma [ phi_e
-                                             + v_half_sum * phi_mom
-                                             - v_half_prod * phi_rho ]
+        terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho,
 
-    holds exactly, mirroring the total-energy increment identity; summing the
-    updates then telescopes total energy to the domain boundary flux.
+    and the same amount r^K is added to every one in an element so that they
+    sum exactly to boundary_energy_flux_K; summing the updates then
+    telescopes total energy to the domain boundary flux.
 
-    Returns (corrected_phi_e, r) with r shaped (ncell,).
+    Returns (terms + r, r) with r shaped (ncell,).
     """
     phi_rho = np.asarray(phi_rho, dtype=float)
     phi_mom = np.asarray(phi_mom, dtype=float)
@@ -171,4 +170,4 @@ def nonconservative_energy_correction(
     for column in terms.T:
         current = current + column
     r = (np.asarray(boundary_energy_flux, dtype=float) - current) / phi_e.shape[1]
-    return phi_e + r[:, None], r
+    return terms + r[:, None], r

@@ -198,10 +198,8 @@ def _cmd_convergence(config, nx_list):
 
 def _cmd_recover_fluxes(config):
     case, mesh, u0 = runner.build_problem(config)
-    _, states, assemble = schemes.residual_assembler(
-        config.scheme, case.model, mesh, u0, config.tau_scale
-    )
-    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(states, 0.0))
+    assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
+    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(u0, 0.0))
     out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
     path = _out_path(out)
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]

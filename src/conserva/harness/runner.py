@@ -42,11 +42,9 @@ def _run_problem(config, case, mesh, u0):
             case.model, mesh, state0, detector=config.detector, **settings
         )
     else:
-        watched, states, assemble = schemes.residual_assembler(
-            config.scheme, case.model, mesh, u0, config.tau_scale
-        )
+        assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
         record = schemes.integrate(
-            watched, mesh, states, assemble, integrator=config.resolved_integrator(), **settings
+            case.model, mesh, u0, assemble, integrator=config.resolved_integrator(), **settings
         )
     record.case = case
     return record

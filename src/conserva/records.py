@@ -42,9 +42,7 @@ SCHEMES = {
     "fv-rusanov": SchemeRow(FV, (), INTEGRATORS, 0.4),
     "fv-entropy-corrected": SchemeRow(FV, ("entropy",), INTEGRATORS, 0.4),
     "supg": SchemeRow(SUPG, (), ("ssprk3", "euler", "ssprk2"), 0.8),
-    # the energy identity holds per forward Euler step: SSP stages combined
-    # in (rho, m, e) lose total energy
-    "nc-energy-corrected": SchemeRow(NC_ENERGY, (), ("euler",), 0.4),
+    "nc-energy-corrected": SchemeRow(NC_ENERGY, (), INTEGRATORS, 0.4),
     # an SSPRK3 scheme throughout; its point-average coupling is unstable by
     # CFL 0.5
     "active-flux": SchemeRow(ACTIVE_FLUX, (), ("ssprk3",), 0.4),

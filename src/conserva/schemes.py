@@ -10,6 +10,8 @@ sum to its boundary flux integral; the update then reads
 A residual scheme is a base residual (finite volume, SUPG or the two-field
 gas scheme) followed by an ordered tuple of zero-sum corrections;
 ``residual_assembler`` builds one from its row of ``records.SCHEMES``.
+Every residual scheme marches conserved states, the gas scheme posed in
+internal energy included (see ``TwoFieldGasScheme``).
 ``march`` is the one time-marching loop: ``integrate`` and the two-field
 scheme's ``af_integrate`` hand it a step function.
 
@@ -255,60 +257,66 @@ def _entropy_corrected(residuals, states, model):
 _CORRECTIONS = {"entropy": _entropy_corrected}
 
 
-def residual_assembler(scheme_id, model, mesh, u0, tau_scale=1.0):
-    """(watched, states, assemble) of a residual scheme id started from the
-    conserved states u0: ``integrate(watched, mesh, states, assemble, ...)``
-    marches it, and ``assemble(states, dt) -> ResidualSet`` gives its
-    residuals on the states it marches.
+def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
+    """``assemble(states, dt) -> ResidualSet`` of a residual scheme id, on
+    conserved states or their ``NodeKernels``;
+    ``integrate(model, mesh, u0, assemble, ...)`` marches it.
 
     Reads the id's row of ``records.SCHEMES``: the base residual is Rusanov
     finite volume (``fv``), SUPG with the given tau scale (``supg``) or the
     two-field gas scheme (``nc-energy``); each correction then redistributes
     the residuals inside every element with zero sum, so the base residual's
-    conservation survives.  FV and SUPG march u0 itself, watched by the
-    model; with corrections, the base and every correction read one
-    ``NodeKernels`` bundle per call, and a base alone builds its own.  The
-    gas scheme marches (rho, m, e) states and is its own watched model; it
-    takes no corrections.
+    conservation survives.  With corrections, the base and every correction
+    read one ``NodeKernels`` bundle per call; a base alone builds its own.
     """
     row = SCHEMES.get(scheme_id)
     if row is None or row.base == ACTIVE_FLUX:
         known = [name for name, r in SCHEMES.items() if r.base != ACTIVE_FLUX]
         raise ConfigError(f"{scheme_id!r} is not a residual scheme; known: {', '.join(known)}")
     if row.base == NC_ENERGY:
-        gas = TwoFieldGasScheme(model, mesh)
-        return gas, gas.from_conserved(u0), gas.assemble
-    if row.base == SUPG:
+        base = TwoFieldGasScheme(model, mesh).assemble
+    elif row.base == SUPG:
         base = lambda u, dt: supg_residuals_1d(mesh, u, model, tau_scale=tau_scale)
     else:
         flux = NumericalFlux("rusanov", model)
         base = lambda u, dt: fv_residuals_1d(mesh, u, flux, model)
     steps = [_CORRECTIONS[name] for name in row.corrections]
+    if not steps:
+        return base
 
     def assemble(states, dt):
-        if steps:
-            states = NodeKernels.of(model, states)
+        states = NodeKernels.of(model, states)
         residuals = base(states, dt)
         for correct in steps:
             residuals = correct(residuals, states, model)
         return residuals
 
-    return model, u0, assemble
+    return assemble
 
 
 class TwoFieldGasScheme:
-    """Residual assembly for the (rho, rho v, e) form of the gas equations.
+    """The gas equations posed in (rho, rho v, e), marched as a residual
+    scheme in conserved (rho, rho v, E).
 
     Density and momentum use the conservative Rusanov residuals; the internal
     energy gets a centred non-conservative discretisation of
-    e_t + (e v)_x + p v_x = 0 with matched Rusanov dissipation, then the
-    per-element energy correction makes total energy exactly conservative.
-    Intended for forward Euler stepping: the discrete energy identity is an
-    identity per Euler substep.
+    e_t + (e v)_x + p v_x = 0 with matched Rusanov dissipation, phi_e.  In a
+    forward Euler step of (rho, m, e), E = e + m v / 2 changes at every DOF
+    by exactly the total-energy increment identity
+    (``corrections.energy_update_identity``):
 
-    The scheme is also the model ``integrate`` watches: admissibility of the
-    (rho, m, e) states, and their ``node_kernels``, the gas model's bundle of
-    their conserved form, which keeps them for assembly.
+        dE = de + (v_new + v_old)/2 * dm - (v_new v_old)/2 * drho,
+
+    where v_new is the velocity after the density/momentum update, which does
+    not depend on the energy residual.  The velocity weights are per DOF, so
+    that step is the conserved-variable step whose energy residual is
+
+        phi_E = phi_e + (v_new + v_old)/2 * phi_mom - (v_new v_old)/2 * phi_rho.
+
+    The energy correction shifts it so that it sums to the element's boundary
+    energy flux, the Rusanov base's: the non-conservative scheme, corrected,
+    is a locally conservative residual scheme, and every SSP integrator
+    combines its stages in conserved variables.
     """
 
     def __init__(self, model, mesh):
@@ -316,48 +324,32 @@ class TwoFieldGasScheme:
         self.mesh = mesh
         self.fv_flux = NumericalFlux("rusanov", model)
 
-    # (rho, m, e) <-> conserved (rho, m, E)
-    def to_conserved(self, w):
-        out = np.array(w, dtype=float, copy=True)
-        out[..., 2] = w[..., 2] + 0.5 * w[..., 1] ** 2 / w[..., 0]
-        return out
-
-    def from_conserved(self, u):
-        out = np.array(u, dtype=float, copy=True)
-        out[..., 2] = u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0]
-        return out
-
-    def node_kernels(self, w, entropy=False):
-        """The gas model's bundle of w converted once, keeping w for assembly."""
-        nodes = self.model.node_kernels(self.to_conserved(w), entropy)
-        return _GasNodes(**vars(nodes), w=w)
-
-    def assemble(self, w, dt):
-        """Residuals of (rho, m, e) states w, or of their ``node_kernels``.
+    def assemble(self, u, dt):
+        """Residuals of conserved states u, or of their ``NodeKernels``, with the
+        corrected total-energy residual phi_E as the energy column.
 
         Each energy term is formed once, in the (2, ncell) layout of
         ``gather_cell_ends`` so that products run along the cells.
         """
         mesh, model = self.mesh, self.model
-        nodes = NodeKernels.of(model, w if isinstance(w, _GasNodes) else self.node_kernels(w))
-        w = nodes.w
+        nodes = NodeKernels.of(model, u)
         base = fv_residuals_1d(mesh, nodes, self.fv_flux, model)
-        # the base's own arrays; their energy columns are replaced below
-        phi, bparts = base.phi, base.boundary_parts
+        # the base's own array; its energy residuals are replaced below, its
+        # boundary parts kept
+        phi = base.phi
         phi_rho, phi_mom = phi[:, :, :2].T.copy()
-        # -f_E(u_left) and f_E(u_right), the energy part of the base's boundary
-        # parts; their sum is the element's boundary energy flux
-        nodal_e_flux = bparts[:, :, 2].T.copy()
 
+        u = nodes.states
         dofs = mesh.cell_dofs
-        w_ends = gather_cell_ends(w, dofs)
-        v_old = w_ends[..., 1] / w_ends[..., 0]
+        vel = u[:, 1] / u[:, 0]
+        e_int = u[:, 2] - 0.5 * u[:, 1] * vel
+        v_old = gather_cell_ends(vel, dofs)
         vel_l, vel_r = v_old
-        e_l, e_r = w_ends[..., 2]
-        p_l, p_r = gather_cell_ends(model.pressure(nodes.states), dofs)
+        e_l, e_r = gather_cell_ends(e_int, dofs)
+        p_l, p_r = gather_cell_ends((model.gamma - 1.0) * e_int, dofs)
         alpha = np.maximum(*gather_cell_ends(nodes.speed, dofs))
 
-        # centred total + Rusanov-type redistribution for the energy equation
+        # centred total + Rusanov-type redistribution for the internal energy
         total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
         half = 0.5 * total
         damping = 0.5 * alpha * (e_r - e_l)
@@ -365,11 +357,11 @@ class TwoFieldGasScheme:
         np.subtract(half, damping, out=phi_e[0])
         np.add(half, damping, out=phi_e[1])
 
-        # velocities after the uncorrected density/momentum update
+        # velocities after the density/momentum update
         if dt > 0:
             ratio = dt / mesh.volumes
-            rho_new = w[:, 0] - ratio * scatter_cell_ends(*phi_rho, mesh.ndof)
-            mom_new = w[:, 1] - ratio * scatter_cell_ends(*phi_mom, mesh.ndof)
+            rho_new = u[:, 0] - ratio * scatter_cell_ends(*phi_rho, mesh.ndof)
+            mom_new = u[:, 1] - ratio * scatter_cell_ends(*phi_mom, mesh.ndof)
             with np.errstate(all="ignore"):
                 # a transient nonpositive rho_new poisons the step with nans and
                 # the integrator then rejects and retries it with a smaller dt
@@ -377,32 +369,14 @@ class TwoFieldGasScheme:
         else:
             v_new = v_old
 
-        # the velocity weights of the total-energy increment identity, shared
-        # by the correction and the energy boundary parts
-        v_half_sum = 0.5 * (v_new + v_old)
-        v_half_prod = 0.5 * (v_new * v_old)
-
+        # -f_E(u_left) + f_E(u_right): the element's boundary energy flux
+        e_flux = base.boundary_parts[:, :, 2]
         corrected, _ = corrections.nonconservative_energy_correction(
-            phi_rho.T, phi_mom.T, phi_e.T, v_half_sum.T, v_half_prod.T,
-            nodal_e_flux[1] + nodal_e_flux[0],
+            phi_rho.T, phi_mom.T, phi_e.T, (0.5 * (v_new + v_old)).T, (0.5 * (v_new * v_old)).T,
+            e_flux[:, 1] + e_flux[:, 0],
         )
         phi[:, :, 2] = corrected
-        # boundary share of the corrected internal-energy equation: the total
-        # energy flux minus the velocity-weighted momentum/density residuals,
-        # so the corrected residuals sum exactly to their boundary parts
-        bparts[:, :, 2] = (nodal_e_flux - v_half_sum * phi_mom + v_half_prod * phi_rho).T
-        return ResidualSet(dofs, phi, bparts, base.boundary_outflux)
-
-    # the model interface integrate() uses, on (rho, m, e) states
-    def admissible_mask(self, w):
-        """The gas model's rule, read on the density and internal energy of w."""
-        w = np.asarray(w, dtype=float)
-        return self.model._admissible(w, w[..., 0], w[..., 2])
-
-
-@dataclass(frozen=True)
-class _GasNodes(NodeKernels):
-    w: np.ndarray | None = None  # the (rho, m, e) states converted to ``states``
+        return base
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +492,16 @@ def integrate(
 ):
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
-    assemble(states, dt) -> ResidualSet, on the states or their bundle.  model
-    supplies, in the variables the states are kept in, the admissibility test
-    (which rejects non-finite states) and ``node_kernels``: each accepted
-    state's one bundle, which the CFL speed, the ledger and the next step's
-    first stage read.  The ledger's totals are the volume-weighted sums of the
-    bundle's (conserved) states, which the record's snapshots copy; its
-    boundary account is the net outflux each stage's residuals carry;
-    alpha_max is the largest correction coefficient reported by the
-    assembler.  See ``march`` for steps, retries and errors.
+    assemble(states, dt) -> ResidualSet, on conserved states or their bundle.
+    model supplies the admissibility test (which rejects non-finite states)
+    and ``node_kernels``: each accepted state's one bundle, which the CFL
+    speed, the ledger and the next step's first stage read.  Each stage is a
+    forward Euler step and SSP stages combine them convexly, so residuals
+    that sum to their boundary parts conserve with every integrator.  The
+    ledger's totals are the volume-weighted sums of the states, which the
+    record's snapshots copy; its boundary account is the net outflux each
+    stage's residuals carry; alpha_max is the largest correction coefficient
+    reported by the assembler.  See ``march`` for steps, retries and errors.
     """
     states = np.asarray(u0, dtype=float)
     if states.ndim != 2 or states.shape[0] != mesh.ndof:

@@ -12,7 +12,13 @@ from conserva.corrections import (
 from conserva.errors import CorrectionError
 from conserva.mesh import uniform_mesh
 from conserva.models import Burgers, Euler
-from conserva.schemes import NumericalFlux, ResidualSet, TwoFieldGasScheme, fv_residuals_1d
+from conserva.schemes import (
+    NumericalFlux,
+    TwoFieldGasScheme,
+    fv_residuals_1d,
+    integrate,
+    residual_assembler,
+)
 
 from conftest import random_euler_states
 
@@ -153,8 +159,19 @@ def test_nc_energy_correction_uniform_share():
     np.testing.assert_allclose(corrected, [[0.3, 0.4, 0.5]])
 
 
+def test_nc_energy_correction_returns_the_total_energy_residual():
+    # terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho = (1.5, -0.5)
+    # sum to 1 against a boundary flux of 3 -> r = 1 on both DOFs
+    corrected, r = nonconservative_energy_correction(
+        np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]), np.zeros((1, 2)),
+        np.ones((1, 2)), np.full((1, 2), 0.5), np.array([3.0]),
+    )
+    np.testing.assert_array_equal(r, [1.0])
+    np.testing.assert_array_equal(corrected, [[2.5, 0.5]])
+
+
 def test_nc_scheme_total_energy_moves_only_through_boundaries():
-    # full Sod run in (rho, m, e) variables vs the ledger's boundary account
+    # full Sod run vs the ledger's boundary account
     from conserva.harness.runner import run
     from conserva.records import RunConfig
 
@@ -170,8 +187,7 @@ def test_nc_scheme_residual_set_is_locally_conservative():
 
     config = RunConfig(case="sod", scheme="nc-energy-corrected", nx=64)
     case, mesh, u0 = build_problem(config)
-    scheme = TwoFieldGasScheme(case.model, mesh)
-    res = scheme.assemble(scheme.from_conserved(u0), 1e-4)
+    res = TwoFieldGasScheme(case.model, mesh).assemble(u0, 1e-4)
     defect = np.abs(res.element_defect()).max()
     assert defect <= 1e-12 * max(np.abs(res.phi).max(), 1.0)
 
@@ -221,20 +237,113 @@ def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
 @given(_node_states(models=("euler",)), st.floats(0.0, 1e-3))
 def test_energy_correction_closes_every_element(problem, dt):
     model, mesh, states = problem
-    gas = TwoFieldGasScheme(model, mesh)
-    w = gas.from_conserved(states)
-    res = gas.assemble(w, dt)
-    # every component's residuals sum to its boundary parts, the corrected
-    # internal energy included; its terms are weighted by the velocities
-    # before and after the uncorrected density/momentum update
+    res = TwoFieldGasScheme(model, mesh).assemble(states, dt)
+    # every component's residuals sum to their boundary parts, the total
+    # energy's included; its terms are the internal-energy residuals and the
+    # density/momentum ones weighted by the velocities before and after the
+    # density/momentum update
     incr = res.scatter_to_dofs(mesh.ndof)
-    v_old = w[:, 1] / w[:, 0]
-    v_new = (w[:, 1] - dt / mesh.volumes * incr[:, 1]) / (w[:, 0] - dt / mesh.volumes * incr[:, 0])
+    v_old = states[:, 1] / states[:, 0]
+    v_new = ((states[:, 1] - dt / mesh.volumes * incr[:, 1])
+             / (states[:, 0] - dt / mesh.volumes * incr[:, 0]))
     vh = np.abs(0.5 * (v_new + v_old))[mesh.cell_dofs]
     vp = np.abs(0.5 * v_new * v_old)[mesh.cell_dofs]
     terms = np.abs(res.phi) + np.abs(res.boundary_parts)
-    terms[:, :, 2] += vh * np.abs(res.phi[:, :, 1]) + vp * np.abs(res.phi[:, :, 0])
+    terms[:, :, 2] += (np.abs(_internal_energy_residuals(model, mesh, _to_internal(states)))
+                       + vh * np.abs(res.phi[:, :, 1]) + vp * np.abs(res.phi[:, :, 0]))
     assert (np.abs(res.element_defect()) <= 16 * EPS * terms.sum(axis=1)).all()
+
+
+# ---------------------------------------------------------------------------
+# the corrected internal-energy scheme is a conserved-variable residual scheme
+# ---------------------------------------------------------------------------
+
+
+def _to_internal(u):
+    """(rho, m, E) -> (rho, m, e) with e = E - m^2 / (2 rho)."""
+    w = u.copy()
+    w[:, 2] = u[:, 2] - 0.5 * u[:, 1] ** 2 / u[:, 0]
+    return w
+
+
+def _to_total(w):
+    u = w.copy()
+    u[:, 2] = w[:, 2] + 0.5 * w[:, 1] ** 2 / w[:, 0]
+    return u
+
+
+def _internal_energy_residuals(model, mesh, w):
+    """Centred residuals of e_t + (e v)_x + p v_x = 0 with Rusanov damping, (ncell, 2)."""
+    left, right = mesh.cell_dofs.T
+    vel = w[:, 1] / w[:, 0]
+    e = w[:, 2]
+    pres = (model.gamma - 1.0) * e
+    alpha = np.maximum(*model.max_wave_speed(_to_total(w))[mesh.cell_dofs.T])
+    total = (e[right] * vel[right] - e[left] * vel[left]) + 0.5 * (pres[left] + pres[right]) * (
+        vel[right] - vel[left]
+    )
+    damping = 0.5 * alpha * (e[right] - e[left])
+    return np.stack([0.5 * total - damping, 0.5 * total + damping], axis=1)
+
+
+def _scatter(mesh, phi):
+    out = np.zeros((mesh.ndof,) + phi.shape[2:])
+    np.add.at(out, mesh.cell_dofs[:, 0], phi[:, 0])
+    np.add.at(out, mesh.cell_dofs[:, 1], phi[:, 1])
+    return out
+
+
+def _internal_energy_march(model, mesh, u0, cfl, t_end, steps):
+    """The scheme marched in (rho, m, e) with forward Euler: Rusanov density
+    and momentum residuals, the internal-energy residuals plus the energy
+    correction's shift.  Returns (times, final conserved states)."""
+    w = _to_internal(u0)
+    flux = NumericalFlux("rusanov", model)
+    h = float(mesh.volumes.min())
+    times = [0.0]
+    while len(times) <= steps and times[-1] < t_end:
+        u = _to_total(w)
+        dt = min(cfl * h / float(model.max_wave_speed(u).max()), t_end - times[-1])
+        base = fv_residuals_1d(mesh, u, flux, model)
+        phi_rho, phi_mom = base.phi[:, :, 0], base.phi[:, :, 1]
+        phi_e = _internal_energy_residuals(model, mesh, w)
+        drho_dmom = _scatter(mesh, base.phi[:, :, :2]) * (dt / mesh.volumes)[:, None]
+        v_old = w[:, 1] / w[:, 0]
+        v_new = (w[:, 1] - drho_dmom[:, 1]) / (w[:, 0] - drho_dmom[:, 0])
+        v_sum = (0.5 * (v_new + v_old))[mesh.cell_dofs]
+        v_prod = (0.5 * v_new * v_old)[mesh.cell_dofs]
+        e_flux = base.boundary_parts[:, :, 2].sum(axis=1)
+        _, r = nonconservative_energy_correction(phi_rho, phi_mom, phi_e, v_sum, v_prod, e_flux)
+        phi = np.concatenate([base.phi[:, :, :2], (phi_e + r[:, None])[:, :, None]], axis=2)
+        w = w - (dt / mesh.volumes)[:, None] * _scatter(mesh, phi)
+        times.append(times[-1] + dt)
+    return np.array(times), _to_total(w)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+@pytest.mark.parametrize("case_id", ["sod", "shu-osher"])
+def test_conserved_march_equals_the_corrected_internal_energy_march(case_id, boundary):
+    # the paper's point: a scheme posed in non-conservative variables is, once
+    # corrected, a locally conservative residual scheme; marching (rho, m, E)
+    # with the total-energy residual takes the steps of the (rho, m, e) march
+    from conserva.harness.runner import build_problem
+    from conserva.records import RunConfig
+
+    steps = 200
+    config = RunConfig(case=case_id, scheme="nc-energy-corrected", nx=200, boundary=boundary)
+    case, mesh, u0 = build_problem(config)
+    assemble = residual_assembler(config.scheme, case.model, mesh)
+    record = integrate(case.model, mesh, u0, assemble, cfl=0.4, t_end=case.t_end,
+                       stop_after_steps=steps)
+    got = record.final_state
+    times, want = _internal_energy_march(case.model, mesh, u0, 0.4, case.t_end, steps)
+    assert record.ledger.nsteps == len(times) - 1 == steps
+    np.testing.assert_allclose(record.ledger.time, times, rtol=1e-12, atol=0.0)
+    scale = np.abs(want).max(axis=0)
+    assert (np.abs(got - want) / scale).max() <= 1e-12
+    # and the conserved march keeps every total to rounding
+    totals_scale = np.abs(record.ledger.totals[0]).max()
+    assert record.ledger.conservation_drift() <= 1e-12 * totals_scale
 
 
 # ---------------------------------------------------------------------------

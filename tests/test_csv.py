@@ -122,8 +122,8 @@ def test_recover_fluxes_table_matches_per_value_writer(tmp_path):
     assert main(["recover-fluxes", "--case", "sod", "--scheme", "supg", "--nx", "50",
                  "--out", str(new)]) == 0
     case, mesh, u0 = build_problem(config)
-    _, states, assemble = schemes.residual_assembler("supg", case.model, mesh, u0, config.tau_scale)
-    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(states, 0.0))
+    assemble = schemes.residual_assembler("supg", case.model, mesh, config.tau_scale)
+    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(u0, 0.0))
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]
     rows = [
         [str(k), str(int(mesh.cell_dofs[k, 0])), str(int(mesh.cell_dofs[k, 1]))] + list(f)

@@ -110,17 +110,15 @@ def _entropy_reference(residuals, states, model):
     return phi, alpha, r, -deficit, post, np.flatnonzero(clamped)
 
 
-def _gas_reference(mesh, model, w, dt):
-    gas = TwoFieldGasScheme(model, mesh)
-    u = gas.to_conserved(w)
-    phi_b, bparts_b, closure = _fv_reference(mesh, u, "rusanov", model)
+def _gas_reference(mesh, model, u, dt):
+    phi_b, bparts, closure = _fv_reference(mesh, u, "rusanov", model)
     phi_rho = phi_b[:, :, 0]
     phi_mom = phi_b[:, :, 1]
     dofs = mesh.cell_dofs
-    w_left, w_right = w[dofs[:, 0]], w[dofs[:, 1]]
-    u_left, u_right = u[dofs[:, 0]], u[dofs[:, 1]]
-    vel_l, vel_r = w_left[:, 1] / w_left[:, 0], w_right[:, 1] / w_right[:, 0]
-    e_l, e_r = w_left[:, 2], w_right[:, 2]
+    u_left, u_right = _ends(mesh, u)
+    vel_l, vel_r = u_left[:, 1] / u_left[:, 0], u_right[:, 1] / u_right[:, 0]
+    e_l = u_left[:, 2] - 0.5 * u_left[:, 1] * vel_l
+    e_r = u_right[:, 2] - 0.5 * u_right[:, 1] * vel_r
     p_l, p_r = model.pressure(u_left), model.pressure(u_right)
     alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
     total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
@@ -131,20 +129,19 @@ def _gas_reference(mesh, model, w, dt):
     incr = np.zeros((mesh.ndof, 2))
     np.add.at(incr, dofs[:, 0], phi_b[:, 0, :2])
     np.add.at(incr, dofs[:, 1], phi_b[:, 1, :2])
-    rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
-    mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
-    v_old = w[:, 1] / w[:, 0]
+    rho_new = u[:, 0] - dt / mesh.volumes * incr[:, 0]
+    mom_new = u[:, 1] - dt / mesh.volumes * incr[:, 1]
+    v_old = u[:, 1] / u[:, 0]
     v_new = mom_new / rho_new if dt > 0 else v_old
     f_energy = model.flux(u)[:, 2]
     target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
     vh = (0.5 * (v_new + v_old))[dofs]
     vp = (0.5 * (v_new * v_old))[dofs]
-    current = (phi_e + vh * phi_mom - vp * phi_rho).sum(axis=1)
-    phi_e = phi_e + ((target - current) / phi_e.shape[1])[:, None]
-    phi = np.concatenate([phi_b[:, :, :2], phi_e[:, :, None]], axis=2)
-    nodal_e_flux = np.stack([-f_energy[dofs[:, 0]], f_energy[dofs[:, 1]]], axis=1)
-    bparts_e = nodal_e_flux - vh * phi_mom + vp * phi_rho
-    bparts = np.concatenate([bparts_b[:, :, :2], bparts_e[:, :, None]], axis=2)
+    # the total-energy residual: the increment identity's right-hand side,
+    # shifted per element to sum to the boundary energy flux
+    terms = phi_e + vh * phi_mom - vp * phi_rho
+    phi_energy = terms + ((target - terms.sum(axis=1)) / phi_e.shape[1])[:, None]
+    phi = np.concatenate([phi_b[:, :, :2], phi_energy[:, :, None]], axis=2)
     return phi, bparts, closure
 
 
@@ -241,29 +238,27 @@ def test_entropy_correction_fires_in_the_oracle_cases():
 def test_gas_scheme_assembly_matches_per_cell_formulas_bitwise(boundary, seed, dt):
     # dt = 10 drives rho_new negative somewhere: the nan path must agree too
     mesh, model, states = _problem("euler", boundary, seed)
-    gas = TwoFieldGasScheme(model, mesh)
-    w = gas.from_conserved(states)
     with np.errstate(all="ignore"):
-        want = _gas_reference(mesh, model, w, dt)
-        got = gas.assemble(w, dt)
+        want = _gas_reference(mesh, model, states, dt)
+        got = TwoFieldGasScheme(model, mesh).assemble(states, dt)
     _assert_residuals_equal(got, want)
 
 
-def _gas_unshared_reference(gas, w, dt):
+def _gas_unshared_reference(gas, u, dt):
     """The two-field assembly with every energy term formed where it is used:
-    phi_e through np.stack, the new density and momentum each with its own
-    dt / volumes, and the velocity weights formed once in the correction and
-    again for the boundary parts."""
+    phi_e through np.stack and the new density and momentum each with its
+    own dt / volumes."""
     mesh, model = gas.mesh, gas.model
-    nodes = gas.node_kernels(w)
+    nodes = model.node_kernels(u)
     base = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov", model), model)
     phi_rho = base.phi[:, :, 0]
     phi_mom = base.phi[:, :, 1]
     dofs = mesh.cell_dofs
-    v_old = w[:, 1] / w[:, 0]
+    v_old = u[:, 1] / u[:, 0]
+    e_int = u[:, 2] - 0.5 * u[:, 1] * v_old
     v_old_cells = gather_cell_ends(v_old, dofs)
     vel_l, vel_r = v_old_cells
-    e_l, e_r = gather_cell_ends(w[:, 2], dofs)
+    e_l, e_r = gather_cell_ends(e_int, dofs)
     p_l, p_r = gather_cell_ends(model.pressure(nodes.states), dofs)
     speed_l, speed_r = gather_cell_ends(nodes.speed, dofs)
     alpha = np.maximum(speed_l, speed_r)
@@ -273,25 +268,20 @@ def _gas_unshared_reference(gas, w, dt):
         axis=1,
     )
     incr = scatter_cell_ends(base.phi[:, 0, :2], base.phi[:, 1, :2], mesh.ndof)
-    rho_new = w[:, 0] - dt / mesh.volumes * incr[:, 0]
-    mom_new = w[:, 1] - dt / mesh.volumes * incr[:, 1]
+    rho_new = u[:, 0] - dt / mesh.volumes * incr[:, 0]
+    mom_new = u[:, 1] - dt / mesh.volumes * incr[:, 1]
     with np.errstate(all="ignore"):
         v_new = mom_new / rho_new if dt > 0 else v_old
     nodal_e_flux = base.boundary_parts[:, :, 2]
     v_old_cells = v_old_cells.T
     v_new_cells = gather_cell_ends(v_new, dofs).T
-    # the correction's own weights
     vh_cells = 0.5 * (v_new_cells + v_old_cells)
     vp_cells = 0.5 * (v_new_cells * v_old_cells)
-    current = (phi_e + vh_cells * phi_mom - vp_cells * phi_rho).sum(axis=1)
-    r = (nodal_e_flux[:, 1] + nodal_e_flux[:, 0] - current) / phi_e.shape[1]
-    phi, bparts = base.phi, base.boundary_parts
-    phi[:, :, 2] = phi_e + r[:, None]
-    # the boundary parts' own weights
-    vh = 0.5 * (v_new_cells + v_old_cells)
-    vp = 0.5 * (v_new_cells * v_old_cells)
-    bparts[:, :, 2] = nodal_e_flux - vh * phi_mom + vp * phi_rho
-    return phi, bparts, base.boundary_outflux
+    terms = phi_e + vh_cells * phi_mom - vp_cells * phi_rho
+    r = (nodal_e_flux[:, 1] + nodal_e_flux[:, 0] - terms.sum(axis=1)) / phi_e.shape[1]
+    phi = base.phi
+    phi[:, :, 2] = terms + r[:, None]
+    return phi, base.boundary_parts, base.boundary_outflux
 
 
 @settings(max_examples=80, deadline=None)
@@ -309,10 +299,9 @@ def test_gas_assembly_equals_its_unshared_formulas_bitwise(seed, boundary, dt):
     resting = rng.random(mesh.ndof) < 0.3
     states[resting, 1] = np.copysign(0.0, rng.choice([1.0, -1.0], size=resting.sum()))
     gas = TwoFieldGasScheme(model, mesh)
-    w = gas.from_conserved(states)
     with np.errstate(all="ignore"):
-        want = _gas_unshared_reference(gas, w, dt)
-        for given_states in (w, gas.node_kernels(w)):
+        want = _gas_unshared_reference(gas, states, dt)
+        for given_states in (states, model.node_kernels(states)):
             _assert_residuals_equal(gas.assemble(given_states, dt), want)
 
 
@@ -322,8 +311,8 @@ def test_gas_assembly_equals_its_unshared_formulas_bitwise(seed, boundary, dt):
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary, monkeypatch):
     mesh, model, states = _problem("euler", boundary, 3)
-    _, marched, assemble = residual_assembler(scheme_id, model, mesh, states, 0.7)
-    want = assemble(marched, 1e-3)
+    assemble = residual_assembler(scheme_id, model, mesh, 0.7)
+    want = assemble(states, 1e-3)
     # every model evaluation at a set of states: a bundle, or a bare flux
     calls = []
     for name in ("node_kernels", "flux"):
@@ -334,10 +323,10 @@ def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary,
                 calls.append((_name, np.shape(u))) or _fn(self, u, *args)
             ),
         )
-    got = assemble(marched, 1e-3)
+    got = assemble(states, 1e-3)
     assert same_bits(got.phi, want.phi)
-    # fv: the bundle only; supg: the bundle plus three quadrature points; the
-    # gas scheme: its own bundle of (rho, m, e) states converted back, only
+    # fv and the gas scheme: the bundle only; supg: the bundle plus three
+    # quadrature points
     assert calls[0] == ("node_kernels", states.shape)
     if scheme_id == "supg":
         assert calls[1:] == [("flux", (mesh.ncell, 3))] * 3
@@ -365,26 +354,33 @@ def test_euler_admissible_mask_equals_its_reduction_form(leading, component, bad
 def _gas_admissible_reference(w):
     finite = np.isfinite(w).all(axis=-1)
     safe = np.where(finite[..., None], w, 1.0)
-    return finite & (safe[..., 0] > 1e-12) & (safe[..., 2] > 1e-12)
+    return finite & (safe[..., 0] > ADMISSIBLE_FLOOR) & (safe[..., 2] > ADMISSIBLE_FLOOR)
 
 
 @pytest.mark.parametrize("leading", [(), (7,), (5, 4)])
 @pytest.mark.parametrize("component", [0, 1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gas_scheme_admissible_mask_equals_its_reduction_form(leading, component, bad):
+    # the gas scheme marches conserved states with its model watched: that
+    # model's mask must admit exactly the states whose (rho, m, e) form has a
+    # finite, positive density and internal energy
     rng = np.random.default_rng(component)
-    model = Euler(1.4)
-    gas = TwoFieldGasScheme(model, uniform_mesh(-1.0, 1.0, 4))
+    gas = TwoFieldGasScheme(Euler(1.4), uniform_mesh(-1.0, 1.0, 4))
     u = random_euler_states(rng, int(np.prod(leading, dtype=int))).reshape(leading + (3,))
-    w = gas.from_conserved(u)
+    w = u.copy()
+    w[..., 2] = u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0]
     w[..., 0] *= rng.choice([1.0, -1.0], size=leading)  # some finite but inadmissible
     flat = w.reshape(-1, 3)
     flat[::2, component] = bad
     flat[1::3, (component + 1) % 3] = -bad
-    got = gas.admissible_mask(w)
+    with np.errstate(all="ignore"):
+        u = w.copy()
+        u[..., 2] = w[..., 2] + 0.5 * w[..., 1] ** 2 / w[..., 0]
+    got = gas.model.node_kernels(u).admissible
     want = _gas_admissible_reference(w)
     assert np.shape(got) == np.shape(want) == leading
     assert same_bits(got, want)
+    assert same_bits(got, gas.model.admissible_mask(u))
     assert not np.asarray(got).reshape(-1)[0]
 
 
@@ -428,23 +424,21 @@ def test_integrate_evaluates_each_accepted_state_once(scheme_id, monkeypatch):
     steps = 12
     case, mesh, u0 = build_problem(RunConfig(case="sod", scheme=scheme_id, nx=64))
     model = case.model
-    calls = {"node_kernels": 0, "max_wave_speed": 0, "entropy": 0, "to_conserved": 0}
-    for owner, name in [(Euler, "node_kernels"), (Euler, "max_wave_speed"), (Euler, "entropy"),
-                        (TwoFieldGasScheme, "to_conserved")]:
-        original = getattr(owner, name)
+    calls = {"node_kernels": 0, "max_wave_speed": 0, "entropy": 0}
+    for name in calls:
+        original = getattr(Euler, name)
 
         def counting(self, *args, _name=name, _fn=original, **kwargs):
             calls[_name] += 1
             return _fn(self, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(Euler, name, counting)
 
-    watched, states, assemble = residual_assembler(scheme_id, model, mesh, u0)
-    record = integrate(watched, mesh, states, assemble, cfl=0.4, t_end=case.t_end,
+    assemble = residual_assembler(scheme_id, model, mesh)
+    record = integrate(model, mesh, u0, assemble, cfl=0.4, t_end=case.t_end,
                        stop_after_steps=steps)
     assert record.ledger.nsteps == steps
     # the initial state and every accepted one: one bundle each, read by the
     # CFL speed, the ledger's entropy and the next step's assembly alike
     assert calls["node_kernels"] == steps + 1
     assert calls["max_wave_speed"] == calls["entropy"] == 0
-    assert calls["to_conserved"] == (steps + 1 if watched is not model else 0)

@@ -313,8 +313,7 @@ def test_property_every_residual_scheme_has_a_flux_form(scheme_id, case):
     # residual form equals flux form for every id the CLI accepts as a
     # residual scheme
     model, mesh, states, dt = case
-    _, marched, assemble = residual_assembler(scheme_id, model, mesh, states)
-    residuals = assemble(marched, dt)
+    residuals = residual_assembler(scheme_id, model, mesh)(states, dt)
     scale = np.maximum(
         np.abs(residuals.phi).max(axis=(1, 2)), np.abs(residuals.boundary_parts).max(axis=(1, 2))
     )

@@ -423,8 +423,8 @@ def test_marching_loop_rejects_a_cfl_that_is_not_positive_and_finite(scheme, cfl
             if scheme == "active-flux":
                 af_integrate(case.model, mesh, initialize(case.model, mesh, case.u0), **settings)
             else:
-                watched, states, assemble = residual_assembler(scheme, case.model, mesh, u0)
-                integrate(watched, mesh, states, assemble, **settings)
+                assemble = residual_assembler(scheme, case.model, mesh)
+                integrate(case.model, mesh, u0, assemble, **settings)
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
