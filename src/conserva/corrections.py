@@ -25,13 +25,6 @@ DEGENERATE_TOLERANCE = 1e-14
 ALPHA_CLAMP_FACTOR = 1e3
 
 
-def entropy_residuals(residuals, states, model):
-    """Per-element, per-DOF entropy residuals v_sigma . Phi_sigma^K."""
-    states = np.asarray(states, dtype=float)
-    v_left, v_right = gather_cell_ends(model.entropy_variables(states), residuals.cell_dofs)
-    return np.einsum("kdp,kdp->kd", np.stack([v_left, v_right], axis=1), residuals.phi)
-
-
 @dataclass
 class CorrectionReport:
     """What the entropy correction did, element by element."""
@@ -125,20 +118,6 @@ def entropy_correction(residuals, states, model):
     return corrected, report
 
 
-def energy_update_identity(rho0, v0, e0, rho1, v1, e1):
-    """Defect of the discrete total-energy increment identity.
-
-    With E = e + rho v^2 / 2, the increment satisfies
-    dE = de + (v1 + v0)/2 * d(rho v) - (v1 v0)/2 * d(rho)
-    exactly; the returned |LHS - RHS| is zero to rounding for any inputs.
-    """
-    rho0, v0, e0, rho1, v1, e1 = map(np.asarray, (rho0, v0, e0, rho1, v1, e1))
-    E0 = e0 + 0.5 * rho0 * v0**2
-    E1 = e1 + 0.5 * rho1 * v1**2
-    rhs = (e1 - e0) + 0.5 * (v1 + v0) * (rho1 * v1 - rho0 * v0) - 0.5 * (v1 * v0) * (rho1 - rho0)
-    return np.abs((E1 - E0) - rhs)
-
-
 def nonconservative_energy_correction(
     phi_rho, phi_mom, phi_e, v_half_sum, v_half_prod, boundary_energy_flux
 ):
@@ -149,8 +128,12 @@ def nonconservative_energy_correction(
     (v_new + v_old)/2 and v_half_prod = (v_new * v_old)/2: (ncell, 2) velocity
     weights at the element DOFs, from the velocities before and after the
     step (the momentum/density updates do not depend on the energy residual,
-    so v_new is available first).  Each DOF's total-energy residual is the
-    right-hand side of the increment identity (``energy_update_identity``),
+    so v_new is available first).  With E = e + rho v^2 / 2, the increment
+    between any two states is exactly
+
+        dE = de + (v_new + v_old)/2 * d(rho v) - (v_new v_old)/2 * d(rho),
+
+    so each DOF's total-energy residual is its right-hand side,
 
         terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho,
 

@@ -18,10 +18,6 @@ class ConfigError(ConservaError):
     """Invalid configuration or usage (bad sizes, unknown ids, bad flags)."""
 
 
-class GeometryError(ConservaError):
-    """Inconsistent element geometry (normals violate the closed-polygon constraint)."""
-
-
 class GraphStructureError(ConservaError):
     """Element graph is not connected (flux recovery requires connectivity)."""
 

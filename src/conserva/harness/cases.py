@@ -29,7 +29,6 @@ class Case:
     u0: callable
     exact_solution: callable | None = None
     shock_path: callable | None = None
-    notes: str = ""
 
 
 def _advection_sine(gamma):
@@ -69,7 +68,6 @@ def _burgers_sine(gamma):
         t_end=0.25 / np.pi,
         u0=u0,
         exact_solution=sol,
-        notes=f"smooth until t* = 1/pi ~ {exact.BURGERS_SINE_BREAKDOWN:.6f}",
     )
 
 
@@ -113,6 +111,7 @@ def _sod(gamma):
         return model.from_aux(w)
 
     solution = exact.exact_riemann_euler(SOD_LEFT, SOD_RIGHT, gamma=gamma)
+    shock_speed = solution.wave_speeds()[-1]  # the right wave is a shock
 
     def sol(x, t):
         x = np.asarray(x, dtype=float)
@@ -128,6 +127,7 @@ def _sod(gamma):
         t_end=0.2,
         u0=u0,
         exact_solution=sol,
+        shock_path=lambda t: split + shock_speed * t,
     )
 
 

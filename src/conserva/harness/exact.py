@@ -28,6 +28,22 @@ class RiemannSolution:
     u_star: float
     pressure_residual: float
 
+    def wave_speeds(self):
+        """The similarity speeds of the edges of the two outer waves, left to
+        right: (left head, left tail, right tail, right head).  A shock's two
+        edges are both its speed."""
+        g, ps, us = self.gamma, self.p_star, self.u_star
+        edges = []
+        for (rho, v, p), sign in ((self.left, -1.0), (self.right, 1.0)):
+            c = np.sqrt(g * p / rho)
+            if ps > p:  # shock
+                s = v + sign * c * np.sqrt(0.5 * (g + 1.0) / g * ps / p + 0.5 * (g - 1.0) / g)
+                edges.append((s, s))
+            else:  # rarefaction: head, then tail at the star sound speed
+                edges.append((v + sign * c, us + sign * c * (ps / p) ** (0.5 * (g - 1.0) / g)))
+        (head_l, tail_l), (head_r, tail_r) = edges
+        return head_l, tail_l, tail_r, head_r
+
     def sample(self, xi):
         xi = np.asarray(xi, dtype=float)
         g = self.gamma
@@ -37,23 +53,20 @@ class RiemannSolution:
         cr = np.sqrt(g * pr / rr)
         ps, us = self.p_star, self.u_star
         gm, gp = g - 1.0, g + 1.0
+        head_l, tail_l, tail_r, head_r = self.wave_speeds()
 
         out = np.empty(xi.shape + (3,))
         left_side = xi <= us
 
         # left wave
+        ahead = xi < head_l
         if ps > pl:  # shock
-            s_l = ul - cl * np.sqrt(0.5 * gp / g * ps / pl + 0.5 * gm / g)
             rho_star = rl * (ps / pl + gm / gp) / (gm / gp * ps / pl + 1.0)
-            ahead = xi < s_l
             out[left_side & ahead] = (rl, ul, pl)
             out[left_side & ~ahead] = (rho_star, us, ps)
         else:  # rarefaction
-            c_star = cl * (ps / pl) ** (0.5 * gm / g)
-            head, tail = ul - cl, us - c_star
-            ahead = xi < head
-            inside = (~ahead) & (xi < tail)
-            behind = left_side & (xi >= tail)
+            inside = (~ahead) & (xi < tail_l)
+            behind = left_side & (xi >= tail_l)
             out[left_side & ahead] = (rl, ul, pl)
             xif = xi[left_side & inside]
             c = 2.0 / gp * (cl + 0.5 * gm * (ul - xif))
@@ -65,18 +78,14 @@ class RiemannSolution:
             out[behind] = (rl * (ps / pl) ** (1.0 / g), us, ps)
 
         right_side = ~left_side
+        ahead = xi > head_r
         if ps > pr:  # shock
-            s_r = ur + cr * np.sqrt(0.5 * gp / g * ps / pr + 0.5 * gm / g)
             rho_star = rr * (ps / pr + gm / gp) / (gm / gp * ps / pr + 1.0)
-            ahead = xi > s_r
             out[right_side & ahead] = (rr, ur, pr)
             out[right_side & ~ahead] = (rho_star, us, ps)
         else:
-            c_star = cr * (ps / pr) ** (0.5 * gm / g)
-            head, tail = ur + cr, us + c_star
-            ahead = xi > head
-            inside = (~ahead) & (xi > tail)
-            behind = right_side & (xi <= tail)
+            inside = (~ahead) & (xi > tail_r)
+            behind = right_side & (xi <= tail_r)
             out[right_side & ahead] = (rr, ur, pr)
             xif = xi[right_side & inside]
             c = 2.0 / gp * (cr - 0.5 * gm * (ur - xif))

@@ -35,21 +35,17 @@ class GraphLaplacian:
         object.__setattr__(self, "operator", operator)
 
     def solve(self, rhs):
-        """Apply L^+ to rhs columns (rhs must be orthogonal to the ones vector).
+        """Apply L^+ to the columns of a 2-D rhs (each orthogonal to the ones vector).
 
         Projects, solves the grounded system with DOF 0 pinned to zero, then
         re-projects; exact on the image space without an eigendecomposition.
         """
         rhs = np.asarray(rhs, dtype=float)
-        squeeze = rhs.ndim == 1
-        if squeeze:
-            rhs = rhs[:, None]
         rhs = rhs - rhs.mean(axis=0, keepdims=True)
         y = np.zeros_like(rhs)
         if self.graph.ndof > 1:
             y[1:] = np.linalg.solve(self.matrix[1:, 1:], rhs[1:])
-        y = y - y.mean(axis=0, keepdims=True)
-        return y[:, 0] if squeeze else y
+        return y - y.mean(axis=0, keepdims=True)
 
     def recover(self, psi, scale):
         """Edge fluxes R Psi_k, shape (n, nedges, p), of a Psi stack (n, ndof, p).

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corrections
-from .errors import ConfigError, GeometryError, RunError, StepRejectedError
+from .errors import ConfigError, RunError, StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
 from .records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, SSP_STAGES, SUPG, Ledger, SolutionRecord
@@ -108,10 +108,6 @@ class ResidualSet:
     def ncell(self):
         return self.phi.shape[0]
 
-    def element_defect(self):
-        """Conservation defect per element: sum of residuals minus boundary flux."""
-        return self.phi.sum(axis=1) - self.boundary_parts.sum(axis=1)
-
     def scatter_to_dofs(self, ndof):
         """Sum residuals over the elements owning each DOF, shape (ndof, p)."""
         return scatter_cell_ends(self.phi[:, 0], self.phi[:, 1], ndof)
@@ -120,6 +116,15 @@ class ResidualSet:
 def _boundary_outflux(mesh, flux):
     """Net outward flux f(u_last) - f(u_first) of the node fluxes; zero if periodic."""
     return np.zeros(flux.shape[1]) if mesh.periodic else flux[-1] - flux[0]
+
+
+def _boundary_parts(mesh, nodes, left, right):
+    """(-f(u_left), f(u_right)) per element, shape (ncell, 2, p), and the
+    domain's net outflux, from the node bundle and its cell ends."""
+    parts = np.empty((len(left.flux), 2) + left.flux.shape[1:])
+    np.negative(left.flux, out=parts[:, 0])
+    parts[:, 1] = right.flux
+    return parts, _boundary_outflux(mesh, nodes.flux)
 
 
 def _node_kernels(mesh, states, model):
@@ -149,10 +154,7 @@ def fv_residuals_1d(mesh, states, flux, model):
     phi = np.empty((len(fhat), 2) + fhat.shape[1:])
     np.subtract(fhat, left.flux, out=phi[:, 0])
     np.subtract(right.flux, fhat, out=phi[:, 1])
-    bparts = np.empty_like(phi)
-    np.negative(left.flux, out=bparts[:, 0])
-    bparts[:, 1] = right.flux
-    return ResidualSet(mesh.cell_dofs, phi, bparts, _boundary_outflux(mesh, nodes.flux))
+    return ResidualSet(mesh.cell_dofs, phi, *_boundary_parts(mesh, nodes, left, right))
 
 
 def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
@@ -175,7 +177,8 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
     tau = np.divide(tau_scale, 2.0 * speed, out=np.zeros_like(speed), where=speed > 1e-300)
     tau = tau[:, None]
 
-    phi = np.stack([-left.flux, right.flux], axis=1)  # boundary terms of each test function
+    bparts, outflux = _boundary_parts(mesh, nodes, left, right)
+    phi = bparts.copy()  # boundary terms of each test function
 
     du_dx = (u_right - u_left) / h
     nodes_q, weights = _GAUSS3
@@ -189,60 +192,7 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
         phi[:, 0] += wq * f_q - wq * h * stab  # h_K * (w_q h) * (-1/h) * stab
         phi[:, 1] += -wq * f_q + wq * h * stab
 
-    bparts = np.stack([-left.flux, right.flux], axis=1)
-    return ResidualSet(mesh.cell_dofs, phi, bparts, _boundary_outflux(mesh, nodes.flux))
-
-
-def triangle_fv_residuals(states, normals, numerical_flux, physical_flux):
-    """Vertex residuals of the one-triangle finite volume scheme.
-
-    states: (3, p) vertex states.  normals: (3, 2) scaled normals of the
-    internal segments joining the edge midpoints to the centroid, ordered
-    (n12, n23, n31) and oriented from the first to the second vertex region;
-    a consistent orientation makes them sum to zero, which is enforced.
-
-    numerical_flux(n, uA, uB) -> (p,) is any single-valued two-point flux,
-    physical_flux(u) -> (p, 2) the flux tensor.  Returns (phi, node_flux_sum)
-    where phi is (3, p) and node_flux_sum = sum_sigma f(u_sigma) . n_sigma/2
-    (n_sigma the scaled inward normal of the opposite edge), which equals
-    phi.sum(axis=0) up to rounding.
-    """
-    states = np.asarray(states, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    if states.shape[0] != 3 or normals.shape != (3, 2):
-        raise ConfigError("three vertex states and three internal normals required")
-    scale = np.abs(normals).max()
-    if np.abs(normals.sum(axis=0)).max() > 1e-12 * max(scale, 1.0):
-        raise GeometryError(
-            f"internal normals must close up (sum {normals.sum(axis=0)})"
-        )
-
-    n12, n23, n31 = normals
-    u1, u2, u3 = states
-    f1, f2, f3 = (physical_flux(u) for u in states)
-
-    phi = np.empty_like(states)
-    phi[0] = numerical_flux(n12, u1, u2) + numerical_flux(-n31, u1, u3) - f1 @ (n12 - n31)
-    phi[1] = numerical_flux(n23, u2, u3) + numerical_flux(-n12, u2, u1) - f2 @ (n23 - n12)
-    phi[2] = numerical_flux(n31, u3, u1) + numerical_flux(-n23, u3, u2) - f3 @ (n31 - n23)
-
-    # opposite-edge inward normals, reconstructed from the internal ones
-    half_n = np.stack([n31 - n12, n12 - n23, n23 - n31])
-    node_flux_sum = sum(f @ h for f, h in zip((f1, f2, f3), half_n))
-    return phi, node_flux_sum
-
-
-def rusanov_2d(physical_flux, wave_speed):
-    """Two-point Rusanov flux for a 2D flux tensor, for triangle elements."""
-
-    def fhat(n, u_a, u_b):
-        # the 1D Rusanov flux of the normal flux f(u) . n, whose speed bound
-        # is |n| times the wave speed
-        nn = float(np.hypot(n[0], n[1]))
-        a, b = (NodeKernels(u, physical_flux(u) @ n, nn * wave_speed(u)) for u in (u_a, u_b))
-        return _rusanov(a, b)
-
-    return fhat
+    return ResidualSet(mesh.cell_dofs, phi, bparts, outflux)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +253,6 @@ class TwoFieldGasScheme:
     e_t + (e v)_x + p v_x = 0 with matched Rusanov dissipation, phi_e.  In a
     forward Euler step of (rho, m, e), E = e + m v / 2 changes at every DOF
     by exactly the total-energy increment identity
-    (``corrections.energy_update_identity``):
 
         dE = de + (v_new + v_old)/2 * dm - (v_new v_old)/2 * drho,
 
@@ -384,20 +333,18 @@ class TwoFieldGasScheme:
 # ---------------------------------------------------------------------------
 
 
-def rd_step(mesh, states, residuals, dt, model=None):
-    """One forward-Euler residual-distribution update."""
+def rd_step(mesh, states, residuals, dt, model):
+    """One forward-Euler residual-distribution update; a state the model does
+    not admit raises StepRejectedError carrying its DOF."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     states = np.asarray(states, dtype=float)
     increments = residuals.scatter_to_dofs(mesh.ndof)
     new_states = states - (dt / mesh.volumes)[:, None] * increments
-    if model is not None:
-        mask = model.admissible_mask(new_states)
-        if not mask.all():
-            where = int(np.argwhere(~mask)[0][0])
-            raise StepRejectedError(
-                f"inadmissible state at DOF {where} after step", location=where
-            )
+    mask = model.admissible_mask(new_states)
+    if not mask.all():
+        where = int(np.argwhere(~mask)[0][0])
+        raise StepRejectedError(f"inadmissible state at DOF {where} after step", location=where)
     return new_states
 
 

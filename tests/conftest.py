@@ -27,3 +27,22 @@ def same_bits(got, want):
         and got.shape == want.shape
         and got.tobytes() == want.tobytes()
     )
+
+
+def element_defect(residuals):
+    """Conservation defect per element of a ``ResidualSet``: the sum of its
+    residuals minus the sum of its boundary parts, shape (ncell, p)."""
+    return residuals.phi.sum(axis=1) - residuals.boundary_parts.sum(axis=1)
+
+
+def energy_identity_defect(rho0, v0, e0, rho1, v1, e1):
+    """|dE - rhs| of the total-energy increment identity, E = e + rho v^2 / 2:
+
+        dE = de + (v1 + v0)/2 * d(rho v) - (v1 v0)/2 * d(rho)
+
+    holds exactly for any two states, so the defect is zero to rounding."""
+    rho0, v0, e0, rho1, v1, e1 = map(np.asarray, (rho0, v0, e0, rho1, v1, e1))
+    E0 = e0 + 0.5 * rho0 * v0**2
+    E1 = e1 + 0.5 * rho1 * v1**2
+    rhs = (e1 - e0) + 0.5 * (v1 + v0) * (rho1 * v1 - rho0 * v0) - 0.5 * (v1 * v0) * (rho1 - rho0)
+    return np.abs((E1 - E0) - rhs)

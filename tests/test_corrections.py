@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conserva.corrections import (
-    energy_update_identity,
-    entropy_correction,
-    entropy_residuals,
-    nonconservative_energy_correction,
-)
+from conserva.corrections import entropy_correction, nonconservative_energy_correction
 from conserva.errors import CorrectionError
 from conserva.mesh import uniform_mesh
 from conserva.models import Burgers, Euler
@@ -20,7 +15,7 @@ from conserva.schemes import (
     residual_assembler,
 )
 
-from conftest import random_euler_states
+from conftest import element_defect, energy_identity_defect, random_euler_states
 
 
 def _burgers_residuals(states, boundary="transmissive"):
@@ -31,20 +26,24 @@ def _burgers_residuals(states, boundary="transmissive"):
 
 
 def test_entropy_residuals_zero_for_zero_residuals():
+    # pre_defect: production sum_sigma v_sigma . Phi_sigma minus the boundary
+    # entropy flux, both zero on constant states
     states = np.array([[0.4], [0.4], [0.4]])
     model, _, res = _burgers_residuals(states)
-    np.testing.assert_allclose(entropy_residuals(res, states, model), 0.0, atol=1e-15)
+    _, report = entropy_correction(res, states, model)
+    np.testing.assert_allclose(report.pre_defect, 0.0, atol=1e-15)
 
 
 def test_entropy_residuals_hand_value():
-    # Riemann cell (1, 0): Psi_L = v_L * Phi_L = 1 * (0.75 - 0.5) = 0.25
-    states = np.array([[1.0], [0.0]])
+    # Riemann cell (1, 0): v_L * Phi_L = 1 * (0.75 - 0.5) = 0.25 and
+    # v_R * Phi_R = 0 * (0 - 0.75), so the production is 0.25; the boundary
+    # entropy flux is g(0) - g(1) = -1/3 with g = u^3 / 3
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[1.0], [1.0], [0.0]])
     res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
-    psi = entropy_residuals(res, states, model)
-    assert psi[1, 0] == pytest.approx(0.25)
+    _, report = entropy_correction(res, states, model)
+    assert report.pre_defect[1] == pytest.approx(0.25 - (0.0 - 1.0 / 3.0))
 
 
 def test_entropy_correction_inactive_when_defect_nonpositive():
@@ -74,7 +73,7 @@ def test_entropy_correction_formula_value():
     assert report.alpha[1] == 0.0
     assert report.post_defect[0] == pytest.approx(0.0, abs=1e-12)
     # correction keeps the element conservation relation intact
-    np.testing.assert_allclose(corrected.element_defect(), res.element_defect(), atol=1e-13)
+    np.testing.assert_allclose(element_defect(corrected), element_defect(res), atol=1e-13)
     np.testing.assert_allclose(corrected.phi.sum(axis=1), res.phi.sum(axis=1), atol=1e-13)
 
 
@@ -116,12 +115,12 @@ def test_entropy_correction_zero_sum_per_element(rng):
 
 
 def test_energy_identity_no_change():
-    assert energy_update_identity(1.0, 0.5, 2.0, 1.0, 0.5, 2.0) == pytest.approx(0.0)
+    assert energy_identity_defect(1.0, 0.5, 2.0, 1.0, 0.5, 2.0) == pytest.approx(0.0)
 
 
 def test_energy_identity_hand_case():
     # (rho, v, e): (1, 0, 1) -> (2, 1, 1): dE = 1, rhs = 0 + 0.5*2 - 0 = 1
-    assert energy_update_identity(1.0, 0.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert energy_identity_defect(1.0, 0.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_identity_random_sweep(rng):
@@ -129,7 +128,7 @@ def test_energy_identity_random_sweep(rng):
     rho0, rho1 = rng.uniform(0.1, 5.0, (2, n))
     v0, v1 = rng.uniform(-3.0, 3.0, (2, n))
     e0, e1 = rng.uniform(0.1, 5.0, (2, n))
-    defect = energy_update_identity(rho0, v0, e0, rho1, v1, e1)
+    defect = energy_identity_defect(rho0, v0, e0, rho1, v1, e1)
     scale = np.abs(e1 - e0) + 0.5 * np.abs(rho1 * v1**2 - rho0 * v0**2) + 1.0
     assert (defect / scale).max() <= 1e-14
 
@@ -188,7 +187,7 @@ def test_nc_scheme_residual_set_is_locally_conservative():
     config = RunConfig(case="sod", scheme="nc-energy-corrected", nx=64)
     case, mesh, u0 = build_problem(config)
     res = TwoFieldGasScheme(case.model, mesh).assemble(u0, 1e-4)
-    defect = np.abs(res.element_defect()).max()
+    defect = np.abs(element_defect(res)).max()
     assert defect <= 1e-12 * max(np.abs(res.phi).max(), 1.0)
 
 
@@ -229,7 +228,7 @@ def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
     # that sum and the roundings of phi + r and of the defects, which
     # subtract the boundary parts
     terms = np.abs(base.phi) + np.abs(report.corrections) + np.abs(base.boundary_parts)
-    shift = corrected.element_defect() - base.element_defect()
+    shift = element_defect(corrected) - element_defect(base)
     assert (np.abs(shift) <= 8 * EPS * terms.sum(axis=1) + 4 * EPS * scale).all()
 
 
@@ -251,7 +250,7 @@ def test_energy_correction_closes_every_element(problem, dt):
     terms = np.abs(res.phi) + np.abs(res.boundary_parts)
     terms[:, :, 2] += (np.abs(_internal_energy_residuals(model, mesh, _to_internal(states)))
                        + vh * np.abs(res.phi[:, :, 1]) + vp * np.abs(res.phi[:, :, 0]))
-    assert (np.abs(res.element_defect()) <= 16 * EPS * terms.sum(axis=1)).all()
+    assert (np.abs(element_defect(res)) <= 16 * EPS * terms.sum(axis=1)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def test_riemann_shock_satisfies_rankine_hugoniot():
     np.testing.assert_allclose(jump_f, s * jump_u, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "gamma, speed", [(1.4, 1.752156), (1.67, 1.845619), (1.2, 1.682899)]
+)
+def test_riemann_sod_right_shock_speed(gamma, speed):
+    sol = exact_riemann_euler((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), gamma=gamma)
+    head_l, tail_l, tail_r, head_r = sol.wave_speeds()
+    assert tail_r == head_r == pytest.approx(speed, abs=1e-6)  # a shock
+    assert head_l < tail_l < sol.u_star < tail_r  # a rarefaction, then the contact
+
+
 def test_riemann_vacuum_detected():
     with pytest.raises(VacuumError):
         exact_riemann_euler((1.0, -10.0, 1.0), (1.0, 10.0, 1.0))

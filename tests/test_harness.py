@@ -23,14 +23,17 @@ def test_case_library_rejects_unknown_id():
         case_library("kelvin-helmholtz")
 
 
-def test_burgers_sine_breakdown_time_documented():
-    case = case_library("burgers-sine")
-    assert "0.3183" in case.notes  # 1/pi
-
-
 def test_burgers_riemann_shock_path():
     case = case_library("burgers-riemann")
     assert case.shock_path(1.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("gamma", [1.4, 1.67, 1.2])
+def test_sod_shock_path_follows_the_exact_density_jump(gamma):
+    case = case_library("sod", gamma=gamma)
+    x = case.shock_path(0.2)
+    rho_behind, rho_ahead = case.exact_solution(np.array([x - 1e-9, x + 1e-9]), 0.2)[:, 0]
+    assert rho_ahead == cases.SOD_RIGHT[0] and rho_behind > 0.2
 
 
 def test_advection_exact_is_translation():

@@ -23,6 +23,7 @@ from conserva.schemes import (
     supg_residuals_1d,
 )
 
+from conftest import element_defect
 
 def test_laplacian_segment():
     L = build_laplacian(element_graph("segment"))
@@ -317,7 +318,7 @@ def test_property_every_residual_scheme_has_a_flux_form(scheme_id, case):
     scale = np.maximum(
         np.abs(residuals.phi).max(axis=(1, 2)), np.abs(residuals.boundary_parts).max(axis=(1, 2))
     )
-    defect = np.abs(residuals.element_defect()).max(axis=1)
+    defect = np.abs(element_defect(residuals)).max(axis=1)
     assert (defect <= SUM_TOLERANCE * scale).all()
 
     increments, _ = reconstruct_scheme(mesh, states, residuals)

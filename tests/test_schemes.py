@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conserva.active_flux import af_integrate, initialize
-from conserva.errors import ConfigError, GeometryError, RunError
+from conserva.errors import ConfigError, RunError
 from conserva.harness import build_problem
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
@@ -16,12 +16,10 @@ from conserva.schemes import (
     integrate,
     rd_step,
     residual_assembler,
-    rusanov_2d,
     supg_residuals_1d,
-    triangle_fv_residuals,
 )
 
-from conftest import random_euler_states, same_bits
+from conftest import element_defect, random_euler_states, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,7 @@ def test_fv_residuals_conservation_defect(rng):
     states = random_euler_states(rng, mesh.ndof)
     res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
     scale = np.abs(res.phi).max()
-    assert np.abs(res.element_defect()).max() <= 1e-12 * max(scale, 1.0)
+    assert np.abs(element_defect(res)).max() <= 1e-12 * max(scale, 1.0)
 
 
 def test_fv_residual_update_equals_flux_form(rng):
@@ -107,7 +105,7 @@ def test_fv_residual_update_equals_flux_form(rng):
         flux = NumericalFlux("rusanov", model)
         res = fv_residuals_1d(mesh, states, flux, model)
         dt = 1e-3
-        updated = rd_step(mesh, states, res, dt)
+        updated = rd_step(mesh, states, res, dt, model)
 
         fhat = flux(+1, states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
         expected = states.copy()
@@ -163,66 +161,6 @@ def test_supg_advection_reduces_to_upwind():
 
 
 # ---------------------------------------------------------------------------
-# single-triangle identity
-# ---------------------------------------------------------------------------
-
-
-def _triangle_normals(vertices):
-    """Internal mid-edge-to-centroid normals (n12, n23, n31), rotated tangents."""
-    centroid = vertices.mean(axis=0)
-    mids = [0.5 * (vertices[i] + vertices[(i + 1) % 3]) for i in range(3)]
-    normals = []
-    for mid in mids:
-        tangent = centroid - mid
-        normals.append(np.array([tangent[1], -tangent[0]]))
-    return np.stack(normals)
-
-
-def _advection2d(a):
-    phys = lambda u: np.stack([a[0] * u, a[1] * u], axis=-1)
-    speed = lambda u: float(np.hypot(a[0], a[1]))
-    return phys, rusanov_2d(phys, speed)
-
-
-def test_triangle_constant_states_zero_total():
-    phys, num = _advection2d((1.0, 0.5))
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    normals = _triangle_normals(verts)
-    states = np.full((3, 1), 2.0)
-    phi, total = triangle_fv_residuals(states, normals, num, phys)
-    assert abs(total).max() <= 1e-14
-    np.testing.assert_allclose(phi.sum(axis=0), 0.0, atol=1e-14)
-
-
-def test_triangle_identity_equilateral_distinct_states():
-    phys, num = _advection2d((0.8, -0.3))
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    normals = _triangle_normals(verts)
-    states = np.array([[1.0], [-0.4], [2.5]])
-    phi, total = triangle_fv_residuals(states, normals, num, phys)
-    np.testing.assert_allclose(phi.sum(axis=0), total, atol=1e-13)
-
-
-def test_triangle_state_swap_permutes_residuals():
-    phys, num = _advection2d((0.8, -0.3))
-    verts = np.array([[0.2, 0.1], [1.3, -0.2], [0.4, 1.1]])
-    n12, n23, n31 = _triangle_normals(verts)
-    states = np.array([[1.0], [-0.4], [2.5]])
-    phi, _ = triangle_fv_residuals(states, np.stack([n12, n23, n31]), num, phys)
-    # relabel vertices 2 <-> 3: the internal edges swap and flip orientation
-    swapped = states[[0, 2, 1]]
-    phi_s, _ = triangle_fv_residuals(swapped, np.stack([-n31, -n23, -n12]), num, phys)
-    np.testing.assert_allclose(phi_s, phi[[0, 2, 1]], atol=1e-14)
-
-
-def test_triangle_rejects_open_polygon():
-    phys, num = _advection2d((1.0, 0.0))
-    bad = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(GeometryError):
-        triangle_fv_residuals(np.ones((3, 1)), bad, num, phys)
-
-
-# ---------------------------------------------------------------------------
 # stepping and integration
 # ---------------------------------------------------------------------------
 
@@ -232,7 +170,7 @@ def test_rd_step_zero_residuals_is_identity():
     mesh = uniform_mesh(0.0, 1.0, 8, boundary="periodic")
     states = np.linspace(-1, 1, mesh.ndof)[:, None]
     res = fv_residuals_1d(mesh, np.full_like(states, 0.5), NumericalFlux("rusanov", model), model)
-    np.testing.assert_allclose(rd_step(mesh, states, res, 0.1), states, atol=1e-16)
+    np.testing.assert_allclose(rd_step(mesh, states, res, 0.1, model), states, atol=1e-16)
 
 
 def test_rd_step_total_update_telescopes(rng):
@@ -241,7 +179,7 @@ def test_rd_step_total_update_telescopes(rng):
     states = rng.uniform(-1, 1, (mesh.ndof, 1))
     res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
     dt = 2e-3
-    updated = rd_step(mesh, states, res, dt)
+    updated = rd_step(mesh, states, res, dt, model)
     change = (mesh.volumes[:, None] * (updated - states)).sum(axis=0)
     boundary = -dt * (model.flux(states[-1]) - model.flux(states[0]))
     np.testing.assert_allclose(change, boundary, atol=1e-14)
@@ -253,7 +191,7 @@ def test_rd_step_single_riemann_cell_matches_hand_update():
     states = np.array([[1.0], [1.0], [0.0]])
     res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
     dt = 0.1
-    updated = rd_step(mesh, states, res, dt)
+    updated = rd_step(mesh, states, res, dt, model)
     # middle DOF: fhat(1,0) - fhat(1,1) = 0.75 - 0.5, volume 1
     assert updated[1, 0] == pytest.approx(1.0 - 0.1 * (0.75 - 0.5))
     # right DOF: f(0) - fhat(1,0) over half volume
@@ -450,7 +388,7 @@ def test_rd_step_rejects_inadmissible_result():
     phi[0, 1, 0] = 100.0
     res = ResidualSet(mesh.cell_dofs, phi, phi.copy(), np.zeros((3, 3)))
     with pytest.raises(StepRejectedError) as excinfo:
-        rd_step(mesh, states, res, 0.1, model=model)
+        rd_step(mesh, states, res, 0.1, model)
     assert excinfo.value.location == 1
 
 
