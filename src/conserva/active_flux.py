@@ -205,8 +205,8 @@ def _detect(mesh, model, candidate, nodes, bounds):
     return bad
 
 
-def _ssp3_step(mesh, state, model, dt, flagged, base=None):
-    """One SSPRK3 step; ``base`` holds the ``_base_rates`` of ``state`` if known."""
+def _ssp3_step(mesh, state, model, dt, flagged, base):
+    """One SSPRK3 step; ``base`` holds the ``_base_rates`` of ``state``."""
     boundary = np.zeros(model.p)
     plan = _fallback_plan(mesh, flagged)
     cur = state

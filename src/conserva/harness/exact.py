@@ -45,56 +45,40 @@ class RiemannSolution:
         return head_l, tail_l, tail_r, head_r
 
     def sample(self, xi):
+        """Primitive states at similarity speeds xi.
+
+        Both outer waves use one side-symmetric formula (Toro, Riemann Solvers
+        and Numerical Methods for Fluid Dynamics, ch. 4), written in the
+        outward coordinate z = sign * xi, sign = -1 on the left of the contact
+        xi = u* (which belongs to the left) and +1 on its right: the data lie
+        ahead of the head, z > sign * head, and a fan's tail is at sign * tail.
+        """
         xi = np.asarray(xi, dtype=float)
-        g = self.gamma
-        rl, ul, pl = self.left
-        rr, ur, pr = self.right
-        cl = np.sqrt(g * pl / rl)
-        cr = np.sqrt(g * pr / rr)
-        ps, us = self.p_star, self.u_star
+        g, ps, us = self.gamma, self.p_star, self.u_star
         gm, gp = g - 1.0, g + 1.0
         head_l, tail_l, tail_r, head_r = self.wave_speeds()
-
         out = np.empty(xi.shape + (3,))
         left_side = xi <= us
-
-        # left wave
-        ahead = xi < head_l
-        if ps > pl:  # shock
-            rho_star = rl * (ps / pl + gm / gp) / (gm / gp * ps / pl + 1.0)
-            out[left_side & ahead] = (rl, ul, pl)
-            out[left_side & ~ahead] = (rho_star, us, ps)
-        else:  # rarefaction
-            inside = (~ahead) & (xi < tail_l)
-            behind = left_side & (xi >= tail_l)
-            out[left_side & ahead] = (rl, ul, pl)
-            xif = xi[left_side & inside]
-            c = 2.0 / gp * (cl + 0.5 * gm * (ul - xif))
-            u = 2.0 / gp * (cl + 0.5 * gm * ul + xif)
-            fan = np.stack(
-                [rl * (c / cl) ** (2.0 / gm), u, pl * (c / cl) ** (2.0 * g / gm)], axis=-1
+        for (rho, v, p), sign, side, head, tail in (
+            (self.left, -1.0, left_side, head_l, tail_l),
+            (self.right, 1.0, ~left_side, head_r, tail_r),
+        ):
+            z = sign * xi
+            ahead = z > sign * head
+            out[side & ahead] = (rho, v, p)
+            if ps > p:  # shock
+                rho_star = rho * (ps / p + gm / gp) / (gm / gp * ps / p + 1.0)
+                out[side & ~ahead] = (rho_star, us, ps)
+                continue
+            # rarefaction: the fan, then the star state behind its tail
+            c_k = np.sqrt(g * p / rho)
+            fan = side & ~ahead & (z > sign * tail)
+            c = 2.0 / gp * (c_k + 0.5 * gm * (z[fan] - sign * v))
+            u = 2.0 / gp * (-sign * c_k + 0.5 * gm * v + xi[fan])
+            out[fan] = np.stack(
+                [rho * (c / c_k) ** (2.0 / gm), u, p * (c / c_k) ** (2.0 * g / gm)], axis=-1
             )
-            out[left_side & inside] = fan
-            out[behind] = (rl * (ps / pl) ** (1.0 / g), us, ps)
-
-        right_side = ~left_side
-        ahead = xi > head_r
-        if ps > pr:  # shock
-            rho_star = rr * (ps / pr + gm / gp) / (gm / gp * ps / pr + 1.0)
-            out[right_side & ahead] = (rr, ur, pr)
-            out[right_side & ~ahead] = (rho_star, us, ps)
-        else:
-            inside = (~ahead) & (xi > tail_r)
-            behind = right_side & (xi <= tail_r)
-            out[right_side & ahead] = (rr, ur, pr)
-            xif = xi[right_side & inside]
-            c = 2.0 / gp * (cr - 0.5 * gm * (ur - xif))
-            u = 2.0 / gp * (-cr + 0.5 * gm * ur + xif)
-            fan = np.stack(
-                [rr * (c / cr) ** (2.0 / gm), u, pr * (c / cr) ** (2.0 * g / gm)], axis=-1
-            )
-            out[right_side & inside] = fan
-            out[behind] = (rr * (ps / pr) ** (1.0 / g), us, ps)
+            out[side & (z <= sign * tail)] = (rho * (ps / p) ** (1.0 / g), us, ps)
         return out
 
 

@@ -28,7 +28,10 @@ def _first_bad(mask):
 
 @dataclass(frozen=True)
 class PhysicsModel:
-    """Common interface; concrete systems subclass and fill in the physics.
+    """A scalar law with the square entropy eta = u^2/2 and the identity map.
+
+    A scalar law states its ``flux``, ``jacobian``, ``entropy_flux`` and
+    ``max_wave_speed``; a system overrides the defaults below as well.
 
     Attributes
     ----------
@@ -36,13 +39,16 @@ class PhysicsModel:
     names : CSV-friendly component names
     """
 
-    @property
-    def p(self):
-        raise NotImplementedError
+    p = 1
+    names = ("u",)
 
-    @property
-    def names(self):
-        raise NotImplementedError
+    # -- entropy pair (the square entropy unless overridden) -------------
+    def entropy(self, u):
+        u = np.asarray(u, dtype=float)
+        return 0.5 * u[..., 0] ** 2
+
+    def entropy_variables(self, u):
+        return np.array(u, dtype=float, copy=True)
 
     # -- admissibility ------------------------------------------------
     def admissible_mask(self, u):
@@ -98,27 +104,12 @@ class Advection(PhysicsModel):
 
     a: float = 1.0
 
-    @property
-    def p(self):
-        return 1
-
-    @property
-    def names(self):
-        return ("u",)
-
     def flux(self, u):
         return self.a * np.asarray(u, dtype=float)
 
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
         return np.full(u.shape[:-1] + (1, 1), self.a)
-
-    def entropy(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u[..., 0] ** 2
-
-    def entropy_variables(self, u):
-        return np.array(u, dtype=float, copy=True)
 
     def entropy_flux(self, u, entropy=None):
         """The entropy flux; a closed form in u, so a known ``entropy`` is not read."""
@@ -134,14 +125,6 @@ class Advection(PhysicsModel):
 class Burgers(PhysicsModel):
     """Inviscid Burgers u_t + (u^2/2)_x = 0 with eta = u^2/2, g = u^3/3."""
 
-    @property
-    def p(self):
-        return 1
-
-    @property
-    def names(self):
-        return ("u",)
-
     def flux(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * u * u
@@ -149,13 +132,6 @@ class Burgers(PhysicsModel):
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
         return u[..., None]
-
-    def entropy(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u[..., 0] ** 2
-
-    def entropy_variables(self, u):
-        return np.array(u, dtype=float, copy=True)
 
     def entropy_flux(self, u, entropy=None):
         """The entropy flux; a closed form in u, so a known ``entropy`` is not read."""
@@ -178,21 +154,20 @@ class Euler(PhysicsModel):
     """
 
     gamma: float = 1.4
+    p = 3
+    names = ("density", "momentum", "total_energy")
 
     def __post_init__(self):
         if not 1.0 < self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
-    @property
-    def p(self):
-        return 3
+    def decompose(self, u):
+        """(rho, v, e) of conserved states u: the density, the velocity m/rho and
+        the internal energy e = E - m v/2 per unit volume, so p = (gamma - 1) e.
 
-    @property
-    def names(self):
-        return ("density", "momentum", "total_energy")
-
-    # -- internals -----------------------------------------------------
-    def _decompose(self, u):
+        Unchecked and elementwise: inadmissible rows give nonpositive, infinite
+        or nan entries, which callers mask or silence.
+        """
         rho = u[..., 0]
         mom = u[..., 1]
         ene = u[..., 2]
@@ -202,7 +177,7 @@ class Euler(PhysicsModel):
 
     def pressure(self, u):
         u = np.asarray(u, dtype=float)
-        _, _, e_int = self._decompose(u)
+        _, _, e_int = self.decompose(u)
         return (self.gamma - 1.0) * e_int
 
     @staticmethod
@@ -218,15 +193,15 @@ class Euler(PhysicsModel):
         # a zero density or an overflowing mom/rho makes e_int -inf or nan,
         # which compares False: an answer, not a warning
         with np.errstate(all="ignore"):
-            rho, _, e_int = self._decompose(u)
+            rho, _, e_int = self.decompose(u)
         return self._admissible(u, rho, e_int)
 
     def node_kernels(self, u, entropy=False):
-        """Mask, flux and wave speed from one ``_decompose``, bit for bit those of
+        """Mask, flux and wave speed from one ``decompose``, bit for bit those of
         the separate methods, and like the mask silent on inadmissible rows."""
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
-            rho, vel, e_int = self._decompose(u)
+            rho, vel, e_int = self.decompose(u)
             pres = (self.gamma - 1.0) * e_int
             flux = self._flux(u, vel, pres)
             speed = np.abs(vel) + np.sqrt(self.gamma * pres / rho)
@@ -244,13 +219,13 @@ class Euler(PhysicsModel):
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
-        _, vel, e_int = self._decompose(u)
+        _, vel, e_int = self.decompose(u)
         return self._flux(u, vel, (self.gamma - 1.0) * e_int)
 
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self._decompose(u)
+        rho, vel, _ = self.decompose(u)
         ene = u[..., 2]
         J = np.zeros(u.shape[:-1] + (3, 3))
         J[..., 0, 1] = 1.0
@@ -272,7 +247,7 @@ class Euler(PhysicsModel):
     def entropy_variables(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, e_int = self._decompose(u)
+        rho, vel, e_int = self.decompose(u)
         pres = (g - 1.0) * e_int
         s = np.log(pres) - g * np.log(rho)
         v = np.empty_like(u)
@@ -289,13 +264,13 @@ class Euler(PhysicsModel):
 
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self._decompose(u)
+        rho, vel, e_int = self.decompose(u)
         return np.abs(vel) + np.sqrt(self.gamma * ((self.gamma - 1.0) * e_int) / rho)
 
     # -- primitive map ---------------------------------------------------
     def to_aux(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self._decompose(u)
+        rho, vel, e_int = self.decompose(u)
         w = np.empty_like(u)
         w[..., 0] = rho
         w[..., 1] = vel
@@ -316,7 +291,7 @@ class Euler(PhysicsModel):
     def aux_jacobian(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self._decompose(u)
+        rho, vel, _ = self.decompose(u)
         P = np.zeros(u.shape[:-1] + (3, 3))
         P[..., 0, 0] = 1.0
         P[..., 1, 0] = -vel / rho

@@ -101,6 +101,10 @@ class RunConfig:
             raise ConfigError(f"snapshot_every must be at least 0, got {self.snapshot_every}")
         if not 1.0 < self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if self.gamma != 1.4 and self.case not in EULER_CASES:
+            raise ConfigError(
+                f"gamma applies to the gas cases ({', '.join(EULER_CASES)}) only, not {self.case}"
+            )
         return self
 
     def resolved_integrator(self):

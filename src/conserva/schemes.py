@@ -45,7 +45,7 @@ _GAUSS3 = np.polynomial.legendre.leggauss(3)
 
 
 def _rusanov(left, right):
-    """Rusanov (local Lax-Friedrichs) flux in direction +1 from two bundles.
+    """Rusanov (local Lax-Friedrichs) flux from the bundles of two states.
 
     0.5*(f(uL) + f(uR)) - 0.5*alpha*(uR - uL) with alpha the larger wave
     speed bound of the two states; every Rusanov evaluation applies it.
@@ -62,7 +62,7 @@ def _central(left, right):
 
 @dataclass(frozen=True)
 class NumericalFlux:
-    """A consistent two-point interface flux f_hat(n; uL, uR)."""
+    """A consistent two-point interface flux f_hat(uL, uR)."""
 
     kind: str
     model: object
@@ -73,15 +73,11 @@ class NumericalFlux:
         if self.kind not in self._TABLE:
             raise ConfigError(f"unknown flux kind {self.kind!r}")
 
-    def __call__(self, n, u_left, u_right):
-        """n * f_hat(+1; uL, uR) on admissible states.
-
-        Negating n negates the flux with the arguments kept in place.
-        Broadcasts over stacked states.
-        """
+    def __call__(self, u_left, u_right):
+        """f_hat(uL, uR) on admissible states; broadcasts over stacked states."""
         left = NodeKernels.of(self.model, u_left)
         right = NodeKernels.of(self.model, u_right)
-        return n * self._TABLE[self.kind](left, right)
+        return self._TABLE[self.kind](left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +136,15 @@ def fv_residuals_1d(mesh, states, flux, model):
 
     Cell [x_i, x_{i+1}] sends f_hat_{i+1/2} - f(u_i) to its left DOF and
     f(u_{i+1}) - f_hat_{i+1/2} to its right DOF, so the pair sums to the
-    interpolated boundary flux f(u_{i+1}) - f(u_i).  ``flux(n, left,
-    right)`` receives the cell-end ``NodeKernels`` (a ``NumericalFlux`` takes
-    them as they are); ``states`` are the (ndof, p) node states or their
+    interpolated boundary flux f(u_{i+1}) - f(u_i).  ``flux(left, right)``
+    receives the cell-end ``NodeKernels`` (a ``NumericalFlux`` takes them as
+    they are); ``states`` are the (ndof, p) node states or their
     ``NodeKernels``.  An inadmissible node state raises DomainError carrying
     its DOF index.
     """
     nodes = _node_kernels(mesh, states, model)
     left, right = nodes.cell_ends(mesh.cell_dofs)
-    fhat = flux(+1, left, right)
+    fhat = flux(left, right)
 
     # written in place: the bits of np.stack(..., axis=1) without its copies
     phi = np.empty((len(fhat), 2) + fhat.shape[1:])
@@ -290,8 +286,7 @@ class TwoFieldGasScheme:
 
         u = nodes.states
         dofs = mesh.cell_dofs
-        vel = u[:, 1] / u[:, 0]
-        e_int = u[:, 2] - 0.5 * u[:, 1] * vel
+        _, vel, e_int = model.decompose(u)
         v_old = gather_cell_ends(vel, dofs)
         vel_l, vel_r = v_old
         e_l, e_r = gather_cell_ends(e_int, dofs)

@@ -50,7 +50,7 @@ def test_criterion_1_fv_residual_form_equals_flux_form():
                 )
                 via_residuals = rd_step(mesh, states, res, dt, model)
 
-                fhat = flux(+1, states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
+                fhat = flux(states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
                 if boundary == "periodic":
                     diff = fhat - np.roll(fhat, 1, axis=0)
                 else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conserva.errors import BranchError, VacuumError
 from conserva.harness.exact import (
@@ -68,6 +70,88 @@ def test_riemann_sod_right_shock_speed(gamma, speed):
     head_l, tail_l, tail_r, head_r = sol.wave_speeds()
     assert tail_r == head_r == pytest.approx(speed, abs=1e-6)  # a shock
     assert head_l < tail_l < sol.u_star < tail_r  # a rarefaction, then the contact
+
+
+def _two_block_sample(sol, xi):
+    """The sampler as it was, one mirrored block per wave."""
+    xi = np.asarray(xi, dtype=float)
+    g = sol.gamma
+    rl, ul, pl = sol.left
+    rr, ur, pr = sol.right
+    cl = np.sqrt(g * pl / rl)
+    cr = np.sqrt(g * pr / rr)
+    ps, us = sol.p_star, sol.u_star
+    gm, gp = g - 1.0, g + 1.0
+    head_l, tail_l, tail_r, head_r = sol.wave_speeds()
+
+    out = np.empty(xi.shape + (3,))
+    left_side = xi <= us
+
+    # left wave
+    ahead = xi < head_l
+    if ps > pl:  # shock
+        rho_star = rl * (ps / pl + gm / gp) / (gm / gp * ps / pl + 1.0)
+        out[left_side & ahead] = (rl, ul, pl)
+        out[left_side & ~ahead] = (rho_star, us, ps)
+    else:  # rarefaction
+        inside = (~ahead) & (xi < tail_l)
+        behind = left_side & (xi >= tail_l)
+        out[left_side & ahead] = (rl, ul, pl)
+        xif = xi[left_side & inside]
+        c = 2.0 / gp * (cl + 0.5 * gm * (ul - xif))
+        u = 2.0 / gp * (cl + 0.5 * gm * ul + xif)
+        fan = np.stack(
+            [rl * (c / cl) ** (2.0 / gm), u, pl * (c / cl) ** (2.0 * g / gm)], axis=-1
+        )
+        out[left_side & inside] = fan
+        out[behind] = (rl * (ps / pl) ** (1.0 / g), us, ps)
+
+    right_side = ~left_side
+    ahead = xi > head_r
+    if ps > pr:  # shock
+        rho_star = rr * (ps / pr + gm / gp) / (gm / gp * ps / pr + 1.0)
+        out[right_side & ahead] = (rr, ur, pr)
+        out[right_side & ~ahead] = (rho_star, us, ps)
+    else:
+        inside = (~ahead) & (xi > tail_r)
+        behind = right_side & (xi <= tail_r)
+        out[right_side & ahead] = (rr, ur, pr)
+        xif = xi[right_side & inside]
+        c = 2.0 / gp * (cr - 0.5 * gm * (ur - xif))
+        u = 2.0 / gp * (-cr + 0.5 * gm * ur + xif)
+        fan = np.stack(
+            [rr * (c / cr) ** (2.0 / gm), u, pr * (c / cr) ** (2.0 * g / gm)], axis=-1
+        )
+        out[right_side & inside] = fan
+        out[behind] = (rr * (ps / pr) ** (1.0 / g), us, ps)
+    return out
+
+
+_PRIMITIVE = st.tuples(st.floats(0.05, 10.0), st.floats(-3.0, 3.0), st.floats(0.05, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRIMITIVE, _PRIMITIVE, st.floats(1.1, 1.9), st.lists(st.floats(0.0, 1.0), max_size=20))
+@example((1.0, 0.0, 1.0), (0.125, 0.0, 0.1), 1.4, [])  # fan, then shock (Sod)
+@example((0.125, 0.0, 0.1), (1.0, 0.0, 1.0), 1.4, [])  # shock, then fan
+@example((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), 1.4, [])  # two shocks
+@example((1.0, -1.0, 1.0), (1.0, 1.0, 1.0), 1.4, [])  # two fans
+@example((1.0, 0.0, 1.0), (1.0, 2.0, 1.0), 1.67, [])  # two fans, velocity 0 at the left head
+def test_side_loop_sampler_equals_the_two_block_sampler_bitwise(left, right, gamma, fractions):
+    try:
+        sol = exact_riemann_euler(left, right, gamma=gamma)
+    except VacuumError:
+        assume(False)
+    # the wave edges and the contact, one ulp either side of each, and
+    # points spread over every region
+    edges = np.array(sol.wave_speeds() + (sol.u_star,))
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    lo, hi = edges.min() - 1.0, edges.max() + 1.0
+    spread = np.concatenate([np.linspace(lo, hi, 101), lo + (hi - lo) * np.array(fractions)])
+    xi = np.concatenate([near, spread])
+    want = _two_block_sample(sol, xi)
+    got = sol.sample(xi)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_riemann_vacuum_detected():

@@ -10,7 +10,15 @@ from conserva.harness.cli import main
 from conserva.harness.runner import build_problem, run
 from conserva.harness.weak import BumpTestFunction, default_bumps
 from conserva.mesh import uniform_mesh
-from conserva.records import INTEGRATORS, NC_ENERGY, SCHEMES, RunConfig, SolutionRecord
+from conserva.records import (
+    CASE_IDS,
+    EULER_CASES,
+    INTEGRATORS,
+    NC_ENERGY,
+    SCHEMES,
+    RunConfig,
+    SolutionRecord,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +580,21 @@ def test_cli_zero_values_are_not_replaced_by_defaults(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", [case for case in CASE_IDS if case not in EULER_CASES])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_gamma_on_a_scalar_case(tmp_path, capsys, case, source):
+    # a scalar law has no equation of state, so the run would drop gamma
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=1.67\n" if source == "config" else "\n", encoding="utf-8")
+    flag = ["--gamma", "1.67"] if source == "flag" else []
+    out = tmp_path / "never.csv"
+    code = main(["run", "--case", case, "--scheme", "fv-rusanov", "--nx", "16", "--tend", "0.1",
+                 "--config", str(cfg), "--out", str(out)] + flag)
+    assert code == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(case="sod", scheme="fv-rusanov", cfl=1.5).validate()
@@ -589,6 +612,7 @@ def test_runconfig_validation():
         RunConfig(case="sod", scheme="fv-rusanov", snapshot_every=-1),
         RunConfig(case="sod", scheme="fv-rusanov", t_end=float("inf")),
         RunConfig(case="sod", scheme="fv-rusanov", gamma=float("inf")),
+        RunConfig(case="burgers-sine", scheme="fv-rusanov", gamma=1.67),
     ):
         with pytest.raises(ConfigError):
             bad.validate()

@@ -1,60 +1,78 @@
-"""Every public module-level function and class of the library is reached by
-the library itself, by the benchmark or by the console script.
+"""Every public module-level function and class of the library, and every
+public method and property of its classes, is reached by the library itself,
+by the benchmark or by the console script.
 
 Names count as used where the ASTs of ``src/conserva`` and ``perfbench``
 (``__init__`` files excluded, since a re-export reaches nothing) load them:
 ``Name`` ids, ``Attribute`` attributes and import aliases.  The benchmark
 names its trace targets in string constants, and ``pyproject.toml`` names the
-console entry point, so both count too.  A public definition that only tests
-reach belongs in the tests, or nowhere.
+console entry point, so both count too.  A method counts as reached only by a
+use outside its own class body: one that only its class calls is private.
+A public definition that only tests reach belongs in the tests, or nowhere.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "conserva"
 PERFBENCH = ROOT / "perfbench"
 
-# the one-element recovery's argument wrapper: ``recover_fluxes`` is a
-# benchmark trace target, so both leave with the benchmark change that
-# drops that target (ROADMAP item 9)
-ALLOWED = {"RecoveryProblem"}
+# the one-element recovery's argument wrapper and the edge lookup of its
+# result: ``recover_fluxes`` is a benchmark trace target, so both leave with
+# the benchmark change that drops that target (ROADMAP item 9)
+ALLOWED = {"RecoveryProblem", "EdgeFluxSet.between"}
 
 
 def _sources(directory):
     return [path for path in sorted(directory.rglob("*.py")) if path.name != "__init__.py"]
 
 
+def _names(tree, constants=False):
+    """The names ``tree`` uses, counted once per use."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used.update(part for name in (node.name, node.asname) if name
+                        for part in name.split("."))
+        elif constants and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(node.value.replace(":", ".").split("."))
+    return used
+
+
 def _used_names():
-    used = set()
+    used = Counter()
     for path in _sources(LIBRARY) + _sources(PERFBENCH):
-        in_perfbench = PERFBENCH in path.parents
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.update(part for name in (node.name, node.asname) if name
-                            for part in name.split("."))
-            elif in_perfbench and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.update(node.value.replace(":", ".").split("."))
+        used += _names(ast.parse(path.read_text(encoding="utf-8")),
+                       constants=PERFBENCH in path.parents)
     used.update((ROOT / "pyproject.toml").read_text(encoding="utf-8")
                 .replace(":", ".").replace('"', " ").replace(".", " ").split())
     return used
 
 
 def _public_definitions():
+    """(where, name, uses inside the definition's own class) of every public
+    module-level function or class and every public method or property."""
     for path in _sources(LIBRARY):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                yield f"{path.relative_to(LIBRARY)}:{node.name}", node.name
+                yield f"{path.relative_to(LIBRARY)}:{node.name}", node.name, 0
+            if isinstance(node, ast.ClassDef):
+                own = _names(node)
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        where = f"{path.relative_to(LIBRARY)}:{node.name}.{member.name}"
+                        yield where, member.name, own[member.name]
 
 
 def test_every_public_definition_is_reached_outside_the_tests():
     used = _used_names()
-    unreached = [where for where, name in _public_definitions()
-                 if name not in used and name not in ALLOWED]
+    unreached = [where for where, name, own in _public_definitions()
+                 if used[name] <= own and where.split(":")[1] not in ALLOWED]
     assert unreached == [], "reached only by tests: " + ", ".join(unreached)

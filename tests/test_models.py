@@ -92,7 +92,7 @@ def _mask_with_safe_copy(model, u):
     """Euler.admissible_mask as it was: non-finite rows replaced by ones first."""
     finite = np.isfinite(u).all(axis=-1)
     with np.errstate(all="ignore"):
-        rho, _, e_int = model._decompose(np.where(finite[..., None], u, 1.0))
+        rho, _, e_int = model.decompose(np.where(finite[..., None], u, 1.0))
     return finite & (rho > ADMISSIBLE_FLOOR) & (e_int > ADMISSIBLE_FLOOR)
 
 

@@ -195,7 +195,7 @@ def test_fv_residuals_match_per_cell_formulas_bitwise(kind, model_name, boundary
     _assert_residuals_equal(fv_residuals_1d(mesh, nodes, flux, model), want)
     # the two-state call applies the same expression
     u_left, u_right = states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]]
-    assert same_bits(flux(+1, u_left, u_right), _fhat_reference(kind, u_left, u_right, model))
+    assert same_bits(flux(u_left, u_right), _fhat_reference(kind, u_left, u_right, model))
 
 
 @pytest.mark.parametrize("model_name,boundary,seed", CASES)

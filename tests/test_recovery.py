@@ -136,7 +136,7 @@ def test_reconstruct_fv_recovers_original_interface_fluxes():
     flux = NumericalFlux("rusanov", model)
     residuals = fv_residuals_1d(mesh, states, flux, model)
     increments, edge_fluxes = reconstruct_scheme(mesh, states, residuals)
-    original = flux(+1, states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
+    original = flux(states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
     np.testing.assert_allclose(edge_fluxes, original, atol=1e-13)
     np.testing.assert_allclose(increments, residuals.scatter_to_dofs(mesh.ndof), atol=1e-12)
 
