@@ -52,12 +52,13 @@ class RiemannSolution:
         outward coordinate z = sign * xi, sign = -1 on the left of the contact
         xi = u* (which belongs to the left) and +1 on its right: the data lie
         ahead of the head, z > sign * head, and a fan's tail is at sign * tail.
+        A nan xi lies on no side of any wave and samples as a nan row.
         """
         xi = np.asarray(xi, dtype=float)
         g, ps, us = self.gamma, self.p_star, self.u_star
         gm, gp = g - 1.0, g + 1.0
         head_l, tail_l, tail_r, head_r = self.wave_speeds()
-        out = np.empty(xi.shape + (3,))
+        out = np.full(xi.shape + (3,), np.nan)
         left_side = xi <= us
         for (rho, v, p), sign, side, head, tail in (
             (self.left, -1.0, left_side, head_l, tail_l),
@@ -65,14 +66,15 @@ class RiemannSolution:
         ):
             z = sign * xi
             ahead = z > sign * head
+            behind = z <= sign * head  # not ~ahead, which a nan z would pass
             out[side & ahead] = (rho, v, p)
             if ps > p:  # shock
                 rho_star = rho * (ps / p + gm / gp) / (gm / gp * ps / p + 1.0)
-                out[side & ~ahead] = (rho_star, us, ps)
+                out[side & behind] = (rho_star, us, ps)
                 continue
             # rarefaction: the fan, then the star state behind its tail
             c_k = np.sqrt(g * p / rho)
-            fan = side & ~ahead & (z > sign * tail)
+            fan = side & behind & (z > sign * tail)
             c = 2.0 / gp * (c_k + 0.5 * gm * (z[fan] - sign * v))
             u = 2.0 / gp * (-sign * c_k + 0.5 * gm * v + xi[fan])
             out[fan] = np.stack(

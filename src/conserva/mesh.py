@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GraphStructureError
+from .errors import ConfigError
 
 
 @dataclass
@@ -133,10 +133,6 @@ class ElementGraph:
             A[b, k] = -1.0
         self.incidence = A
 
-    @property
-    def nedges(self):
-        return len(self.edges)
-
     def is_connected(self):
         seen = {0}
         frontier = [0]
@@ -169,24 +165,3 @@ def element_graph(kind, n=None):
         return ElementGraph(3, ((0, 1), (1, 2), (2, 0)))
     raise ConfigError(f"unknown element graph kind {kind!r}")
 
-
-@dataclass
-class EdgeFluxSet:
-    """One flux value per direct edge; the reverse orientation is its negation."""
-
-    graph: ElementGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.graph.nedges:
-            raise ConfigError("one flux value per direct edge required")
-        self._index = {edge: k for k, edge in enumerate(self.graph.edges)}
-
-    def between(self, i, j):
-        """Signed flux from DOF i to DOF j (antisymmetric by construction)."""
-        if (i, j) in self._index:
-            return self.values[self._index[(i, j)]]
-        if (j, i) in self._index:
-            return -self.values[self._index[(j, i)]]
-        raise ConfigError(f"no edge between DOFs {i} and {j}")

@@ -175,11 +175,6 @@ class Euler(PhysicsModel):
         e_int = ene - 0.5 * mom * vel
         return rho, vel, e_int
 
-    def pressure(self, u):
-        u = np.asarray(u, dtype=float)
-        _, _, e_int = self.decompose(u)
-        return (self.gamma - 1.0) * e_int
-
     @staticmethod
     def _admissible(u, rho, e_int):
         # one component at a time: several times faster than reducing
@@ -204,7 +199,7 @@ class Euler(PhysicsModel):
             rho, vel, e_int = self.decompose(u)
             pres = (self.gamma - 1.0) * e_int
             flux = self._flux(u, vel, pres)
-            speed = np.abs(vel) + np.sqrt(self.gamma * pres / rho)
+            speed = self._speed(rho, vel, pres)
         mask = self._admissible(u, rho, e_int)
         return NodeKernels(u, flux, speed, mask, self._entropy(rho, pres) if entropy else None)
 
@@ -239,7 +234,8 @@ class Euler(PhysicsModel):
 
     def entropy(self, u):
         u = np.asarray(u, dtype=float)
-        return self._entropy(u[..., 0], self.pressure(u))
+        rho, _, e_int = self.decompose(u)
+        return self._entropy(rho, (self.gamma - 1.0) * e_int)
 
     def _entropy(self, rho, pres):
         return rho * (self.gamma * np.log(rho) - np.log(pres))
@@ -265,7 +261,11 @@ class Euler(PhysicsModel):
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
         rho, vel, e_int = self.decompose(u)
-        return np.abs(vel) + np.sqrt(self.gamma * ((self.gamma - 1.0) * e_int) / rho)
+        return self._speed(rho, vel, (self.gamma - 1.0) * e_int)
+
+    def _speed(self, rho, vel, pres):
+        """|v| + c, the wave speed bound, with c^2 = gamma p / rho."""
+        return np.abs(vel) + np.sqrt(self.gamma * pres / rho)
 
     # -- primitive map ---------------------------------------------------
     def to_aux(self, u):

@@ -22,7 +22,7 @@ SSP_STAGES = {
 INTEGRATORS = tuple(SSP_STAGES)
 
 # base residuals a scheme id can build on
-FV, SUPG, NC_ENERGY, ACTIVE_FLUX = "fv", "supg", "nc-energy", "active-flux"
+FV, SUPG, ACTIVE_FLUX = "fv", "supg", "active-flux"
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ SCHEMES = {
     "fv-rusanov": SchemeRow(FV, (), INTEGRATORS, 0.4),
     "fv-entropy-corrected": SchemeRow(FV, ("entropy",), INTEGRATORS, 0.4),
     "supg": SchemeRow(SUPG, (), ("ssprk3", "euler", "ssprk2"), 0.8),
-    "nc-energy-corrected": SchemeRow(NC_ENERGY, (), INTEGRATORS, 0.4),
+    "nc-energy-corrected": SchemeRow(FV, ("energy",), INTEGRATORS, 0.4),
     # an SSPRK3 scheme throughout; its point-average coupling is unstable by
     # CFL 0.5
     "active-flux": SchemeRow(ACTIVE_FLUX, (), ("ssprk3",), 0.4),
@@ -87,7 +87,7 @@ class RunConfig:
                 f"{self.scheme} runs with integrator {' or '.join(row.integrators)} only, "
                 f"got {self.integrator!r}"
             )
-        if row.base == NC_ENERGY and self.case not in EULER_CASES:
+        if "energy" in row.corrections and self.case not in EULER_CASES:
             raise ConfigError(
                 f"{self.scheme} needs a gas-dynamics case ({', '.join(EULER_CASES)})"
             )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConservationError, GraphStructureError
-from .mesh import EdgeFluxSet, ElementGraph, element_graph, scatter_cell_ends
+from .mesh import ElementGraph, element_graph, scatter_cell_ends
 
 SUM_TOLERANCE = 1e-10
 
@@ -72,34 +72,18 @@ def build_laplacian(graph):
     return GraphLaplacian(graph, A @ A.T)
 
 
-@dataclass
-class RecoveryProblem:
-    """Right-hand side Psi_sigma = Phi_sigma - fhat_sigma^b of one element.
+def recover_fluxes(graph, psi, laplacian=None):
+    """Minimum-norm edge fluxes (nedges, p) with A fhat = Psi, componentwise,
+    of one element's Psi = Phi - fhat^b, shape (ndof, p).
 
-    ``psi`` is (ndof, p); a 1-D Psi is one component, shape (ndof, 1).
-    ``scale`` is the magnitude the conservation precondition is judged
-    against (by default the size of Psi itself).
-    """
-
-    psi: np.ndarray
-    scale: float | None = None
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        self.psi = psi[:, None] if psi.ndim == 1 else psi
-        if self.scale is None:
-            self.scale = max(float(np.abs(self.psi).max()), 1e-300)
-
-
-def recover_fluxes(graph, problem, laplacian=None):
-    """Minimum-norm edge fluxes with A fhat = Psi (componentwise).
-
-    Raises ConservationError when the residual sum exceeds the relative
-    tolerance: such residuals admit no flux form at all.
+    Raises ConservationError when the residual sum exceeds the tolerance
+    relative to the size of Psi: such residuals admit no flux form at all.
     """
     if laplacian is None:
         laplacian = build_laplacian(graph)
-    return EdgeFluxSet(graph, laplacian.recover(problem.psi[None], np.array([problem.scale]))[0])
+    psi = np.asarray(psi, dtype=float)
+    scale = max(float(np.abs(psi).max()), 1e-300)
+    return laplacian.recover(psi[None], np.array([scale]))[0]
 
 
 _SEGMENT_LAPLACIAN = build_laplacian(element_graph("segment"))

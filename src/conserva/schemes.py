@@ -7,18 +7,18 @@ sum to its boundary flux integral; the update then reads
 
     u_sigma^{n+1} = u_sigma^n - dt / |C_sigma| * sum_{K owning sigma} Phi_sigma^K.
 
-A residual scheme is a base residual (finite volume, SUPG or the two-field
-gas scheme) followed by an ordered tuple of zero-sum corrections;
+A residual scheme is a base residual (finite volume or SUPG) followed by an
+ordered tuple of corrections that keep every element's residual sum;
 ``residual_assembler`` builds one from its row of ``records.SCHEMES``.
 Every residual scheme marches conserved states, the gas scheme posed in
-internal energy included (see ``TwoFieldGasScheme``).
+internal energy included (the ``energy`` correction, ``TwoFieldGasScheme``).
 ``march`` is the one time-marching loop: ``integrate`` and the two-field
 scheme's ``af_integrate`` hand it a step function.
 
 Residuals are functions of node quantities, so the model is evaluated once
 at the nodes (``models.NodeKernels``) and the cell ends are gathered from
-that bundle.  ``integrate`` keeps one bundle per accepted state, not per
-stage: the CFL speed, the ledger and the next step's first stage read it.
+that bundle.  ``integrate`` builds one bundle per stage state, which the
+next stage reads, or the CFL speed and the ledger on an accepted state.
 
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
@@ -34,7 +34,7 @@ from . import corrections
 from .errors import ConfigError, RunError, StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
-from .records import ACTIVE_FLUX, NC_ENERGY, SCHEMES, SSP_STAGES, SUPG, Ledger, SolutionRecord
+from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SUPG, Ledger, SolutionRecord
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
 
@@ -196,11 +196,17 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _entropy_corrected(residuals, states, model):
-    return corrections.entropy_correction(residuals, states, model)[0]
+def _entropy_corrected(model, mesh):
+    return lambda residuals, nodes, dt: corrections.entropy_correction(residuals, nodes, model)[0]
 
 
-_CORRECTIONS = {"entropy": _entropy_corrected}
+# name -> builder(model, mesh) of correct(residuals, nodes, dt) -> ResidualSet.
+# ``energy`` replaces the whole energy column, so a row that combines it with
+# other corrections lists it first.
+_CORRECTIONS = {
+    "entropy": _entropy_corrected,
+    "energy": lambda model, mesh: TwoFieldGasScheme(model, mesh).assemble,
+}
 
 
 def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
@@ -209,43 +215,39 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
     ``integrate(model, mesh, u0, assemble, ...)`` marches it.
 
     Reads the id's row of ``records.SCHEMES``: the base residual is Rusanov
-    finite volume (``fv``), SUPG with the given tau scale (``supg``) or the
-    two-field gas scheme (``nc-energy``); each correction then redistributes
-    the residuals inside every element with zero sum, so the base residual's
-    conservation survives.  With corrections, the base and every correction
-    read one ``NodeKernels`` bundle per call; a base alone builds its own.
+    finite volume (``fv``) or SUPG with the given tau scale (``supg``); each
+    correction then rewrites the residuals inside every element and keeps
+    their sum at the element's boundary flux, so the base residual's
+    conservation survives.  The base and every correction read one
+    ``NodeKernels`` bundle per call.
     """
     row = SCHEMES.get(scheme_id)
     if row is None or row.base == ACTIVE_FLUX:
         known = [name for name, r in SCHEMES.items() if r.base != ACTIVE_FLUX]
         raise ConfigError(f"{scheme_id!r} is not a residual scheme; known: {', '.join(known)}")
-    if row.base == NC_ENERGY:
-        base = TwoFieldGasScheme(model, mesh).assemble
-    elif row.base == SUPG:
-        base = lambda u, dt: supg_residuals_1d(mesh, u, model, tau_scale=tau_scale)
+    if row.base == SUPG:
+        base = lambda nodes: supg_residuals_1d(mesh, nodes, model, tau_scale=tau_scale)
     else:
         flux = NumericalFlux("rusanov", model)
-        base = lambda u, dt: fv_residuals_1d(mesh, u, flux, model)
-    steps = [_CORRECTIONS[name] for name in row.corrections]
-    if not steps:
-        return base
+        base = lambda nodes: fv_residuals_1d(mesh, nodes, flux, model)
+    steps = [_CORRECTIONS[name](model, mesh) for name in row.corrections]
 
     def assemble(states, dt):
-        states = NodeKernels.of(model, states)
-        residuals = base(states, dt)
+        nodes = NodeKernels.of(model, states)
+        residuals = base(nodes)
         for correct in steps:
-            residuals = correct(residuals, states, model)
+            residuals = correct(residuals, nodes, dt)
         return residuals
 
     return assemble
 
 
 class TwoFieldGasScheme:
-    """The gas equations posed in (rho, rho v, e), marched as a residual
-    scheme in conserved (rho, rho v, E).
+    """The ``energy`` correction of the Rusanov base: the gas equations posed
+    in (rho, rho v, e), marched as a residual scheme in conserved (rho, rho v, E).
 
-    Density and momentum use the conservative Rusanov residuals; the internal
-    energy gets a centred non-conservative discretisation of
+    Density and momentum keep the Rusanov residuals; the internal energy gets
+    a centred non-conservative discretisation of
     e_t + (e v)_x + p v_x = 0 with matched Rusanov dissipation, phi_e.  In a
     forward Euler step of (rho, m, e), E = e + m v / 2 changes at every DOF
     by exactly the total-energy increment identity
@@ -267,20 +269,16 @@ class TwoFieldGasScheme:
     def __init__(self, model, mesh):
         self.model = model
         self.mesh = mesh
-        self.fv_flux = NumericalFlux("rusanov", model)
 
-    def assemble(self, u, dt):
-        """Residuals of conserved states u, or of their ``NodeKernels``, with the
-        corrected total-energy residual phi_E as the energy column.
+    def assemble(self, base, nodes, dt):
+        """The Rusanov residuals ``base`` of the states in the bundle ``nodes``,
+        with their energy column rewritten in place as the corrected
+        total-energy residual phi_E; the boundary parts are kept.
 
         Each energy term is formed once, in the (2, ncell) layout of
         ``gather_cell_ends`` so that products run along the cells.
         """
         mesh, model = self.mesh, self.model
-        nodes = NodeKernels.of(model, u)
-        base = fv_residuals_1d(mesh, nodes, self.fv_flux, model)
-        # the base's own array; its energy residuals are replaced below, its
-        # boundary parts kept
         phi = base.phi
         phi_rho, phi_mom = phi[:, :, :2].T.copy()
 
@@ -336,11 +334,15 @@ def rd_step(mesh, states, residuals, dt, model):
     states = np.asarray(states, dtype=float)
     increments = residuals.scatter_to_dofs(mesh.ndof)
     new_states = states - (dt / mesh.volumes)[:, None] * increments
-    mask = model.admissible_mask(new_states)
+    _reject_inadmissible(model.admissible_mask(new_states))
+    return new_states
+
+
+def _reject_inadmissible(mask):
+    """Raise StepRejectedError at the first DOF a step's admissibility mask rejects."""
     if not mask.all():
         where = int(np.argwhere(~mask)[0][0])
         raise StepRejectedError(f"inadmissible state at DOF {where} after step", location=where)
-    return new_states
 
 
 def _ssp_combine(a, u, b, x):
@@ -435,10 +437,11 @@ def integrate(
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
     assemble(states, dt) -> ResidualSet, on conserved states or their bundle.
-    model supplies the admissibility test (which rejects non-finite states)
-    and ``node_kernels``: each accepted state's one bundle, which the CFL
-    speed, the ledger and the next step's first stage read.  Each stage is a
-    forward Euler step and SSP stages combine them convexly, so residuals
+    march's state is the ``NodeKernels`` bundle each stage builds of its
+    combined state at once (with its entropy on the last stage), which the
+    next stage, the CFL speed and the ledger read; a stage state its mask
+    rejects, non-finite ones included, raises StepRejectedError.  Each stage
+    is a forward Euler step and SSP stages combine them convexly, so residuals
     that sum to their boundary parts conserve with every integrator.  The
     ledger's totals are the volume-weighted sums of the states, which the
     record's snapshots copy; its boundary account is the net outflux each
@@ -453,37 +456,31 @@ def integrate(
     if stages is None:
         raise ConfigError(f"unknown integrator {integrator!r}")
 
-    def accepted(u):
-        # march's state; the next assembly checks the bundle's mask
-        return u, model.node_kernels(u, entropy=True)
-
-    def advance(state, dt):
-        u, given = state
-        cur = u
+    def advance(bundle, dt):
+        u = bundle.states
         alpha_max = 0.0
         bflux = np.zeros(u.shape[1])
-        for a_coef, b_coef, w in stages:
-            residuals = assemble(given, dt)
+        for k, (a_coef, b_coef, w) in enumerate(stages, 1):
+            residuals = assemble(bundle, dt)
             alpha_max = max(alpha_max, residuals.alpha_max)
             bflux = bflux + w * dt * residuals.boundary_outflux
-            stage_new = rd_step(mesh, cur, residuals, dt, model=model)
-            cur = given = _ssp_combine(a_coef, u, b_coef, stage_new)
-        # a (0, 1) last stage is rd_step's result, which has passed the
-        # admissibility test, and admissible states are finite
-        if cur is not stage_new and not np.isfinite(cur).all():
-            raise StepRejectedError("non-finite state", location=None)
-        return accepted(cur), bflux, alpha_max, 0
+            stage = rd_step(mesh, bundle.states, residuals, dt, model=model)
+            bundle = model.node_kernels(_ssp_combine(a_coef, u, b_coef, stage),
+                                        entropy=k == len(stages))
+            _reject_inadmissible(bundle.admissible)
+        return bundle, bflux, alpha_max, 0
 
+    # the first assembly checks the initial bundle's mask
     times, snapshots, ledger = march(
-        accepted(states),
+        model.node_kernels(states, entropy=True),
         advance,
-        speed=lambda s: float(s[1].speed.max()),
+        speed=lambda b: float(b.speed.max()),
         length=float(mesh.volumes.min()),
         cfl=cfl,
         t_end=t_end,
-        totals=lambda s: (mesh.volumes[:, None] * s[1].states).sum(axis=0),
-        entropy=lambda s: float((mesh.volumes * s[1].entropy).sum()),
-        snapshot=lambda s: np.copy(s[1].states),
+        totals=lambda b: (mesh.volumes[:, None] * b.states).sum(axis=0),
+        entropy=lambda b: float((mesh.volumes * b.entropy).sum()),
+        snapshot=lambda b: np.copy(b.states),
         snapshot_every=snapshot_every,
         stop_after_steps=stop_after_steps,
     )

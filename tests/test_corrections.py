@@ -9,7 +9,6 @@ from conserva.mesh import uniform_mesh
 from conserva.models import Burgers, Euler
 from conserva.schemes import (
     NumericalFlux,
-    TwoFieldGasScheme,
     fv_residuals_1d,
     integrate,
     residual_assembler,
@@ -182,11 +181,10 @@ def test_nc_scheme_total_energy_moves_only_through_boundaries():
 def test_nc_scheme_residual_set_is_locally_conservative():
     from conserva.harness.runner import build_problem
     from conserva.records import RunConfig
-    from conserva.schemes import TwoFieldGasScheme
 
     config = RunConfig(case="sod", scheme="nc-energy-corrected", nx=64)
     case, mesh, u0 = build_problem(config)
-    res = TwoFieldGasScheme(case.model, mesh).assemble(u0, 1e-4)
+    res = residual_assembler(config.scheme, case.model, mesh)(u0, 1e-4)
     defect = np.abs(element_defect(res)).max()
     assert defect <= 1e-12 * max(np.abs(res.phi).max(), 1.0)
 
@@ -236,7 +234,7 @@ def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
 @given(_node_states(models=("euler",)), st.floats(0.0, 1e-3))
 def test_energy_correction_closes_every_element(problem, dt):
     model, mesh, states = problem
-    res = TwoFieldGasScheme(model, mesh).assemble(states, dt)
+    res = residual_assembler("nc-energy-corrected", model, mesh)(states, dt)
     # every component's residuals sum to their boundary parts, the total
     # energy's included; its terms are the internal-energy residuals and the
     # density/momentum ones weighted by the velocities before and after the

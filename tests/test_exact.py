@@ -154,6 +154,25 @@ def test_side_loop_sampler_equals_the_two_block_sampler_bitwise(left, right, gam
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ((1.0, -1.0, 1.0), (1.0, 1.0, 1.0)),  # two fans: no branch writes a nan row
+        ((1.0, 0.0, 1.0), (0.125, 0.0, 0.1)),  # Sod: a nan passes behind the right shock
+        ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0)),  # two shocks
+        ((0.125, 0.0, 0.1), (1.0, 0.0, 1.0)),  # shock, then fan
+    ],
+)
+def test_nan_similarity_speed_samples_a_nan_row(left, right):
+    sol = exact_riemann_euler(left, right)
+    xi = np.array([np.nan, np.nan, -2.0, -0.5, np.nan, 0.0, 0.5, 2.0, np.nan])
+    got = sol.sample(xi)
+    nan = np.isnan(xi)
+    assert np.isnan(got[nan]).all()
+    # the finite speeds keep the bits they have without the nans beside them
+    assert got[~nan].tobytes() == sol.sample(xi[~nan]).tobytes()
+
+
 def test_riemann_vacuum_detected():
     with pytest.raises(VacuumError):
         exact_riemann_euler((1.0, -10.0, 1.0), (1.0, 10.0, 1.0))

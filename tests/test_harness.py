@@ -14,7 +14,6 @@ from conserva.records import (
     CASE_IDS,
     EULER_CASES,
     INTEGRATORS,
-    NC_ENERGY,
     SCHEMES,
     RunConfig,
     SolutionRecord,
@@ -522,7 +521,7 @@ def test_cli_blowup_returns_one(tmp_path):
 def test_single_integrator_schemes_reject_the_others(tmp_path, scheme, integrator):
     # every row of the scheme table against every integrator: a combination
     # the row rejects is a usage error, one it accepts keeps conservation
-    case = "sod" if SCHEMES[scheme].base == NC_ENERGY else "burgers-sine"
+    case = "sod" if "energy" in SCHEMES[scheme].corrections else "burgers-sine"
     config = RunConfig(case=case, scheme=scheme, nx=40, t_end=0.05, integrator=integrator)
     if integrator not in SCHEMES[scheme].integrators:
         with pytest.raises(ConfigError):

@@ -4,11 +4,16 @@ by the benchmark or by the console script.
 
 Names count as used where the ASTs of ``src/conserva`` and ``perfbench``
 (``__init__`` files excluded, since a re-export reaches nothing) load them:
-``Name`` ids, ``Attribute`` attributes and import aliases.  The benchmark
-names its trace targets in string constants, and ``pyproject.toml`` names the
-console entry point, so both count too.  A method counts as reached only by a
-use outside its own class body: one that only its class calls is private.
-A public definition that only tests reach belongs in the tests, or nowhere.
+``Attribute`` attributes and import aliases, plus ``Name`` ids inside the
+library.  The benchmark reaches the library only through attributes, imports
+and the string constants that name its trace targets; its bare names are its
+own.  ``pyproject.toml`` names the console entry point, so it counts too.  A
+method counts as reached only by a use outside its own class body: one that
+only its class calls is private.  A public definition that only tests reach
+belongs in the tests, or nowhere.
+
+The library's modules also import nothing they do not use, bar an import
+marked ``# noqa: F401``.
 """
 
 import ast
@@ -19,28 +24,28 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "conserva"
 PERFBENCH = ROOT / "perfbench"
 
-# the one-element recovery's argument wrapper and the edge lookup of its
-# result: ``recover_fluxes`` is a benchmark trace target, so both leave with
-# the benchmark change that drops that target (ROADMAP item 9)
-ALLOWED = {"RecoveryProblem", "EdgeFluxSet.between"}
+# public definitions that may stay although only tests reach them, each by
+# the name its "unreached" report gives; empty today
+ALLOWED = set()
 
 
 def _sources(directory):
     return [path for path in sorted(directory.rglob("*.py")) if path.name != "__init__.py"]
 
 
-def _names(tree, constants=False):
-    """The names ``tree`` uses, counted once per use."""
+def _names(tree, benchmark=False):
+    """The names ``tree`` uses, counted once per use; in the benchmark, its
+    string constants instead of its bare names."""
     used = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not benchmark:
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
         elif isinstance(node, ast.alias):
             used.update(part for name in (node.name, node.asname) if name
                         for part in name.split("."))
-        elif constants and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif benchmark and isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.update(node.value.replace(":", ".").split("."))
     return used
 
@@ -49,7 +54,7 @@ def _used_names():
     used = Counter()
     for path in _sources(LIBRARY) + _sources(PERFBENCH):
         used += _names(ast.parse(path.read_text(encoding="utf-8")),
-                       constants=PERFBENCH in path.parents)
+                       benchmark=PERFBENCH in path.parents)
     used.update((ROOT / "pyproject.toml").read_text(encoding="utf-8")
                 .replace(":", ".").replace('"', " ").replace(".", " ").split())
     return used
@@ -76,3 +81,29 @@ def test_every_public_definition_is_reached_outside_the_tests():
     unreached = [where for where, name, own in _public_definitions()
                  if used[name] <= own and where.split(":")[1] not in ALLOWED]
     assert unreached == [], "reached only by tests: " + ", ".join(unreached)
+
+
+def test_every_allowed_name_is_a_public_definition():
+    defined = {where.split(":")[1] for where, _, _ in _public_definitions()}
+    assert sorted(ALLOWED - defined) == []
+
+
+def test_library_modules_use_every_import():
+    unused = []
+    for path in _sources(LIBRARY):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{path.relative_to(LIBRARY)}: {bound}")
+    assert unused == [], "unused imports: " + ", ".join(unused)

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError
 from conserva.mesh import (
-    EdgeFluxSet,
     Mesh1D,
     element_graph,
     gather_cell_ends,
@@ -51,7 +50,7 @@ def test_triangle_graph_rows_sum_to_zero():
 
 def test_path_graph_middle_node_touches_both_edges():
     g = element_graph("path", 3)
-    assert g.nedges == 2
+    assert len(g.edges) == 2
     assert np.count_nonzero(g.incidence[1]) == 2
 
 
@@ -81,17 +80,6 @@ def test_path_needs_two_dofs():
         element_graph("path", 1)
     with pytest.raises(ConfigError):
         element_graph("hexagon")
-
-
-def test_edge_flux_antisymmetry_is_structural():
-    g = element_graph("triangle")
-    fluxes = EdgeFluxSet(g, np.array([[1.0], [2.0], [3.0]]))
-    np.testing.assert_array_equal(fluxes.between(0, 1), [1.0])
-    np.testing.assert_array_equal(fluxes.between(1, 0), [-1.0])
-    np.testing.assert_array_equal(fluxes.between(0, 2), [-3.0])
-    path_fluxes = EdgeFluxSet(element_graph("path", 4), np.zeros((3, 1)))
-    with pytest.raises(ConfigError):
-        path_fluxes.between(0, 2)
 
 
 def _add_at_reference(mesh, left, right):

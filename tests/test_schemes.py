@@ -385,6 +385,37 @@ def test_rd_step_rejects_inadmissible_result():
     assert excinfo.value.location == 1
 
 
+class _GappedBurgers(Burgers):
+    """Burgers whose admissible set leaves out (0.4, 0.6): not convex, so an
+    SSP stage can combine two admissible states into an inadmissible one."""
+
+    def admissible_mask(self, u):
+        u = np.asarray(u, dtype=float)
+        gap = (u[..., 0] > 0.4) & (u[..., 0] < 0.6)
+        return super().admissible_mask(u) & ~gap
+
+
+def test_integrate_rejects_an_inadmissible_combined_stage():
+    from conserva.models import NodeKernels
+    from conserva.schemes import ResidualSet
+
+    model = _GappedBurgers()
+    mesh = uniform_mesh(0.0, 1.0, 4)
+    u0 = np.zeros((mesh.ndof, 1))
+
+    def assemble(states, dt):
+        # every forward-Euler stage lands on u = 1; SSPRK2's second stage
+        # averages that with u^n = 0 into 0.5, whatever the dt
+        u = NodeKernels.of(model, states).states
+        phi = np.zeros((mesh.ncell, 2, 1))
+        phi[:, 0] = (u - 1.0) * (mesh.volumes / dt)[:, None]
+        return ResidualSet(mesh.cell_dofs, phi, np.zeros_like(phi), np.zeros(1))
+
+    with pytest.raises(RunError, match="inadmissible state at DOF 0") as excinfo:
+        integrate(model, mesh, u0, assemble, cfl=0.4, t_end=0.1, integrator="ssprk2")
+    assert excinfo.value.step == 0
+
+
 def test_rusanov_rejects_inadmissible_states():
     from conserva.errors import DomainError
 
