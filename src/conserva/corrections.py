@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import CorrectionError
 from .mesh import gather_cell_ends
-from .models import NodeKernels
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +35,7 @@ class CorrectionReport:
     clamped: np.ndarray
 
 
-def entropy_correction(residuals, states, model):
+def entropy_correction(residuals, nodes, model):
     """Shift residuals so each element produces at least its boundary entropy flux.
 
     The correction r_sigma = alpha_K (v_sigma - v_bar) is zero-sum, and
@@ -47,13 +46,13 @@ def entropy_correction(residuals, states, model):
     hold per element.  alpha is clamped at ALPHA_CLAMP_FACTOR times the local
     wave speed; clamping is reported and logged, never silent.  Elements that
     need a correction but have all entropy variables equal cannot be fixed
-    this way and raise CorrectionError.  ``states`` are the node states or
-    their ``models.NodeKernels``: entropy variables, entropy fluxes and wave
-    speeds are evaluated at the nodes (the entropy flux from the bundle's
-    entropy, if it holds one) and gathered to the cell ends.  Without an
-    element to fix, the degeneracy and clamp tests are skipped.
+    this way and raise CorrectionError.  ``nodes`` is the checked
+    ``models.NodeKernels`` bundle of the node states: entropy variables,
+    entropy fluxes and wave speeds are evaluated at the nodes (the entropy
+    flux from the bundle's entropy, if it holds one) and gathered to the cell
+    ends.  Without an element to fix, the degeneracy and clamp tests are
+    skipped.
     """
-    nodes = NodeKernels.of(model, states)
     dofs = residuals.cell_dofs
     # (ncell, 2, p) in one take, the bits of stacking both cell-end gathers
     v_cells = np.take(model.entropy_variables(nodes.states), dofs, axis=0)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .. import recovery, schemes
 from ..errors import ConfigError, ConservaError
+from ..models import NodeKernels
 from ..records import INTEGRATORS, RunConfig
 from . import runner, weak
 
@@ -199,7 +200,8 @@ def _cmd_convergence(config, nx_list):
 def _cmd_recover_fluxes(config):
     case, mesh, u0 = runner.build_problem(config)
     assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
-    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(u0, 0.0))
+    residuals = assemble(NodeKernels.of(case.model, u0), 0.0)
+    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, residuals)
     out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
     path = _out_path(out)
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]

@@ -200,8 +200,8 @@ class Euler(PhysicsModel):
             pres = (self.gamma - 1.0) * e_int
             flux = self._flux(u, vel, pres)
             speed = self._speed(rho, vel, pres)
-        mask = self._admissible(u, rho, e_int)
-        return NodeKernels(u, flux, speed, mask, self._entropy(rho, pres) if entropy else None)
+            eta = self._entropy(rho, pres) if entropy else None
+        return NodeKernels(u, flux, speed, self._admissible(u, rho, e_int), eta)
 
     # -- physics --------------------------------------------------------
     @staticmethod
@@ -349,6 +349,9 @@ class NodeKernels:
     bundle equals the kernel of the gathered state bit for bit: residuals
     gather cell ends from one bundle instead of evaluating the model on
     every cell end.
+
+    Raw states enter through ``of``, which checks them once; residuals and
+    corrections take a bundle and check nothing.
     """
 
     states: np.ndarray
@@ -358,22 +361,24 @@ class NodeKernels:
     entropy: np.ndarray | None = None
 
     @classmethod
-    def of(cls, model, states):
-        """The bundle of admissible states; a bundle is returned as it is, once
-        its mask, if it has one, passes.
+    def of(cls, model, states, entropy=False):
+        """The bundle of admissible states, with their entropy if asked.
 
         An inadmissible state raises DomainError carrying its row index, the
         DOF index for node states.
         """
-        if not isinstance(states, cls):
-            states = model.node_kernels(np.asarray(states, dtype=float))
-        if states.admissible is not None and not states.admissible.all():
-            model.require_admissible(states.states)  # the same mask: names the row
-        return states
+        nodes = model.node_kernels(np.asarray(states, dtype=float), entropy=entropy)
+        if not nodes.admissible.all():
+            model.require_admissible(nodes.states)  # the same mask: names the row
+        return nodes
 
-    def cell_ends(self, cell_dofs):
-        """(left, right) bundles at the two end nodes of every cell."""
+    def cell_ends(self, mesh):
+        """(left, right) bundles at the two end nodes of every cell of mesh;
+        a bundle that does not hold one state per DOF raises ConfigError."""
+        if len(self.states) != mesh.ndof:
+            raise ConfigError(f"expected {mesh.ndof} states, got {len(self.states)}")
         states, flux, speed = (
-            gather_cell_ends(values, cell_dofs) for values in (self.states, self.flux, self.speed)
+            gather_cell_ends(values, mesh.cell_dofs)
+            for values in (self.states, self.flux, self.speed)
         )
         return NodeKernels(states[0], flux[0], speed[0]), NodeKernels(states[1], flux[1], speed[1])

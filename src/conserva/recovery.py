@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConservationError, GraphStructureError
+from .errors import ConfigError, ConservationError, GraphStructureError
 from .mesh import ElementGraph, element_graph, scatter_cell_ends
 
 SUM_TOLERANCE = 1e-10
@@ -72,16 +72,18 @@ def build_laplacian(graph):
     return GraphLaplacian(graph, A @ A.T)
 
 
-def recover_fluxes(graph, psi, laplacian=None):
+def recover_fluxes(graph, psi):
     """Minimum-norm edge fluxes (nedges, p) with A fhat = Psi, componentwise,
-    of one element's Psi = Phi - fhat^b, shape (ndof, p).
+    of one element's Psi = Phi - fhat^b, shape (graph.ndof, p).
 
-    Raises ConservationError when the residual sum exceeds the tolerance
-    relative to the size of Psi: such residuals admit no flux form at all.
+    Raises ConfigError when Psi has another shape, and ConservationError when
+    the residual sum exceeds the tolerance relative to the size of Psi: such
+    residuals admit no flux form at all.
     """
-    if laplacian is None:
-        laplacian = build_laplacian(graph)
     psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 2 or psi.shape[0] != graph.ndof:
+        raise ConfigError(f"psi must be ({graph.ndof}, p), got shape {psi.shape}")
+    laplacian = build_laplacian(graph)
     scale = max(float(np.abs(psi).max()), 1e-300)
     return laplacian.recover(psi[None], np.array([scale]))[0]
 

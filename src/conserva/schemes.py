@@ -17,8 +17,10 @@ scheme's ``af_integrate`` hand it a step function.
 
 Residuals are functions of node quantities, so the model is evaluated once
 at the nodes (``models.NodeKernels``) and the cell ends are gathered from
-that bundle.  ``integrate`` builds one bundle per stage state, which the
-next stage reads, or the CFL speed and the ledger on an accepted state.
+that bundle.  Residuals and corrections take a bundle and check nothing:
+``integrate`` admits the initial states once through ``NodeKernels.of`` and
+checks the bundle it builds of each stage state, which the next stage reads,
+or the CFL speed and the ledger on an accepted state.
 
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
@@ -65,7 +67,6 @@ class NumericalFlux:
     """A consistent two-point interface flux f_hat(uL, uR)."""
 
     kind: str
-    model: object
 
     _TABLE = {"rusanov": _rusanov, "central": _central}
 
@@ -73,10 +74,8 @@ class NumericalFlux:
         if self.kind not in self._TABLE:
             raise ConfigError(f"unknown flux kind {self.kind!r}")
 
-    def __call__(self, u_left, u_right):
-        """f_hat(uL, uR) on admissible states; broadcasts over stacked states."""
-        left = NodeKernels.of(self.model, u_left)
-        right = NodeKernels.of(self.model, u_right)
+    def __call__(self, left, right):
+        """f_hat(uL, uR) of the ``NodeKernels`` of two (stacks of) states."""
         return self._TABLE[self.kind](left, right)
 
 
@@ -123,27 +122,16 @@ def _boundary_parts(mesh, nodes, left, right):
     return parts, _boundary_outflux(mesh, nodes.flux)
 
 
-def _node_kernels(mesh, states, model):
-    """``NodeKernels.of(model, states)``, holding one state per DOF of mesh."""
-    nodes = NodeKernels.of(model, states)
-    if nodes.states.shape[0] != mesh.ndof:
-        raise ConfigError(f"expected {mesh.ndof} states, got {nodes.states.shape[0]}")
-    return nodes
-
-
-def fv_residuals_1d(mesh, states, flux, model):
+def fv_residuals_1d(mesh, nodes, flux):
     """Finite volume scheme rewritten as per-cell residuals.
 
     Cell [x_i, x_{i+1}] sends f_hat_{i+1/2} - f(u_i) to its left DOF and
     f(u_{i+1}) - f_hat_{i+1/2} to its right DOF, so the pair sums to the
-    interpolated boundary flux f(u_{i+1}) - f(u_i).  ``flux(left, right)``
-    receives the cell-end ``NodeKernels`` (a ``NumericalFlux`` takes them as
-    they are); ``states`` are the (ndof, p) node states or their
-    ``NodeKernels``.  An inadmissible node state raises DomainError carrying
-    its DOF index.
+    interpolated boundary flux f(u_{i+1}) - f(u_i).  ``nodes`` is the checked
+    ``NodeKernels`` bundle of the (ndof, p) node states; ``flux(left, right)``
+    receives its cell-end bundles.
     """
-    nodes = _node_kernels(mesh, states, model)
-    left, right = nodes.cell_ends(mesh.cell_dofs)
+    left, right = nodes.cell_ends(mesh)
     fhat = flux(left, right)
 
     # written in place: the bits of np.stack(..., axis=1) without its copies
@@ -153,7 +141,7 @@ def fv_residuals_1d(mesh, states, flux, model):
     return ResidualSet(mesh.cell_dofs, phi, *_boundary_parts(mesh, nodes, left, right))
 
 
-def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
+def supg_residuals_1d(mesh, nodes, model, tau_scale=1.0):
     """Streamline-upwind Petrov-Galerkin residuals on P1 elements.
 
     Phi_sigma^K = -int_K dphi_sigma f(u^h) + [phi_sigma f(u^h) n]_{dK}
@@ -161,11 +149,10 @@ def supg_residuals_1d(mesh, states, model, tau_scale=1.0):
     with tau = tau_scale / (2 * max wave speed on K) and 3-point Gauss
     quadrature.  The volume and stabilisation terms cancel in the element sum
     (the basis sums to one), leaving exactly the interpolated boundary flux.
-    ``states`` are the (ndof, p) node states or their ``NodeKernels``.  An
-    inadmissible node state raises DomainError carrying its DOF index.
+    ``nodes`` is the checked ``NodeKernels`` bundle of the (ndof, p) node
+    states.
     """
-    nodes = _node_kernels(mesh, states, model)
-    left, right = nodes.cell_ends(mesh.cell_dofs)
+    left, right = nodes.cell_ends(mesh)
     u_left, u_right = left.states, right.states
     h = mesh.cell_sizes[:, None]
 
@@ -210,16 +197,15 @@ _CORRECTIONS = {
 
 
 def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
-    """``assemble(states, dt) -> ResidualSet`` of a residual scheme id, on
-    conserved states or their ``NodeKernels``;
+    """``assemble(nodes, dt) -> ResidualSet`` of a residual scheme id, on the
+    checked ``NodeKernels`` bundle of conserved node states;
     ``integrate(model, mesh, u0, assemble, ...)`` marches it.
 
     Reads the id's row of ``records.SCHEMES``: the base residual is Rusanov
     finite volume (``fv``) or SUPG with the given tau scale (``supg``); each
     correction then rewrites the residuals inside every element and keeps
     their sum at the element's boundary flux, so the base residual's
-    conservation survives.  The base and every correction read one
-    ``NodeKernels`` bundle per call.
+    conservation survives.  The base and every correction read the bundle.
     """
     row = SCHEMES.get(scheme_id)
     if row is None or row.base == ACTIVE_FLUX:
@@ -228,12 +214,11 @@ def residual_assembler(scheme_id, model, mesh, tau_scale=1.0):
     if row.base == SUPG:
         base = lambda nodes: supg_residuals_1d(mesh, nodes, model, tau_scale=tau_scale)
     else:
-        flux = NumericalFlux("rusanov", model)
-        base = lambda nodes: fv_residuals_1d(mesh, nodes, flux, model)
+        flux = NumericalFlux("rusanov")
+        base = lambda nodes: fv_residuals_1d(mesh, nodes, flux)
     steps = [_CORRECTIONS[name](model, mesh) for name in row.corrections]
 
-    def assemble(states, dt):
-        nodes = NodeKernels.of(model, states)
+    def assemble(nodes, dt):
         residuals = base(nodes)
         for correct in steps:
             residuals = correct(residuals, nodes, dt)
@@ -436,17 +421,19 @@ def integrate(
 ):
     """March a residual-distribution scheme to t_end with CFL-chosen steps.
 
-    assemble(states, dt) -> ResidualSet, on conserved states or their bundle.
-    march's state is the ``NodeKernels`` bundle each stage builds of its
-    combined state at once (with its entropy on the last stage), which the
-    next stage, the CFL speed and the ledger read; a stage state its mask
-    rejects, non-finite ones included, raises StepRejectedError.  Each stage
-    is a forward Euler step and SSP stages combine them convexly, so residuals
-    that sum to their boundary parts conserve with every integrator.  The
-    ledger's totals are the volume-weighted sums of the states, which the
-    record's snapshots copy; its boundary account is the net outflux each
-    stage's residuals carry; alpha_max is the largest correction coefficient
-    reported by the assembler.  See ``march`` for steps, retries and errors.
+    assemble(nodes, dt) -> ResidualSet, on a checked ``NodeKernels`` bundle.
+    u0 is admitted once, through ``NodeKernels.of``: an inadmissible initial
+    state, non-finite ones included, raises DomainError carrying its DOF.
+    march's state is the bundle each stage builds of its combined state at
+    once (with its entropy on the last stage), which the next stage, the CFL
+    speed and the ledger read; a stage state its mask rejects raises
+    StepRejectedError.  Each stage is a forward Euler step and SSP stages
+    combine them convexly, so residuals that sum to their boundary parts
+    conserve with every integrator.  The ledger's totals are the
+    volume-weighted sums of the states, which the record's snapshots copy;
+    its boundary account is the net outflux each stage's residuals carry;
+    alpha_max is the largest correction coefficient reported by the
+    assembler.  See ``march`` for steps, retries and errors.
     """
     states = np.asarray(u0, dtype=float)
     if states.ndim != 2 or states.shape[0] != mesh.ndof:
@@ -470,9 +457,8 @@ def integrate(
             _reject_inadmissible(bundle.admissible)
         return bundle, bflux, alpha_max, 0
 
-    # the first assembly checks the initial bundle's mask
     times, snapshots, ledger = march(
-        model.node_kernels(states, entropy=True),
+        NodeKernels.of(model, states, entropy=True),
         advance,
         speed=lambda b: float(b.speed.max()),
         length=float(mesh.volumes.min()),

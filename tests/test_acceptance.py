@@ -12,7 +12,7 @@ import pytest
 from conserva import active_flux, corrections, recovery, schemes
 from conserva.harness import case_library, runner, weak
 from conserva.mesh import element_graph, uniform_mesh
-from conserva.models import Burgers, Euler
+from conserva.models import Burgers, Euler, NodeKernels
 from conserva.records import RunConfig
 from conserva.schemes import NumericalFlux, fv_residuals_1d, rd_step, supg_residuals_1d
 
@@ -43,14 +43,15 @@ def test_criterion_1_fv_residual_form_equals_flux_form():
             for boundary in ("periodic", "transmissive"):
                 mesh = uniform_mesh(-1.0, 1.0, n, boundary=boundary)
                 states = make_u0(model, mesh.dof_x)
-                flux = NumericalFlux("rusanov", model)
-                res = fv_residuals_1d(mesh, states, flux, model)
+                flux = NumericalFlux("rusanov")
+                res = fv_residuals_1d(mesh, NodeKernels.of(model, states), flux)
                 dt = 0.2 * float(mesh.volumes.min()) / float(
                     model.max_wave_speed(states).max()
                 )
                 via_residuals = rd_step(mesh, states, res, dt, model)
 
-                fhat = flux(states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
+                left, right = (NodeKernels.of(model, states[mesh.cell_dofs[:, k]]) for k in (0, 1))
+                fhat = flux(left, right)
                 if boundary == "periodic":
                     diff = fhat - np.roll(fhat, 1, axis=0)
                 else:
@@ -76,11 +77,10 @@ def test_criterion_2_flux_recovery_lemma():
     ] + [element_graph("triangle")]
     worst = 0.0
     for graph in graphs:
-        laplacian = recovery.build_laplacian(graph)
         for _ in range(1000):
             psi = rng.normal(size=(graph.ndof, 3))
             psi -= psi.mean(axis=0, keepdims=True)
-            fluxes = recovery.recover_fluxes(graph, psi, laplacian)
+            fluxes = recovery.recover_fluxes(graph, psi)
             err = np.abs(graph.incidence @ fluxes - psi).max()
             worst = max(worst, err / np.abs(psi).max())
 
@@ -103,14 +103,15 @@ def test_criterion_3_supg_and_corrected_residuals_admit_flux_form():
     model = Burgers()
     mesh = uniform_mesh(-1.0, 1.0, 50, boundary="periodic")
     states = np.sin(np.pi * mesh.dof_x)[:, None]
-    flux = NumericalFlux("rusanov", model)
+    flux = NumericalFlux("rusanov")
 
     worst = 0.0
     dt = 0.4 * float(mesh.volumes.min())
     for _ in range(40):  # march and re-check the rewriting along the way
-        supg = supg_residuals_1d(mesh, states, model)
+        nodes = NodeKernels.of(model, states)
+        supg = supg_residuals_1d(mesh, nodes, model)
         corrected, _ = corrections.entropy_correction(
-            fv_residuals_1d(mesh, states, flux, model), states, model
+            fv_residuals_1d(mesh, nodes, flux), nodes, model
         )
         for residuals in (supg, corrected):
             increments, _ = recovery.reconstruct_scheme(mesh, states, residuals)
@@ -142,14 +143,14 @@ def test_criterion_4_conservation_ledgers_500_steps():
         mesh = uniform_mesh(-1.0, 1.0, 100, boundary="periodic")
         u0 = case.u0(mesh.dof_x)
         if scheme_id == "supg":
-            assemble = lambda u, dt: supg_residuals_1d(mesh, u, case.model)
+            assemble = lambda nodes, dt: supg_residuals_1d(mesh, nodes, case.model)
         elif scheme_id == "fv-rusanov":
-            flux = NumericalFlux("rusanov", case.model)
-            assemble = lambda u, dt: fv_residuals_1d(mesh, u, flux, case.model)
+            flux = NumericalFlux("rusanov")
+            assemble = lambda nodes, dt: fv_residuals_1d(mesh, nodes, flux)
         else:
-            flux = NumericalFlux("rusanov", case.model)
-            assemble = lambda u, dt: corrections.entropy_correction(
-                fv_residuals_1d(mesh, u, flux, case.model), u, case.model
+            flux = NumericalFlux("rusanov")
+            assemble = lambda nodes, dt: corrections.entropy_correction(
+                fv_residuals_1d(mesh, nodes, flux), nodes, case.model
             )[0]
         record = schemes.integrate(
             case.model, mesh, u0, assemble,
@@ -194,7 +195,7 @@ def test_criterion_5_entropy_correction_and_negative_control():
     model = Burgers()
     mesh = uniform_mesh(-1.0, 1.0, 100, boundary="periodic")
     states = np.sin(np.pi * mesh.dof_x)[:, None]
-    flux = NumericalFlux("rusanov", model)
+    flux = NumericalFlux("rusanov")
 
     worst_post = np.inf
     max_rise = -np.inf
@@ -203,8 +204,9 @@ def test_criterion_5_entropy_correction_and_negative_control():
         dt = 0.1 * float(mesh.volumes.min()) / max(
             float(model.max_wave_speed(states).max()), 1e-300
         )
-        base = fv_residuals_1d(mesh, states, flux, model)
-        corrected, report = corrections.entropy_correction(base, states, model)
+        nodes = NodeKernels.of(model, states)
+        base = fv_residuals_1d(mesh, nodes, flux)
+        corrected, report = corrections.entropy_correction(base, nodes, model)
         worst_post = min(worst_post, float(report.post_defect.min()))
         states = rd_step(mesh, states, corrected, dt, model)
         entropy_now = float((mesh.volumes * model.entropy(states)).sum())
@@ -213,17 +215,18 @@ def test_criterion_5_entropy_correction_and_negative_control():
 
     # negative control: the dissipation-free central flux must violate the
     # per-element inequality somewhere
-    central = NumericalFlux("central", model)
+    central = NumericalFlux("central")
     states_c = np.sin(np.pi * mesh.dof_x)[:, None]
     violations = 0
     for _ in range(100):
         dt = 0.1 * float(mesh.volumes.min()) / max(
             float(model.max_wave_speed(states_c).max()), 1e-300
         )
-        base = fv_residuals_1d(mesh, states_c, central, model)
+        nodes = NodeKernels.of(model, states_c)
+        base = fv_residuals_1d(mesh, nodes, central)
         # pre_defect: each element's entropy production minus its boundary
         # entropy flux, before the correction acts
-        pre_defect = corrections.entropy_correction(base, states_c, model)[1].pre_defect
+        pre_defect = corrections.entropy_correction(base, nodes, model)[1].pre_defect
         violations += int((pre_defect < -1e-12).sum())
         states_c = rd_step(mesh, states_c, base, dt, model)
 

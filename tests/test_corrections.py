@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conserva.corrections import entropy_correction, nonconservative_energy_correction
 from conserva.errors import CorrectionError
 from conserva.mesh import uniform_mesh
-from conserva.models import Burgers, Euler
+from conserva.models import Burgers, Euler, NodeKernels
 from conserva.schemes import (
     NumericalFlux,
     fv_residuals_1d,
@@ -20,7 +20,7 @@ from conftest import element_defect, energy_identity_defect, random_euler_states
 def _burgers_residuals(states, boundary="transmissive"):
     model = Burgers()
     mesh = uniform_mesh(0.0, float(len(states) - 1), len(states) - 1, boundary=boundary)
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     return model, mesh, res
 
 
@@ -29,7 +29,7 @@ def test_entropy_residuals_zero_for_zero_residuals():
     # entropy flux, both zero on constant states
     states = np.array([[0.4], [0.4], [0.4]])
     model, _, res = _burgers_residuals(states)
-    _, report = entropy_correction(res, states, model)
+    _, report = entropy_correction(res, NodeKernels.of(model, states), model)
     np.testing.assert_allclose(report.pre_defect, 0.0, atol=1e-15)
 
 
@@ -40,15 +40,16 @@ def test_entropy_residuals_hand_value():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[1.0], [1.0], [0.0]])
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
-    _, report = entropy_correction(res, states, model)
+    nodes = NodeKernels.of(model, states)
+    res = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
+    _, report = entropy_correction(res, nodes, model)
     assert report.pre_defect[1] == pytest.approx(0.25 - (0.0 - 1.0 / 3.0))
 
 
 def test_entropy_correction_inactive_when_defect_nonpositive():
     states = np.array([[1.0], [1.0], [0.0]])
     model, _, res = _burgers_residuals(states)
-    corrected, report = entropy_correction(res, states, model)
+    corrected, report = entropy_correction(res, NodeKernels.of(model, states), model)
     np.testing.assert_array_equal(corrected.phi, res.phi)  # Rusanov already stable
     np.testing.assert_array_equal(report.alpha, 0.0)
 
@@ -59,7 +60,7 @@ def test_entropy_correction_formula_value():
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     delta = np.sqrt(0.2)
     states = np.array([[-delta / 2], [delta / 2], [delta / 2]])
-    res = fv_residuals_1d(mesh, states, NumericalFlux("central", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("central"))
     res.boundary_parts[...] = 0.0
     # entropy production v . phi on element 0 is g_bound - 0.3; element 1 has
     # equal end states, so its boundary entropy flux and production are zero
@@ -67,7 +68,7 @@ def test_entropy_correction_formula_value():
     res.phi[...] = 0.0
     res.phi[0, 1] = (g[1] - g[0] - 0.3) / (delta / 2)
 
-    corrected, report = entropy_correction(res, states, model)
+    corrected, report = entropy_correction(res, NodeKernels.of(model, states), model)
     assert report.alpha[0] == pytest.approx(3.0)
     assert report.alpha[1] == 0.0
     assert report.post_defect[0] == pytest.approx(0.0, abs=1e-12)
@@ -79,7 +80,7 @@ def test_entropy_correction_formula_value():
 def test_entropy_correction_constant_states_alpha_zero():
     states = np.full((5, 1), 0.8)
     model, _, res = _burgers_residuals(states)
-    corrected, report = entropy_correction(res, states, model)
+    corrected, report = entropy_correction(res, NodeKernels.of(model, states), model)
     np.testing.assert_array_equal(report.alpha, 0.0)
     np.testing.assert_array_equal(corrected.phi, res.phi)
 
@@ -90,11 +91,11 @@ def test_entropy_correction_degenerate_direction_raises():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[0.5], [0.5], [0.5]])
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     res.phi[0] = [[-1.0], [0.0]]
 
     with pytest.raises(CorrectionError) as excinfo:
-        entropy_correction(res, states, model)
+        entropy_correction(res, NodeKernels.of(model, states), model)
     np.testing.assert_array_equal(excinfo.value.elements, [0])
 
 
@@ -102,8 +103,9 @@ def test_entropy_correction_zero_sum_per_element(rng):
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 32, boundary="periodic")
     states = random_euler_states(rng, mesh.ndof)
-    res = fv_residuals_1d(mesh, states, NumericalFlux("central", model), model)
-    corrected, report = entropy_correction(res, states, model)
+    nodes = NodeKernels.of(model, states)
+    res = fv_residuals_1d(mesh, nodes, NumericalFlux("central"))
+    corrected, report = entropy_correction(res, nodes, model)
     np.testing.assert_allclose(report.corrections.sum(axis=1), 0.0, atol=1e-13)
     assert report.post_defect.min() >= -1e-12
 
@@ -184,7 +186,8 @@ def test_nc_scheme_residual_set_is_locally_conservative():
 
     config = RunConfig(case="sod", scheme="nc-energy-corrected", nx=64)
     case, mesh, u0 = build_problem(config)
-    res = residual_assembler(config.scheme, case.model, mesh)(u0, 1e-4)
+    assemble = residual_assembler(config.scheme, case.model, mesh)
+    res = assemble(NodeKernels.of(case.model, u0), 1e-4)
     defect = np.abs(element_defect(res)).max()
     assert defect <= 1e-12 * max(np.abs(res.phi).max(), 1.0)
 
@@ -216,8 +219,9 @@ def _node_states(draw, models=("burgers", "euler")):
 @given(_node_states(), st.sampled_from(["rusanov", "central"]))
 def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
     model, mesh, states = problem
-    base = fv_residuals_1d(mesh, states, NumericalFlux(kind, model), model)
-    corrected, report = entropy_correction(base, states, model)
+    nodes = NodeKernels.of(model, states)
+    base = fv_residuals_1d(mesh, nodes, NumericalFlux(kind))
+    corrected, report = entropy_correction(base, nodes, model)
     v = model.entropy_variables(states)[mesh.cell_dofs]  # (ncell, 2, p)
     # r = alpha (v - v_bar): each entry carries one rounding of v - v_bar
     scale = report.alpha[:, None] * np.abs(v).sum(axis=1)
@@ -234,7 +238,7 @@ def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
 @given(_node_states(models=("euler",)), st.floats(0.0, 1e-3))
 def test_energy_correction_closes_every_element(problem, dt):
     model, mesh, states = problem
-    res = residual_assembler("nc-energy-corrected", model, mesh)(states, dt)
+    res = residual_assembler("nc-energy-corrected", model, mesh)(NodeKernels.of(model, states), dt)
     # every component's residuals sum to their boundary parts, the total
     # energy's included; its terms are the internal-energy residuals and the
     # density/momentum ones weighted by the velocities before and after the
@@ -295,13 +299,13 @@ def _internal_energy_march(model, mesh, u0, cfl, t_end, steps):
     and momentum residuals, the internal-energy residuals plus the energy
     correction's shift.  Returns (times, final conserved states)."""
     w = _to_internal(u0)
-    flux = NumericalFlux("rusanov", model)
+    flux = NumericalFlux("rusanov")
     h = float(mesh.volumes.min())
     times = [0.0]
     while len(times) <= steps and times[-1] < t_end:
         u = _to_total(w)
         dt = min(cfl * h / float(model.max_wave_speed(u).max()), t_end - times[-1])
-        base = fv_residuals_1d(mesh, u, flux, model)
+        base = fv_residuals_1d(mesh, NodeKernels.of(model, u), flux)
         phi_rho, phi_mom = base.phi[:, :, 0], base.phi[:, :, 1]
         phi_e = _internal_energy_residuals(model, mesh, w)
         drho_dmom = _scatter(mesh, base.phi[:, :, :2]) * (dt / mesh.volumes)[:, None]
@@ -389,7 +393,7 @@ def _no_fix_problem(model_name, seed):
         model = Euler(1.4)
         states = random_euler_states(rng, mesh.ndof)
         states[rng.random(mesh.ndof) < 0.3] = states[0]
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     res.phi[res.phi == 0.0] = -0.0
     return model, states, res
 
@@ -402,8 +406,8 @@ def test_entropy_correction_early_exit_keeps_the_full_formula_bits(model_name, s
     model, states, res = _no_fix_problem(model_name, seed)
     phi, alpha, r, pre, post, clamped, alpha_max = _full_entropy_correction(res, states, model)
     assert not alpha.any()  # the early exit's precondition: no element needs a fix
-    for given_states in (states, model.node_kernels(states, entropy=True)):
-        corrected, report = entropy_correction(res, given_states, model)
+    for nodes in (NodeKernels.of(model, states), NodeKernels.of(model, states, entropy=True)):
+        corrected, report = entropy_correction(res, nodes, model)
         # residuals and both defects keep the full formula's bits, signed zeros
         # included: post_defect is measured on the corrected residuals, so a
         # zero there carries the sign the full formula gives it
@@ -421,5 +425,5 @@ def test_entropy_correction_early_exit_turns_minus_zero_residuals_into_plus_zero
     model, states, res = _no_fix_problem("burgers", 0)
     minus_zero = (res.phi == 0.0) & np.signbit(res.phi)
     assert minus_zero.any()
-    corrected, _ = entropy_correction(res, states, model)
+    corrected, _ = entropy_correction(res, NodeKernels.of(model, states), model)
     assert (~np.signbit(corrected.phi[minus_zero])).any()

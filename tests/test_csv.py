@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from conserva import recovery, schemes
 from conserva.harness.cli import _write_csv, main
 from conserva.harness.runner import build_problem, run
+from conserva.models import NodeKernels
 from conserva.records import RunConfig
 
 
@@ -123,7 +124,8 @@ def test_recover_fluxes_table_matches_per_value_writer(tmp_path):
                  "--out", str(new)]) == 0
     case, mesh, u0 = build_problem(config)
     assemble = schemes.residual_assembler("supg", case.model, mesh, config.tau_scale)
-    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, assemble(u0, 0.0))
+    residuals = assemble(NodeKernels.of(case.model, u0), 0.0)
+    _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, residuals)
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]
     rows = [
         [str(k), str(int(mesh.cell_dofs[k, 0])), str(int(mesh.cell_dofs[k, 1]))] + list(f)

@@ -94,8 +94,8 @@ def _domain_error_index(scheme):
     config = RunConfig(case="sod", scheme=scheme, nx=NX)
     case, mesh, u0 = build_problem(config)
     u0 = u0.copy()
-    # negative density and internal energy: finite wave speed, so the run
-    # reaches assembly, whose admissibility check names the DOF
+    # negative density and internal energy: integrate admits u0 through
+    # NodeKernels.of, whose admissibility check names the DOF
     u0[NX // 3] = [-1.0, 0.0, -1.0]
     assemble = residual_assembler(scheme, case.model, mesh)
     try:

@@ -1,4 +1,5 @@
-"""Residuals read one node bundle per stage and still match the per-cell formulas.
+"""Residuals read one checked node bundle per stage and still match the
+per-cell formulas.
 
 The reference functions below evaluate the model on gathered cell ends, as
 the residuals did before ``NodeKernels``; every kernel is elementwise, so the
@@ -17,6 +18,7 @@ from conserva.models import ADMISSIBLE_FLOOR, Burgers, Euler, NodeKernels
 from conserva.schemes import (
     NumericalFlux,
     fv_residuals_1d,
+    integrate,
     residual_assembler,
     supg_residuals_1d,
 )
@@ -187,38 +189,38 @@ CASES = [(m, b, s) for m in ("burgers", "euler") for b in BOUNDARIES for s in SE
 @pytest.mark.parametrize("model_name,boundary,seed", CASES)
 def test_fv_residuals_match_per_cell_formulas_bitwise(kind, model_name, boundary, seed):
     mesh, model, states = _problem(model_name, boundary, seed)
-    flux = NumericalFlux(kind, model)
+    flux = NumericalFlux(kind)
     want = _fv_reference(mesh, states, kind, model)
-    _assert_residuals_equal(fv_residuals_1d(mesh, states, flux, model), want)
-    nodes = NodeKernels.of(model, states)
-    _assert_residuals_equal(fv_residuals_1d(mesh, nodes, flux, model), want)
+    _assert_residuals_equal(fv_residuals_1d(mesh, NodeKernels.of(model, states), flux), want)
     # the two-state call applies the same expression
     u_left, u_right = states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]]
-    assert same_bits(flux(u_left, u_right), _fhat_reference(kind, u_left, u_right, model))
+    fhat = flux(NodeKernels.of(model, u_left), NodeKernels.of(model, u_right))
+    assert same_bits(fhat, _fhat_reference(kind, u_left, u_right, model))
 
 
 @pytest.mark.parametrize("model_name,boundary,seed", CASES)
 def test_supg_residuals_match_per_cell_formulas_bitwise(model_name, boundary, seed):
     mesh, model, states = _problem(model_name, boundary, seed)
     want = _supg_reference(mesh, states, model, tau_scale=0.7)
-    _assert_residuals_equal(supg_residuals_1d(mesh, states, model, tau_scale=0.7), want)
+    nodes = NodeKernels.of(model, states)
+    _assert_residuals_equal(supg_residuals_1d(mesh, nodes, model, tau_scale=0.7), want)
 
 
 @pytest.mark.parametrize("kind", ["rusanov", "central"])
 @pytest.mark.parametrize("model_name,boundary,seed", CASES)
 def test_entropy_correction_matches_per_cell_formulas_bitwise(kind, model_name, boundary, seed):
     mesh, model, states = _problem(model_name, boundary, seed)
-    base = fv_residuals_1d(mesh, states, NumericalFlux(kind, model), model)
+    nodes = NodeKernels.of(model, states)
+    base = fv_residuals_1d(mesh, nodes, NumericalFlux(kind))
     phi, alpha, r, pre, post, clamped = _entropy_reference(base, states, model)
-    for given in (states, NodeKernels.of(model, states)):
-        corrected, report = corrections.entropy_correction(base, given, model)
-        assert same_bits(corrected.phi, phi)
-        assert same_bits(report.alpha, alpha)
-        assert same_bits(report.corrections, r)
-        assert same_bits(report.pre_defect, pre)
-        assert same_bits(report.post_defect, post)
-        assert same_bits(report.clamped, clamped)
-        assert corrected.alpha_max == (float(alpha.max()) if len(alpha) else 0.0)
+    corrected, report = corrections.entropy_correction(base, nodes, model)
+    assert same_bits(corrected.phi, phi)
+    assert same_bits(report.alpha, alpha)
+    assert same_bits(report.corrections, r)
+    assert same_bits(report.pre_defect, pre)
+    assert same_bits(report.post_defect, post)
+    assert same_bits(report.clamped, clamped)
+    assert corrected.alpha_max == (float(alpha.max()) if len(alpha) else 0.0)
 
 
 def test_entropy_correction_fires_in_the_oracle_cases():
@@ -226,8 +228,9 @@ def test_entropy_correction_fires_in_the_oracle_cases():
     active = 0
     for model_name, boundary, seed in CASES:
         mesh, model, states = _problem(model_name, boundary, seed)
-        base = fv_residuals_1d(mesh, states, NumericalFlux("central", model), model)
-        active += int((corrections.entropy_correction(base, states, model)[1].alpha > 0).sum())
+        nodes = NodeKernels.of(model, states)
+        base = fv_residuals_1d(mesh, nodes, NumericalFlux("central"))
+        active += int((corrections.entropy_correction(base, nodes, model)[1].alpha > 0).sum())
     assert active > 0
 
 
@@ -237,9 +240,10 @@ def test_entropy_correction_fires_in_the_oracle_cases():
 def test_gas_scheme_assembly_matches_per_cell_formulas_bitwise(boundary, seed, dt):
     # dt = 10 drives rho_new negative somewhere: the nan path must agree too
     mesh, model, states = _problem("euler", boundary, seed)
+    nodes = NodeKernels.of(model, states)
     with np.errstate(all="ignore"):
         want = _gas_reference(mesh, model, states, dt)
-        got = residual_assembler("nc-energy-corrected", model, mesh)(states, dt)
+        got = residual_assembler("nc-energy-corrected", model, mesh)(nodes, dt)
     _assert_residuals_equal(got, want)
 
 
@@ -248,7 +252,7 @@ def _gas_unshared_reference(mesh, model, u, dt):
     phi_e through np.stack and the new density and momentum each with its
     own dt / volumes."""
     nodes = model.node_kernels(u)
-    base = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov", model), model)
+    base = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
     phi_rho = base.phi[:, :, 0]
     phi_mom = base.phi[:, :, 1]
     dofs = mesh.cell_dofs
@@ -299,8 +303,7 @@ def test_gas_assembly_equals_its_unshared_formulas_bitwise(seed, boundary, dt):
     assemble = residual_assembler("nc-energy-corrected", model, mesh)
     with np.errstate(all="ignore"):
         want = _gas_unshared_reference(mesh, model, states, dt)
-        for given_states in (states, model.node_kernels(states)):
-            _assert_residuals_equal(assemble(given_states, dt), want)
+        _assert_residuals_equal(assemble(NodeKernels.of(model, states), dt), want)
 
 
 @pytest.mark.parametrize(
@@ -310,7 +313,8 @@ def test_gas_assembly_equals_its_unshared_formulas_bitwise(seed, boundary, dt):
 def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary, monkeypatch):
     mesh, model, states = _problem("euler", boundary, 3)
     assemble = residual_assembler(scheme_id, model, mesh, 0.7)
-    want = assemble(states, 1e-3)
+    nodes = NodeKernels.of(model, states)
+    want = assemble(nodes, 1e-3)
     # every model evaluation at a set of states: a bundle, or a bare flux
     calls = []
     for name in ("node_kernels", "flux"):
@@ -321,15 +325,14 @@ def test_assembler_hands_one_bundle_to_base_and_corrections(scheme_id, boundary,
                 calls.append((_name, np.shape(u))) or _fn(self, u, *args)
             ),
         )
-    got = assemble(states, 1e-3)
+    got = assemble(nodes, 1e-3)
     assert same_bits(got.phi, want.phi)
-    # fv and the gas scheme: the bundle only; supg: the bundle plus three
-    # quadrature points
-    assert calls[0] == ("node_kernels", states.shape)
+    # the assembler reads the bundle it is handed and builds none: fv and the
+    # gas scheme evaluate the model nowhere else, supg at three quadrature points
     if scheme_id == "supg":
-        assert calls[1:] == [("flux", (mesh.ncell, 3))] * 3
+        assert calls == [("flux", (mesh.ncell, 3))] * 3
     else:
-        assert calls[1:] == []
+        assert calls == []
 
 
 @pytest.mark.parametrize("leading", [(), (7,), (5, 4)])
@@ -383,29 +386,53 @@ def test_gas_scheme_admissible_mask_equals_its_reduction_form(leading, component
 
 
 # ---------------------------------------------------------------------------
-# DomainError carries the DOF index
+# raw states pass one door, which names the DOF of an inadmissible one
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "residuals",
-    [
-        lambda mesh, u, model: fv_residuals_1d(mesh, u, NumericalFlux("rusanov", model), model),
-        lambda mesh, u, model: supg_residuals_1d(mesh, u, model),
-    ],
-    ids=["fv", "supg"],
-)
-def test_domain_error_carries_the_dof_index(residuals):
+@pytest.mark.parametrize("scheme_id", ["fv-rusanov", "supg"], ids=["fv", "supg"])
+def test_domain_error_carries_the_dof_index(scheme_id):
     # the last DOF of a transmissive mesh is only a right cell end: its cell
     # row is ndof - 2, its DOF index ndof - 1
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 8, boundary="transmissive")
     states = random_euler_states(np.random.default_rng(0), mesh.ndof)
     states[-1, 0] = -1.0
+    assemble = residual_assembler(scheme_id, model, mesh)
+    for admit in (
+        lambda: NodeKernels.of(model, states),
+        lambda: integrate(model, mesh, states, assemble, cfl=0.4, t_end=0.1),
+    ):
+        with pytest.raises(DomainError) as excinfo:
+            admit()
+        assert excinfo.value.index == (mesh.ndof - 1,)
+        assert same_bits(excinfo.value.state, states[-1])
+
+
+def test_node_kernels_of_rejects_inadmissible_states():
+    # a negative density and a negative internal energy, each named by its row
+    model = Euler(1.4)
+    for bad, row in (([-1.0, 0.0, 1.0], 1), ([1.0, 0.0, -1.0], 0)):
+        states = np.array([[1.0, 0.0, 2.5], [1.0, 0.0, 2.5]])
+        states[row] = bad
+        with pytest.raises(DomainError) as excinfo:
+            NodeKernels.of(model, states)
+        assert excinfo.value.index == (row,)
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0, 1.0], [1.0, 0.0, -1.0]], ids=["nan", "pressure"])
+def test_integrate_names_an_inadmissible_initial_row(row):
+    # a nan density or a negative pressure makes march's first wave speed nan:
+    # the door must name the row before march reports a blow-up at step 0
+    from conserva.harness.runner import build_problem
+    from conserva.records import RunConfig
+
+    case, mesh, u0 = build_problem(RunConfig(case="sod", scheme="fv-rusanov", nx=32))
+    u0[10] = row
+    assemble = residual_assembler("fv-rusanov", case.model, mesh)
     with pytest.raises(DomainError) as excinfo:
-        residuals(mesh, states, model)
-    assert excinfo.value.index == (mesh.ndof - 1,)
-    assert same_bits(excinfo.value.state, states[-1])
+        integrate(case.model, mesh, u0, assemble, cfl=0.4, t_end=case.t_end)
+    assert excinfo.value.index == (10,)
 
 
 # ---------------------------------------------------------------------------

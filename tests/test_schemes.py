@@ -7,7 +7,7 @@ from conserva.active_flux import af_integrate, initialize
 from conserva.errors import ConfigError, RunError
 from conserva.harness import build_problem
 from conserva.mesh import uniform_mesh
-from conserva.models import Advection, Burgers, Euler
+from conserva.models import Advection, Burgers, Euler, NodeKernels
 from conserva.records import INTEGRATORS, SSP_STAGES, RunConfig
 from conserva.schemes import (
     NumericalFlux,
@@ -29,32 +29,33 @@ from conftest import element_defect, random_euler_states, same_bits
 
 def test_rusanov_burgers_riemann_value():
     model = Burgers()
-    f = NumericalFlux("rusanov", model)(np.array([1.0]), np.array([0.0]))
+    left, right = NodeKernels.of(model, [1.0]), NodeKernels.of(model, [0.0])
+    f = NumericalFlux("rusanov")(left, right)
     assert f == pytest.approx(0.75)  # (0.5 + 0)/2 + (1/2)*1*1
 
 
 @pytest.mark.parametrize("kind", ["rusanov", "central"])
 def test_flux_consistency(kind, rng):
     model = Euler(1.4)
-    flux = NumericalFlux(kind, model)
-    states = random_euler_states(rng, 1000)
-    np.testing.assert_allclose(flux(states, states), model.flux(states), rtol=1e-13)
+    flux = NumericalFlux(kind)
+    nodes = NodeKernels.of(model, random_euler_states(rng, 1000))
+    np.testing.assert_allclose(flux(nodes, nodes), nodes.flux, rtol=1e-13)
 
 
 def test_flux_lipschitz_spot_check(rng):
     model = Burgers()
-    flux = NumericalFlux("rusanov", model)
+    flux = NumericalFlux("rusanov")
     u = rng.uniform(-1, 1, (500, 1))
-    v = rng.uniform(-1, 1, (500, 1))
+    v = NodeKernels.of(model, rng.uniform(-1, 1, (500, 1)))
     eps = 1e-6
-    base = flux(u, v)
-    bumped = flux(u + eps, v)
+    base = flux(NodeKernels.of(model, u), v)
+    bumped = flux(NodeKernels.of(model, u + eps), v)
     assert np.abs(bumped - base).max() <= 5.0 * eps  # bounded sensitivity
 
 
 def test_unknown_flux_kind():
     with pytest.raises(ConfigError):
-        NumericalFlux("wild", Burgers())
+        NumericalFlux("wild")
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_fv_residuals_constant_states_vanish():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 8, boundary="periodic")
     states = np.full((mesh.ndof, 1), 0.7)
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     np.testing.assert_allclose(res.phi, 0.0, atol=1e-15)
 
 
@@ -74,7 +75,7 @@ def test_fv_residuals_hand_values():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[1.0], [0.0], [0.0]])
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     assert res.phi[0, 0, 0] == pytest.approx(0.25)  # 0.75 - f(1)
     assert res.phi[0, 1, 0] == pytest.approx(-0.75)  # f(0) - 0.75
     assert res.phi[0].sum() == pytest.approx(-0.5)  # f(uR) - f(uL)
@@ -84,7 +85,7 @@ def test_fv_residuals_conservation_defect(rng):
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 64, boundary="periodic")
     states = random_euler_states(rng, mesh.ndof)
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     scale = np.abs(res.phi).max()
     assert np.abs(element_defect(res)).max() <= 1e-12 * max(scale, 1.0)
 
@@ -95,12 +96,13 @@ def test_fv_residual_update_equals_flux_form(rng):
     for boundary in ("periodic", "transmissive"):
         mesh = uniform_mesh(-1.0, 1.0, 50, boundary=boundary)
         states = rng.uniform(-1.0, 1.0, (mesh.ndof, 1))
-        flux = NumericalFlux("rusanov", model)
-        res = fv_residuals_1d(mesh, states, flux, model)
+        flux = NumericalFlux("rusanov")
+        res = fv_residuals_1d(mesh, NodeKernels.of(model, states), flux)
         dt = 1e-3
         updated = rd_step(mesh, states, res, dt, model)
 
-        fhat = flux(states[mesh.cell_dofs[:, 0]], states[mesh.cell_dofs[:, 1]])
+        left, right = (NodeKernels.of(model, states[mesh.cell_dofs[:, k]]) for k in (0, 1))
+        fhat = flux(left, right)
         expected = states.copy()
         if boundary == "periodic":
             diff = fhat - np.roll(fhat, 1, axis=0)
@@ -111,11 +113,22 @@ def test_fv_residual_update_equals_flux_form(rng):
         np.testing.assert_allclose(updated, expected, atol=1e-13)
 
 
-def test_fv_size_mismatch():
+@pytest.mark.parametrize("extra", [-1, 1, 4])
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+def test_a_row_count_other_than_ndof_raises_config_error(boundary, extra):
+    # the cell-end gather reads rows by stride: unchecked, extra rows are
+    # ignored and ncell rows on a transmissive mesh take the periodic layout
     model = Burgers()
-    mesh = uniform_mesh(0.0, 1.0, 4, boundary="periodic")
-    with pytest.raises(ConfigError):
-        fv_residuals_1d(mesh, np.zeros((9, 1)), NumericalFlux("rusanov", model), model)
+    mesh = uniform_mesh(0.0, 1.0, 4, boundary=boundary)
+    states = np.linspace(0.1, 0.9, mesh.ndof + extra)[:, None]
+    nodes = NodeKernels.of(model, states)
+    with pytest.raises(ConfigError, match=f"expected {mesh.ndof} states"):
+        fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
+    with pytest.raises(ConfigError, match=f"expected {mesh.ndof} states"):
+        supg_residuals_1d(mesh, nodes, model)
+    assemble = residual_assembler("fv-rusanov", model, mesh)
+    with pytest.raises(ConfigError, match=rf"u0 must be \({mesh.ndof}, p\)"):
+        integrate(model, mesh, states, assemble, cfl=0.4, t_end=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +140,7 @@ def test_supg_constant_state_zero_residuals():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 6, boundary="periodic")
     states = np.full((mesh.ndof, 1), 2.0)
-    res = supg_residuals_1d(mesh, states, model)
+    res = supg_residuals_1d(mesh, NodeKernels.of(model, states), model)
     np.testing.assert_allclose(res.phi, 0.0, atol=1e-13)
 
 
@@ -135,7 +148,7 @@ def test_supg_element_sum_is_boundary_flux(rng):
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 32, boundary="periodic")
     states = random_euler_states(rng, mesh.ndof)
-    res = supg_residuals_1d(mesh, states, model)
+    res = supg_residuals_1d(mesh, NodeKernels.of(model, states), model)
     f = model.flux(states)
     expected = f[mesh.cell_dofs[:, 1]] - f[mesh.cell_dofs[:, 0]]
     np.testing.assert_allclose(res.phi.sum(axis=1), expected, rtol=1e-12, atol=1e-12)
@@ -146,7 +159,7 @@ def test_supg_advection_reduces_to_upwind():
     model = Advection(a=1.0)
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[0.3], [0.9], [0.1]])
-    res = supg_residuals_1d(mesh, states, model)
+    res = supg_residuals_1d(mesh, NodeKernels.of(model, states), model)
     for cell in range(2):
         u_l, u_r = states[cell, 0], states[cell + 1, 0]
         assert res.phi[cell, 0, 0] == pytest.approx(0.0, abs=1e-14)
@@ -162,7 +175,8 @@ def test_rd_step_zero_residuals_is_identity():
     model = Burgers()
     mesh = uniform_mesh(0.0, 1.0, 8, boundary="periodic")
     states = np.linspace(-1, 1, mesh.ndof)[:, None]
-    res = fv_residuals_1d(mesh, np.full_like(states, 0.5), NumericalFlux("rusanov", model), model)
+    nodes = NodeKernels.of(model, np.full_like(states, 0.5))
+    res = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
     np.testing.assert_allclose(rd_step(mesh, states, res, 0.1, model), states, atol=1e-16)
 
 
@@ -170,7 +184,7 @@ def test_rd_step_total_update_telescopes(rng):
     model = Burgers()
     mesh = uniform_mesh(-1.0, 1.0, 40, boundary="transmissive")
     states = rng.uniform(-1, 1, (mesh.ndof, 1))
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     dt = 2e-3
     updated = rd_step(mesh, states, res, dt, model)
     change = (mesh.volumes[:, None] * (updated - states)).sum(axis=0)
@@ -182,7 +196,7 @@ def test_rd_step_single_riemann_cell_matches_hand_update():
     model = Burgers()
     mesh = uniform_mesh(0.0, 2.0, 2, boundary="transmissive")
     states = np.array([[1.0], [1.0], [0.0]])
-    res = fv_residuals_1d(mesh, states, NumericalFlux("rusanov", model), model)
+    res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     dt = 0.1
     updated = rd_step(mesh, states, res, dt, model)
     # middle DOF: fhat(1,0) - fhat(1,1) = 0.75 - 0.5, volume 1
@@ -234,8 +248,8 @@ def _advection_setup(n, cfl=0.4):
     model = Advection(a=1.0)
     mesh = uniform_mesh(-1.0, 1.0, n, boundary="periodic")
     u0 = np.sin(np.pi * mesh.dof_x)[:, None]
-    flux = NumericalFlux("rusanov", model)
-    assemble = lambda states, dt: fv_residuals_1d(mesh, states, flux, model)
+    flux = NumericalFlux("rusanov")
+    assemble = lambda nodes, dt: fv_residuals_1d(mesh, nodes, flux)
     return model, mesh, u0, assemble
 
 
@@ -275,8 +289,8 @@ def test_integrate_blowup_raises_run_error():
     model = Burgers()
     mesh = uniform_mesh(-1.0, 1.0, 50, boundary="periodic")
     u0 = np.sin(np.pi * mesh.dof_x)[:, None]
-    flux = NumericalFlux("central", model)
-    assemble = lambda states, dt: fv_residuals_1d(mesh, states, flux, model)
+    flux = NumericalFlux("central")
+    assemble = lambda nodes, dt: fv_residuals_1d(mesh, nodes, flux)
     with pytest.raises(RunError) as excinfo:
         with np.errstate(all="ignore"):
             integrate(model, mesh, u0, assemble, cfl=0.9, t_end=50.0)
@@ -289,8 +303,8 @@ def _rd_problem(blowup):
         model = Burgers()
         mesh = uniform_mesh(-1.0, 1.0, 50, boundary="periodic")
         u0 = np.sin(np.pi * mesh.dof_x)[:, None]
-        flux = NumericalFlux("central", model)
-        assemble = lambda states, dt: fv_residuals_1d(mesh, states, flux, model)
+        flux = NumericalFlux("central")
+        assemble = lambda nodes, dt: fv_residuals_1d(mesh, nodes, flux)
         return lambda **kw: integrate(model, mesh, u0, assemble, cfl=0.9, **kw), 50.0
     model, mesh, u0, assemble = _advection_setup(32)
     return lambda **kw: integrate(model, mesh, u0, assemble, cfl=0.4, **kw), 0.5
@@ -363,8 +377,8 @@ def test_integrate_boundary_accounting_transmissive(integrator, rng):
     model = Burgers()
     mesh = uniform_mesh(-1.0, 2.0, 60, boundary="transmissive")
     u0 = np.where(mesh.dof_x < 0, 1.0, 0.0)[:, None]
-    flux = NumericalFlux("rusanov", model)
-    assemble = lambda states, dt: fv_residuals_1d(mesh, states, flux, model)
+    flux = NumericalFlux("rusanov")
+    assemble = lambda nodes, dt: fv_residuals_1d(mesh, nodes, flux)
     record = integrate(model, mesh, u0, assemble, cfl=0.4, t_end=0.5, integrator=integrator)
     assert record.ledger.conservation_drift() <= 1e-12
 
@@ -396,17 +410,16 @@ class _GappedBurgers(Burgers):
 
 
 def test_integrate_rejects_an_inadmissible_combined_stage():
-    from conserva.models import NodeKernels
     from conserva.schemes import ResidualSet
 
     model = _GappedBurgers()
     mesh = uniform_mesh(0.0, 1.0, 4)
     u0 = np.zeros((mesh.ndof, 1))
 
-    def assemble(states, dt):
+    def assemble(nodes, dt):
         # every forward-Euler stage lands on u = 1; SSPRK2's second stage
         # averages that with u^n = 0 into 0.5, whatever the dt
-        u = NodeKernels.of(model, states).states
+        u = nodes.states
         phi = np.zeros((mesh.ncell, 2, 1))
         phi[:, 0] = (u - 1.0) * (mesh.volumes / dt)[:, None]
         return ResidualSet(mesh.cell_dofs, phi, np.zeros_like(phi), np.zeros(1))
@@ -415,10 +428,3 @@ def test_integrate_rejects_an_inadmissible_combined_stage():
         integrate(model, mesh, u0, assemble, cfl=0.4, t_end=0.1, integrator="ssprk2")
     assert excinfo.value.step == 0
 
-
-def test_rusanov_rejects_inadmissible_states():
-    from conserva.errors import DomainError
-
-    model = Euler(1.4)
-    with pytest.raises(DomainError):
-        NumericalFlux("rusanov", model)(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, 2.5]))
