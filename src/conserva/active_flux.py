@@ -48,7 +48,8 @@ class AfState:
 
 
 def initialize(model, mesh, u0_of_x):
-    """Exact point values and Gauss-quadrature cell averages of u0."""
+    """Exact point values and Gauss-quadrature cell averages of u0; the point
+    states pass ``NodeKernels.of``, which names an inadmissible node."""
     nodes = mesh.nodes
     mids = mesh.cell_centers
     half = 0.5 * mesh.cell_sizes
@@ -57,7 +58,7 @@ def initialize(model, mesh, u0_of_x):
     for xi, w in zip(gp, gw):
         averages += 0.5 * w * u0_of_x(mids + half * xi)
     xs = nodes[:-1] if mesh.periodic else nodes
-    points = model.to_aux(model.require_admissible(u0_of_x(xs)))
+    points = model.to_aux(NodeKernels.of(model, u0_of_x(xs)).states)
     return AfState(averages, points)
 
 

@@ -11,6 +11,8 @@ from ..errors import BranchError, ConfigError, VacuumError
 # Newton stopping rules of the two oracles
 RIEMANN_TOL, RIEMANN_MAX_ITER = 1e-12, 200
 SINE_TOL, SINE_MAX_ITER = 1e-14, 100
+# sin(pi x) data first shock at t = 1/pi
+BURGERS_SINE_BREAKDOWN = 1.0 / np.pi
 
 
 @dataclass
@@ -162,9 +164,9 @@ def burgers_sine_exact(x, t):
     t < 1/pi, before the first shock forms.  Later times raise BranchError.
     """
     t = float(t)
-    if t >= 1.0 / np.pi:
+    if t >= BURGERS_SINE_BREAKDOWN:
         raise BranchError(
-            f"sine data shocks at t = 1/pi ~ {1.0 / np.pi:.6f}; requested t = {t}"
+            f"sine data shocks at t = 1/pi ~ {BURGERS_SINE_BREAKDOWN:.6f}; requested t = {t}"
         )
     x = np.asarray(x, dtype=float)
     u = np.sin(np.pi * x)
@@ -176,6 +178,3 @@ def burgers_sine_exact(x, t):
         if np.abs(du).max() < SINE_TOL:
             break
     return u
-
-
-BURGERS_SINE_BREAKDOWN = 1.0 / np.pi

@@ -21,9 +21,9 @@ from .mesh import gather_cell_ends
 ADMISSIBLE_FLOOR = 1e-12
 
 
-def _first_bad(mask):
-    idx = np.argwhere(mask)
-    return tuple(idx[0]) if idx.size else None
+def _first_rejected(mask):
+    """The index, a tuple of ints, of the first state a mask rejects."""
+    return tuple(int(i) for i in np.argwhere(~mask)[0])
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,6 @@ class PhysicsModel:
     def admissible_mask(self, u):
         """Boolean mask over leading axes: True where the state is usable."""
         return np.isfinite(u).all(axis=-1)
-
-    def require_admissible(self, u):
-        u = np.asarray(u, dtype=float)
-        mask = self.admissible_mask(u)
-        if not mask.all():
-            where = _first_bad(~mask)
-            state = u[where] if where is not None else None
-            raise DomainError(
-                f"inadmissible state {state} at index {where}", state=state, index=where
-            )
-        return u
 
     def node_kernels(self, u, entropy=False):
         """The unchecked ``NodeKernels`` of states u, with their entropy if asked;
@@ -369,7 +358,11 @@ class NodeKernels:
         """
         nodes = model.node_kernels(np.asarray(states, dtype=float), entropy=entropy)
         if not nodes.admissible.all():
-            model.require_admissible(nodes.states)  # the same mask: names the row
+            where = _first_rejected(nodes.admissible)
+            state = nodes.states[where]
+            raise DomainError(
+                f"inadmissible state {state} at index {where}", state=state, index=where
+            )
         return nodes
 
     def cell_ends(self, mesh):

@@ -43,8 +43,9 @@ SCHEMES = {
     "fv-entropy-corrected": SchemeRow(FV, ("entropy",), INTEGRATORS, 0.4),
     "supg": SchemeRow(SUPG, (), ("ssprk3", "euler", "ssprk2"), 0.8),
     "nc-energy-corrected": SchemeRow(FV, ("energy",), INTEGRATORS, 0.4),
-    # an SSPRK3 scheme throughout; its point-average coupling is unstable by
-    # CFL 0.5
+    # an SSPRK3 scheme throughout; its point-average coupling holds up to
+    # CFL 0.41 and blows up from 0.415 (advection-sine to t = 16), so its
+    # default CFL is also the largest it accepts
     "active-flux": SchemeRow(ACTIVE_FLUX, (), ("ssprk3",), 0.4),
 }
 
@@ -76,6 +77,8 @@ class RunConfig:
             raise ConfigError(f"nx must be at least 2, got {self.nx}")
         if self.cfl is not None and not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if row.base == ACTIVE_FLUX and self.cfl is not None and self.cfl > row.cfl:
+            raise ConfigError(f"{self.scheme} is stable up to cfl {row.cfl} only, got {self.cfl}")
         if self.t_end is not None and not 0.0 < self.t_end < np.inf:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.boundary is not None and self.boundary not in ("periodic", "transmissive"):

@@ -17,10 +17,11 @@ scheme's ``af_integrate`` hand it a step function.
 
 Residuals are functions of node quantities, so the model is evaluated once
 at the nodes (``models.NodeKernels``) and the cell ends are gathered from
-that bundle.  Residuals and corrections take a bundle and check nothing:
-``integrate`` admits the initial states once through ``NodeKernels.of`` and
-checks the bundle it builds of each stage state, which the next stage reads,
-or the CFL speed and the ledger on an accepted state.
+that bundle.  Residuals, corrections and the update ``rd_step`` check
+nothing: ``integrate`` alone admits states.  It admits the initial states
+once through ``NodeKernels.of`` and checks the bundle it builds of each stage
+state, which the next stage reads, or the CFL speed and the ledger on an
+accepted state; a combined SSP stage checks its forward-Euler candidate too.
 
 Residual assembly is element-local and pure; elements could be processed
 concurrently.  The integrator is a single logical sequence.
@@ -35,7 +36,7 @@ import numpy as np
 from . import corrections
 from .errors import ConfigError, RunError, StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
-from .models import NodeKernels
+from .models import NodeKernels, _first_rejected
 from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SUPG, Ledger, SolutionRecord
 
 _GAUSS3 = np.polynomial.legendre.leggauss(3)
@@ -311,22 +312,19 @@ class TwoFieldGasScheme:
 # ---------------------------------------------------------------------------
 
 
-def rd_step(mesh, states, residuals, dt, model):
-    """One forward-Euler residual-distribution update; a state the model does
-    not admit raises StepRejectedError carrying its DOF."""
+def rd_step(mesh, states, residuals, dt):
+    """One forward-Euler residual-distribution update of the (ndof, p) states,
+    unchecked: ``integrate`` admits what it makes of the result."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    states = np.asarray(states, dtype=float)
     increments = residuals.scatter_to_dofs(mesh.ndof)
-    new_states = states - (dt / mesh.volumes)[:, None] * increments
-    _reject_inadmissible(model.admissible_mask(new_states))
-    return new_states
+    return states - (dt / mesh.volumes)[:, None] * increments
 
 
 def _reject_inadmissible(mask):
     """Raise StepRejectedError at the first DOF a step's admissibility mask rejects."""
     if not mask.all():
-        where = int(np.argwhere(~mask)[0][0])
+        where = _first_rejected(mask)[0]
         raise StepRejectedError(f"inadmissible state at DOF {where} after step", location=where)
 
 
@@ -429,7 +427,8 @@ def integrate(
     speed and the ledger read; a stage state its mask rejects raises
     StepRejectedError.  Each stage is a forward Euler step and SSP stages
     combine them convexly, so residuals that sum to their boundary parts
-    conserve with every integrator.  The ledger's totals are the
+    conserve with every integrator; a combined stage, (a, b) != (0, 1), also
+    rejects an inadmissible forward-Euler candidate.  The ledger's totals are the
     volume-weighted sums of the states, which the record's snapshots copy;
     its boundary account is the net outflux each stage's residuals carry;
     alpha_max is the largest correction coefficient reported by the
@@ -451,7 +450,10 @@ def integrate(
             residuals = assemble(bundle, dt)
             alpha_max = max(alpha_max, residuals.alpha_max)
             bflux = bflux + w * dt * residuals.boundary_outflux
-            stage = rd_step(mesh, bundle.states, residuals, dt, model=model)
+            stage = rd_step(mesh, bundle.states, residuals, dt)
+            if (a_coef, b_coef) != (0.0, 1.0):
+                # the forward-Euler candidate of a combined stage: SSP rests on it
+                _reject_inadmissible(model.admissible_mask(stage))
             bundle = model.node_kernels(_ssp_combine(a_coef, u, b_coef, stage),
                                         entropy=k == len(stages))
             _reject_inadmissible(bundle.admissible)

@@ -48,7 +48,7 @@ def test_criterion_1_fv_residual_form_equals_flux_form():
                 dt = 0.2 * float(mesh.volumes.min()) / float(
                     model.max_wave_speed(states).max()
                 )
-                via_residuals = rd_step(mesh, states, res, dt, model)
+                via_residuals = rd_step(mesh, states, res, dt)
 
                 left, right = (NodeKernels.of(model, states[mesh.cell_dofs[:, k]]) for k in (0, 1))
                 fhat = flux(left, right)
@@ -119,7 +119,7 @@ def test_criterion_3_supg_and_corrected_residuals_admit_flux_form():
                 worst,
                 float(np.abs(increments - residuals.scatter_to_dofs(mesh.ndof)).max()),
             )
-        states = rd_step(mesh, states, corrected, dt, model)
+        states = rd_step(mesh, states, corrected, dt)
     _report(
         3,
         worst <= 1e-12,
@@ -208,7 +208,7 @@ def test_criterion_5_entropy_correction_and_negative_control():
         base = fv_residuals_1d(mesh, nodes, flux)
         corrected, report = corrections.entropy_correction(base, nodes, model)
         worst_post = min(worst_post, float(report.post_defect.min()))
-        states = rd_step(mesh, states, corrected, dt, model)
+        states = rd_step(mesh, states, corrected, dt)
         entropy_now = float((mesh.volumes * model.entropy(states)).sum())
         max_rise = max(max_rise, entropy_now - entropy_prev)
         entropy_prev = entropy_now
@@ -228,7 +228,7 @@ def test_criterion_5_entropy_correction_and_negative_control():
         # entropy flux, before the correction acts
         pre_defect = corrections.entropy_correction(base, nodes, model)[1].pre_defect
         violations += int((pre_defect < -1e-12).sum())
-        states_c = rd_step(mesh, states_c, base, dt, model)
+        states_c = rd_step(mesh, states_c, base, dt)
 
     ok = worst_post >= -1e-12 and max_rise <= 1e-13 and violations >= 1
     _report(

@@ -7,7 +7,7 @@ from conserva.errors import ConfigError, DiagnosticError
 from conserva.harness import case_library, cases, runner, weak_residual_diagnostic
 from conserva.harness.cases import SHU_OSHER_LEFT
 from conserva.harness.cli import main
-from conserva.harness.runner import build_problem, run
+from conserva.harness.runner import build_problem, l1_error, run
 from conserva.harness.weak import BumpTestFunction, default_bumps
 from conserva.mesh import uniform_mesh
 from conserva.records import (
@@ -592,6 +592,23 @@ def test_cli_rejects_gamma_on_a_scalar_case(tmp_path, capsys, case, source):
     assert code == 2
     assert "gamma" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_active_flux_rejects_a_cfl_above_its_stable_bound(tmp_path, capsys):
+    # the point-average coupling blows up from CFL ~0.415: at 0.5 advection-sine
+    # once ran to an L1 error of 7e54 and exited 0
+    bound = SCHEMES["active-flux"].cfl
+    with pytest.raises(ConfigError, match=f"up to cfl {bound}"):
+        RunConfig(case="advection-sine", scheme="active-flux", cfl=0.5).validate()
+    out = tmp_path / "never.csv"
+    code = main(["run", "--case", "advection-sine", "--scheme", "active-flux", "--nx", "100",
+                 "--cfl", "0.5", "--out", str(out)])
+    assert code == 2
+    assert f"up to cfl {bound}" in capsys.readouterr().err
+    assert not out.exists()
+    record = run(RunConfig(case="advection-sine", scheme="active-flux", nx=32, cfl=bound,
+                           t_end=0.5))
+    assert l1_error(record) < 1e-2
 
 
 def test_runconfig_validation():

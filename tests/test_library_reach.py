@@ -60,14 +60,28 @@ def _used_names():
     return used
 
 
+def _assigned(node):
+    """The names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for name in ast.walk(target):
+            if isinstance(name, ast.Name):
+                yield name.id
+
+
 def _public_definitions():
-    """(where, name, uses inside the definition's own class) of every public
-    module-level function or class and every public method or property."""
+    """(where, name, uses inside the definition itself) of every public
+    module-level function, class or constant and every public method or
+    property; a constant's own use is the name it binds."""
     for path in _sources(LIBRARY):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 yield f"{path.relative_to(LIBRARY)}:{node.name}", node.name, 0
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in _assigned(node):
+                    if not name.startswith("_"):
+                        yield f"{path.relative_to(LIBRARY)}:{name}", name, 1
             if isinstance(node, ast.ClassDef):
                 own = _names(node)
                 for member in node.body:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError, DomainError
-from conserva.models import ADMISSIBLE_FLOOR, Advection, Burgers, Euler
+from conserva.models import ADMISSIBLE_FLOOR, Advection, Burgers, Euler, NodeKernels
 
 from conftest import random_euler_states, same_bits
 
@@ -77,12 +77,12 @@ def test_max_wave_speeds():
 def test_inadmissible_states_raise():
     model = Euler(gamma=1.4)
     with pytest.raises(DomainError):
-        model.require_admissible(np.array([-1.0, 0.0, 2.5]))
+        NodeKernels.of(model, np.array([-1.0, 0.0, 2.5]))
     with pytest.raises(DomainError):
-        model.require_admissible(np.array([1.0, 10.0, 2.5]))  # negative internal energy
+        NodeKernels.of(model, np.array([1.0, 10.0, 2.5]))  # negative internal energy
     exc = None
     try:
-        model.require_admissible(np.array([[1.0, 0.0, 2.5], [1.0, 0.0, -1.0]]))
+        NodeKernels.of(model, np.array([[1.0, 0.0, 2.5], [1.0, 0.0, -1.0]]))
     except DomainError as err:
         exc = err
     assert exc is not None and exc.index == (1,)
@@ -102,7 +102,7 @@ def test_zero_or_overflowing_density_raises_domain_error(state):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            Euler(gamma=1.4).require_admissible(np.array([state]))
+            NodeKernels.of(Euler(gamma=1.4), np.array([state]))
 
 
 _AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-200, 1e-12, 1.0, -1.0, 2.5,
@@ -112,17 +112,17 @@ _AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-200, 1e-12, 1.0, -1.0, 2.5,
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(3)),
                   elements=st.one_of(st.sampled_from(_AWKWARD), st.floats())))
-def test_property_require_admissible_raises_domain_error_never_a_warning(u):
+def test_property_node_kernels_of_raises_domain_error_never_a_warning(u):
     model = Euler(gamma=1.4)
     want = _mask_with_safe_copy(model, u)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert same_bits(model.admissible_mask(u), want)
         if want.all():
-            model.require_admissible(u)
+            NodeKernels.of(model, u)
         else:
             with pytest.raises(DomainError):
-                model.require_admissible(u)
+                NodeKernels.of(model, u)
 
 
 def test_gamma_must_exceed_one():

@@ -440,16 +440,19 @@ def test_integrate_names_an_inadmissible_initial_row(row):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme_id", ["fv-rusanov", "fv-entropy-corrected", "nc-energy-corrected"])
-def test_integrate_evaluates_each_accepted_state_once(scheme_id, monkeypatch):
+@pytest.mark.parametrize("scheme_id, integrator", [
+    ("fv-rusanov", "euler"), ("fv-entropy-corrected", "euler"), ("nc-energy-corrected", "euler"),
+    ("fv-rusanov", "ssprk2"), ("fv-rusanov", "ssprk3"),
+])
+def test_integrate_evaluates_each_accepted_state_once(scheme_id, integrator, monkeypatch):
     from conserva.harness.runner import build_problem
-    from conserva.records import RunConfig
+    from conserva.records import SSP_STAGES, RunConfig
     from conserva.schemes import integrate
 
     steps = 12
     case, mesh, u0 = build_problem(RunConfig(case="sod", scheme=scheme_id, nx=64))
     model = case.model
-    calls = {"node_kernels": 0, "max_wave_speed": 0, "entropy": 0}
+    calls = {"node_kernels": 0, "max_wave_speed": 0, "entropy": 0, "admissible_mask": 0}
     for name in calls:
         original = getattr(Euler, name)
 
@@ -461,9 +464,13 @@ def test_integrate_evaluates_each_accepted_state_once(scheme_id, monkeypatch):
 
     assemble = residual_assembler(scheme_id, model, mesh)
     record = integrate(model, mesh, u0, assemble, cfl=0.4, t_end=case.t_end,
-                       stop_after_steps=steps)
+                       integrator=integrator, stop_after_steps=steps)
     assert record.ledger.nsteps == steps
-    # the initial state and every accepted one: one bundle each, read by the
-    # CFL speed, the ledger's entropy and the next step's assembly alike
-    assert calls["node_kernels"] == steps + 1
+    # the initial state and every stage state: one bundle each, read by the
+    # CFL speed, the ledger's entropy and the next stage's assembly alike
+    nstages = len(SSP_STAGES[integrator])
+    assert calls["node_kernels"] == steps * nstages + 1
     assert calls["max_wave_speed"] == calls["entropy"] == 0
+    # a (0, 1) stage's state is its forward-Euler candidate, checked by its
+    # bundle's mask alone; a combined stage also masks its candidate
+    assert calls["admissible_mask"] == steps * (nstages - 1)

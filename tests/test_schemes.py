@@ -99,7 +99,7 @@ def test_fv_residual_update_equals_flux_form(rng):
         flux = NumericalFlux("rusanov")
         res = fv_residuals_1d(mesh, NodeKernels.of(model, states), flux)
         dt = 1e-3
-        updated = rd_step(mesh, states, res, dt, model)
+        updated = rd_step(mesh, states, res, dt)
 
         left, right = (NodeKernels.of(model, states[mesh.cell_dofs[:, k]]) for k in (0, 1))
         fhat = flux(left, right)
@@ -177,7 +177,7 @@ def test_rd_step_zero_residuals_is_identity():
     states = np.linspace(-1, 1, mesh.ndof)[:, None]
     nodes = NodeKernels.of(model, np.full_like(states, 0.5))
     res = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
-    np.testing.assert_allclose(rd_step(mesh, states, res, 0.1, model), states, atol=1e-16)
+    np.testing.assert_allclose(rd_step(mesh, states, res, 0.1), states, atol=1e-16)
 
 
 def test_rd_step_total_update_telescopes(rng):
@@ -186,7 +186,7 @@ def test_rd_step_total_update_telescopes(rng):
     states = rng.uniform(-1, 1, (mesh.ndof, 1))
     res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     dt = 2e-3
-    updated = rd_step(mesh, states, res, dt, model)
+    updated = rd_step(mesh, states, res, dt)
     change = (mesh.volumes[:, None] * (updated - states)).sum(axis=0)
     boundary = -dt * (model.flux(states[-1]) - model.flux(states[0]))
     np.testing.assert_allclose(change, boundary, atol=1e-14)
@@ -198,7 +198,7 @@ def test_rd_step_single_riemann_cell_matches_hand_update():
     states = np.array([[1.0], [1.0], [0.0]])
     res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     dt = 0.1
-    updated = rd_step(mesh, states, res, dt, model)
+    updated = rd_step(mesh, states, res, dt)
     # middle DOF: fhat(1,0) - fhat(1,1) = 0.75 - 0.5, volume 1
     assert updated[1, 0] == pytest.approx(1.0 - 0.1 * (0.75 - 0.5))
     # right DOF: f(0) - fhat(1,0) over half volume
@@ -383,20 +383,23 @@ def test_integrate_boundary_accounting_transmissive(integrator, rng):
     assert record.ledger.conservation_drift() <= 1e-12
 
 
-def test_rd_step_rejects_inadmissible_result():
-    from conserva.errors import StepRejectedError
+def test_integrate_rejects_an_inadmissible_forward_euler_stage():
     from conserva.schemes import ResidualSet
 
     model = Euler(1.4)
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
-    states = np.tile(np.array([1.0, 0.0, 2.5]), (3, 1))
-    # a residual large enough to drive the middle density negative
-    phi = np.zeros((2, 2, 3))
-    phi[0, 1, 0] = 100.0
-    res = ResidualSet(mesh.cell_dofs, phi, phi.copy(), np.zeros((3, 3)))
-    with pytest.raises(StepRejectedError) as excinfo:
-        rd_step(mesh, states, res, 0.1, model)
-    assert excinfo.value.location == 1
+    u0 = np.tile(np.array([1.0, 0.0, 2.5]), (3, 1))
+
+    def assemble(nodes, dt):
+        # a residual large enough to drive the middle density negative at any dt
+        phi = np.zeros((2, 2, 3))
+        phi[0, 1, 0] = 10.0 * mesh.volumes[1] / dt
+        return ResidualSet(mesh.cell_dofs, phi, phi.copy(), np.zeros(3))
+
+    with pytest.raises(RunError, match="inadmissible state at DOF 1") as excinfo:
+        integrate(model, mesh, u0, assemble, cfl=0.4, t_end=0.1, integrator="euler")
+    assert excinfo.value.step == 0
+    assert excinfo.value.__cause__.location == 1
 
 
 class _GappedBurgers(Burgers):
@@ -409,7 +412,16 @@ class _GappedBurgers(Burgers):
         return super().admissible_mask(u) & ~gap
 
 
-def test_integrate_rejects_an_inadmissible_combined_stage():
+@pytest.mark.parametrize("target", [
+    # every forward-Euler stage lands on u = 1; SSPRK2's second stage
+    # averages that with u^n = 0 into 0.5, whatever the dt
+    lambda u: 1.0,
+    # stage 1 lands on u = 1 and stage 2's forward-Euler candidate on 0.5,
+    # which SSPRK2 would combine into the admissible 0.25: SSP rests on
+    # every candidate being admissible, not only on the combination
+    lambda u: np.where(u < 0.25, 1.0, 0.5),
+], ids=["combination", "candidate"])
+def test_integrate_rejects_an_inadmissible_combined_stage(target):
     from conserva.schemes import ResidualSet
 
     model = _GappedBurgers()
@@ -417,11 +429,9 @@ def test_integrate_rejects_an_inadmissible_combined_stage():
     u0 = np.zeros((mesh.ndof, 1))
 
     def assemble(nodes, dt):
-        # every forward-Euler stage lands on u = 1; SSPRK2's second stage
-        # averages that with u^n = 0 into 0.5, whatever the dt
         u = nodes.states
         phi = np.zeros((mesh.ncell, 2, 1))
-        phi[:, 0] = (u - 1.0) * (mesh.volumes / dt)[:, None]
+        phi[:, 0] = (u - target(u)) * (mesh.volumes / dt)[:, None]
         return ResidualSet(mesh.cell_dofs, phi, np.zeros_like(phi), np.zeros(1))
 
     with pytest.raises(RunError, match="inadmissible state at DOF 0") as excinfo:
