@@ -128,6 +128,7 @@ CLI_COMMANDS = (
     "recover-fluxes --case sod --scheme fv-entropy-corrected --nx 32",
     "recover-fluxes --case sod --scheme supg --nx 32",
     "recover-fluxes --case sod --scheme nc-energy-corrected --nx 32",
+    "recover-fluxes --case shu-osher --scheme nc-energy-corrected --nx 32",
     "recover-fluxes --case burgers-sine --scheme supg --nx 32",
     "convergence --case burgers-sine --scheme fv-rusanov --nx-list 16,32,64",
     "convergence --case sod --scheme supg --nx-list 16,32 --tend 0.05",
