@@ -50,15 +50,13 @@ class AfState:
 def initialize(model, mesh, u0_of_x):
     """Exact point values and Gauss-quadrature cell averages of u0; the point
     states pass ``NodeKernels.of``, which names an inadmissible node."""
-    nodes = mesh.nodes
     mids = mesh.cell_centers
     half = 0.5 * mesh.cell_sizes
     gp, gw = _GAUSS5
     averages = np.zeros((mesh.ncell, model.p))
     for xi, w in zip(gp, gw):
         averages += 0.5 * w * u0_of_x(mids + half * xi)
-    xs = nodes[:-1] if mesh.periodic else nodes
-    points = model.to_aux(NodeKernels.of(model, u0_of_x(xs)).states)
+    points = model.to_aux(NodeKernels.of(model, u0_of_x(mesh.dof_x)).states)
     return AfState(averages, points)
 
 
@@ -263,25 +261,20 @@ def af_integrate(
     def advance(s, dt):
         state, nodes = s
         flagged = np.zeros(mesh.ncell, dtype=bool)
-        checked = None  # the candidate the detector accepted, with its bundle
         with np.errstate(all="ignore"):
             base = nodes.states, nodes.flux, point_update(mesh, state, model, nodes.states)
-            candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged, base)
-            if detector:
-                bounds = _dmp_bounds(mesh, state.averages)
-                for _ in range(2):
-                    checked = accepted(candidate)
-                    bad = _detect(mesh, model, candidate, checked[1], bounds)
-                    if not (bad & ~flagged).any():
-                        break
-                    flagged |= bad
-                    candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged, base)
-        if not (
-            np.isfinite(candidate.averages).all() and np.isfinite(candidate.points).all()
-        ):
+            bounds = _dmp_bounds(mesh, state.averages) if detector else None
+            for attempt in range(3):  # the step, then at most two re-runs
+                candidate, boundary = _ssp3_step(mesh, state, model, dt, flagged, base)
+                checked = accepted(candidate)
+                if not detector or attempt == 2:
+                    break
+                bad = _detect(mesh, model, candidate, checked[1], bounds)
+                if not (bad & ~flagged).any():
+                    break
+                flagged |= bad
+        if not (np.isfinite(candidate.averages).all() and np.isfinite(candidate.points).all()):
             raise StepRejectedError("non-finite state", location=None)
-        if checked is None or checked[0] is not candidate:
-            checked = accepted(candidate)
         return checked, boundary, 0.0, int(flagged.sum())
 
     times, snapshots, ledger = march(

@@ -61,10 +61,8 @@ def _write_solution(path, record):
 
 def _write_ledger(path, record):
     led = record.ledger
-    if len(record.case.model.names) == 3:
-        header = ["step", "time", "mass", "momentum", "energy", "entropy", "alpha_max", "fallback_cells"]
-    else:
-        header = ["step", "time", "mass", "entropy", "alpha_max", "fallback_cells"]
+    totals = ("mass", "momentum", "energy")[: record.case.model.p]
+    header = ["step", "time", *totals, "entropy", "alpha_max", "fallback_cells"]
     step = np.arange(len(led.time))
     columns = [step, led.time, *led.totals.T, led.entropy, led.alpha_max, led.fallback_cells]
     _write_csv(path, header, columns)
@@ -230,15 +228,12 @@ def main(argv=None):
         config = _build_run_config(args)
         if args.command == "run":
             return _cmd_run(config)
-        if args.command == "convergence":
-            nx_list = _parse_nx_list(args.nx_list or str(config.nx))
-            return _cmd_convergence(config, nx_list)
         if args.command == "recover-fluxes":
             return _cmd_recover_fluxes(config)
-        if args.command == "diagnose-weak":
-            nx_list = _parse_nx_list(args.nx_list or str(config.nx))
-            return _cmd_diagnose_weak(config, nx_list)
-        raise ConfigError(f"unknown command {args.command!r}")
+        nx_list = _parse_nx_list(args.nx_list or str(config.nx))
+        if args.command == "convergence":
+            return _cmd_convergence(config, nx_list)
+        return _cmd_diagnose_weak(config, nx_list)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,8 +160,11 @@ def burgers_riemann(u_left, u_right, x, t):
 def burgers_sine_exact(x, t):
     """Smooth solution of u_t + (u^2/2)_x = 0 with u(x, 0) = sin(pi x).
 
-    Characteristics give u = sin(pi (x - u t)); Newton converges for
-    t < 1/pi, before the first shock forms.  Later times raise BranchError.
+    Characteristics give u = sin(pi (x - u t)): for t < 1/pi the residual
+    g(u) = u - sin(pi (x - u t)) increases (g' >= 1 - pi t > 0) and changes
+    sign on [-1, 1].  Newton finds its root on most rows; the rows it leaves
+    near the breakdown are bisected on [-1, 1].  A row with no bracket there
+    (x not finite) and times t >= 1/pi, past the first shock, raise BranchError.
     """
     t = float(t)
     if t >= BURGERS_SINE_BREAKDOWN:
@@ -169,12 +172,23 @@ def burgers_sine_exact(x, t):
             f"sine data shocks at t = 1/pi ~ {BURGERS_SINE_BREAKDOWN:.6f}; requested t = {t}"
         )
     x = np.asarray(x, dtype=float)
+
+    def g(u):
+        return u - np.sin(np.pi * (x - u * t))
+
     u = np.sin(np.pi * x)
     for _ in range(SINE_MAX_ITER):
-        residual = u - np.sin(np.pi * (x - u * t))
-        slope = 1.0 + np.pi * t * np.cos(np.pi * (x - u * t))
-        du = residual / slope
+        du = g(u) / (1.0 + np.pi * t * np.cos(np.pi * (x - u * t)))
         u = u - du
         if np.abs(du).max() < SINE_TOL:
-            break
-    return u
+            return u
+    # the rows Newton left start from [-1, 1]; the others from [u, u], kept
+    left = ~(np.abs(du) < SINE_TOL)
+    lo, hi = np.where(left, -1.0, u), np.where(left, 1.0, u)
+    if not (((g(lo) <= 0.0) & (g(hi) >= 0.0)) | ~left).all():
+        raise BranchError(f"no root of the sine characteristics in [-1, 1] at t = {t}")
+    for _ in range(SINE_MAX_ITER):  # 2^-99 wide: down to adjacent doubles
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > 0.0
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+    return 0.5 * (lo + hi)

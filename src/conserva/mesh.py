@@ -16,10 +16,10 @@ from .errors import ConfigError
 class Mesh1D:
     """Nodes, cells and node-centred dual control volumes.
 
-    ``boundary`` is "periodic" or "transmissive".  Periodic meshes identify
-    the last node with the first, so the DOF count equals the cell count;
-    transmissive meshes keep every node as a DOF with half-width control
-    volumes at the two ends.
+    ``boundary`` is "periodic" or "transmissive".  Each DOF's control volume
+    is half of each cell it ends.  Periodic meshes identify the last node
+    with the first, so the DOF count equals the cell count; transmissive
+    meshes keep every node as a DOF, so the two end volumes are half cells.
     """
 
     nodes: np.ndarray
@@ -37,23 +37,17 @@ class Mesh1D:
 
         self.ncell = len(self.nodes) - 1
         self.cell_sizes = dx
+        # the cells left and right of each DOF: wrapped on a periodic mesh, and
+        # none (width zero) beyond the end nodes of a transmissive one
         if self.boundary == "periodic":
-            self.ndof = self.ncell
-            self.dof_x = self.nodes[:-1]
-            left = np.roll(dx, 1)  # cell to the left of each dof, wrapped
-            self.volumes = 0.5 * (left + dx)
-            dofs = np.arange(self.ncell)
-            self.cell_dofs = np.stack([dofs, (dofs + 1) % self.ncell], axis=1)
+            left, right = np.roll(dx, 1), dx
         else:
-            self.ndof = self.ncell + 1
-            self.dof_x = self.nodes
-            vol = np.empty(self.ndof)
-            vol[0] = 0.5 * dx[0]
-            vol[-1] = 0.5 * dx[-1]
-            vol[1:-1] = 0.5 * (dx[:-1] + dx[1:])
-            self.volumes = vol
-            dofs = np.arange(self.ncell)
-            self.cell_dofs = np.stack([dofs, dofs + 1], axis=1)
+            left, right = np.append(0.0, dx), np.append(dx, 0.0)
+        self.ndof = len(left)
+        self.dof_x = self.nodes[: self.ndof]
+        self.volumes = 0.5 * (left + right)
+        dofs = np.arange(self.ncell)
+        self.cell_dofs = np.stack([dofs, (dofs + 1) % self.ndof], axis=1)
 
     @property
     def cell_centers(self):
@@ -132,21 +126,6 @@ class ElementGraph:
             A[a, k] = 1.0
             A[b, k] = -1.0
         self.incidence = A
-
-    def is_connected(self):
-        seen = {0}
-        frontier = [0]
-        adj = [[] for _ in range(self.ndof)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == self.ndof
 
 
 def element_graph(kind, n=None):

@@ -96,8 +96,8 @@ class RunConfig:
             )
         if self.detector and row.base != ACTIVE_FLUX:
             raise ConfigError(f"the detector applies to {ACTIVE_FLUX} only, not {self.scheme}")
-        if not 0.0 <= self.tau_scale < np.inf:
-            raise ConfigError(f"tau_scale must be finite and at least 0, got {self.tau_scale}")
+        if not 0.0 <= self.tau_scale <= 1.0:
+            raise ConfigError(f"tau_scale must lie in [0, 1], got {self.tau_scale}")
         if self.tau_scale != 1.0 and row.base != SUPG:
             raise ConfigError(f"tau_scale applies to the {SUPG} base only, not {self.scheme}")
         if not self.snapshot_every >= 0:

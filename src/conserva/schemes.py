@@ -285,17 +285,15 @@ class TwoFieldGasScheme:
         np.subtract(half, damping, out=phi_e[0])
         np.add(half, damping, out=phi_e[1])
 
-        # velocities after the density/momentum update
-        if dt > 0:
-            ratio = dt / mesh.volumes
-            rho_new = u[:, 0] - ratio * scatter_cell_ends(*phi_rho, mesh.ndof)
-            mom_new = u[:, 1] - ratio * scatter_cell_ends(*phi_mom, mesh.ndof)
-            with np.errstate(all="ignore"):
-                # a transient nonpositive rho_new poisons the step with nans and
-                # the integrator then rejects and retries it with a smaller dt
-                v_new = gather_cell_ends(mom_new / rho_new, dofs)
-        else:
-            v_new = v_old
+        # velocities after the density/momentum update; at dt = 0 it keeps m
+        # and rho (a -0.0 momentum turns +0.0), so v_new is v_old bit for bit
+        ratio = dt / mesh.volumes
+        rho_new = u[:, 0] - ratio * scatter_cell_ends(*phi_rho, mesh.ndof)
+        mom_new = u[:, 1] - ratio * scatter_cell_ends(*phi_mom, mesh.ndof)
+        with np.errstate(all="ignore"):
+            # a transient nonpositive rho_new poisons the step with nans and
+            # the integrator then rejects and retries it with a smaller dt
+            v_new = gather_cell_ends(mom_new / rho_new, dofs)
 
         # -f_E(u_left) + f_E(u_right): the element's boundary energy flux
         e_flux = base.boundary_parts[:, :, 2]

@@ -307,3 +307,39 @@ def test_nan_point_speed_is_a_blow_up_not_a_failed_step(monkeypatch):
     assert excinfo.value.step == 1
     # the first step's non-finite attempt and its halved retry; none at step 1
     assert len(steps) == 2
+
+
+@pytest.mark.parametrize("case_id, detector", [
+    ("advection-sine", False), ("burgers-sine", False),
+    ("sod", True), ("shu-osher", True), ("burgers-sine", True),
+])
+def test_each_ssp_run_admits_its_candidate_once(case_id, detector, monkeypatch):
+    # one node bundle per SSPRK3 run of a step, re-runs included, plus the
+    # initial point check and the initial state's bundle; 30 steps take
+    # burgers-sine past its first shock
+    import conserva.active_flux as active_flux
+
+    case = case_library(case_id)
+    mesh = uniform_mesh(*case.domain, 64, boundary=case.boundary)
+    model = case.model
+    calls = {"node_kernels": 0, "ssp3": 0}
+    node_kernels, ssp3_step = type(model).node_kernels, active_flux._ssp3_step
+
+    def counting_bundle(self, *args, **kwargs):
+        calls["node_kernels"] += 1
+        return node_kernels(self, *args, **kwargs)
+
+    def counting_step(*args):
+        calls["ssp3"] += 1
+        return ssp3_step(*args)
+
+    monkeypatch.setattr(type(model), "node_kernels", counting_bundle)
+    monkeypatch.setattr(active_flux, "_ssp3_step", counting_step)
+    state0 = initialize(model, mesh, case.u0)
+    steps = 30
+    record = af_integrate(model, mesh, state0, t_end=10 * case.t_end, detector=detector,
+                          stop_after_steps=steps)
+    assert record.ledger.nsteps == steps
+    assert calls["node_kernels"] == calls["ssp3"] + 2
+    # with the detector on, each of these runs re-runs some step
+    assert (calls["ssp3"] > steps) if detector else (calls["ssp3"] == steps)

@@ -207,3 +207,18 @@ def test_burgers_sine_solves_characteristics():
     t = 0.2
     u = burgers_sine_exact(x, t)
     np.testing.assert_allclose(u, np.sin(np.pi * (x - u * t)), atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.317, 0.318, 0.3183])
+@pytest.mark.parametrize("nx", [400, 800, 1000, 2000])
+def test_burgers_sine_solves_characteristics_near_the_breakdown(nx, t):
+    # Newton cycles or diverges on a few rows here; their roots are bisected
+    x = np.linspace(-1.0, 1.0, nx + 1)[:-1]  # the DOFs of the periodic mesh
+    u = burgers_sine_exact(x, t)
+    assert np.abs(u).max() <= 1.0
+    assert np.abs(u - np.sin(np.pi * (x - u * t))).max() <= 1e-13
+
+
+def test_burgers_sine_raises_without_a_root_bracket():
+    with pytest.raises(BranchError):
+        burgers_sine_exact(np.array([0.5, np.nan]), 0.2)

@@ -409,9 +409,9 @@ def test_cli_recover_fluxes_nc_scheme(tmp_path):
 
 def test_cli_config_tau_scale_reaches_supg(tmp_path):
     config = tmp_path / "tau.cfg"
-    config.write_text("tau-scale = 3\n", encoding="utf-8")
+    config.write_text("tau-scale = 0.5\n", encoding="utf-8")
     texts = []
-    for name, extra in (("default.csv", []), ("tau3.csv", ["--config", str(config)])):
+    for name, extra in (("default.csv", []), ("tau05.csv", ["--config", str(config)])):
         out = tmp_path / name
         code = main(["recover-fluxes", "--case", "burgers-sine", "--scheme", "supg",
                      "--nx", "16", "--out", str(out)] + extra)
@@ -609,6 +609,21 @@ def test_active_flux_rejects_a_cfl_above_its_stable_bound(tmp_path, capsys):
     record = run(RunConfig(case="advection-sine", scheme="active-flux", nx=32, cfl=bound,
                            t_end=0.5))
     assert l1_error(record) < 1e-2
+
+
+def test_supg_rejects_a_tau_scale_above_one(tmp_path, capsys):
+    # tau-scale 2 once ran advection-sine nx=100 to values of 1e34 and exited 0
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        RunConfig(case="advection-sine", scheme="supg", tau_scale=2.0).validate()
+    for tau, code in (("2", 2), ("1", 0), ("0.5", 0)):
+        cfg = tmp_path / f"tau{tau}.cfg"
+        cfg.write_text(f"tau-scale = {tau}\n", encoding="utf-8")
+        out = tmp_path / f"tau{tau}.csv"
+        got = main(["run", "--case", "advection-sine", "--scheme", "supg", "--nx", "100",
+                    "--config", str(cfg), "--out", str(out)])
+        assert got == code
+        assert out.exists() == (code == 0)
+    assert "[0, 1]" in capsys.readouterr().err
 
 
 def test_runconfig_validation():

@@ -180,3 +180,40 @@ def test_volumes_sum_to_domain_length(a, length, fractions, boundary):
     tol = 4 * len(nodes) * np.finfo(float).eps * max(abs(a), abs(b))
     for mesh in (Mesh1D(nodes, boundary=boundary), uniform_mesh(a, b, len(nodes) - 1, boundary)):
         assert abs(mesh.volumes.sum() - (b - a)) <= tol
+
+
+def _two_branch_mesh_reference(nodes, boundary):
+    """(ndof, dof_x, volumes, cell_dofs) built one way per boundary kind."""
+    dx = np.diff(nodes)
+    ncell = len(dx)
+    dofs = np.arange(ncell)
+    if boundary == "periodic":
+        volumes = 0.5 * (np.roll(dx, 1) + dx)
+        return ncell, nodes[:-1], volumes, np.stack([dofs, (dofs + 1) % ncell], axis=1)
+    volumes = np.empty(ncell + 1)
+    volumes[0] = 0.5 * dx[0]
+    volumes[-1] = 0.5 * dx[-1]
+    volumes[1:-1] = 0.5 * (dx[:-1] + dx[1:])
+    return ncell + 1, nodes, volumes, np.stack([dofs, dofs + 1], axis=1)
+
+
+@st.composite
+def _jittered_nodes(draw):
+    ncell = draw(st.integers(2, 60))
+    a = draw(st.floats(-1e3, 1e3))
+    h = draw(st.floats(1e-3, 10.0))
+    jitter = draw(hnp.arrays(float, ncell + 1, elements=st.floats(-0.3, 0.3)))
+    return a + h * (np.arange(ncell + 1) + jitter)  # steps of at least 0.4 h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jittered_nodes(), st.sampled_from(["periodic", "transmissive"]))
+def test_mesh_dual_volumes_equal_the_two_branch_construction_bitwise(nodes, boundary):
+    assume((np.diff(nodes) > 0).all())
+    mesh = Mesh1D(nodes, boundary=boundary)
+    ndof, dof_x, volumes, cell_dofs = _two_branch_mesh_reference(mesh.nodes, boundary)
+    assert mesh.ndof == ndof
+    for got, want in ((mesh.dof_x, dof_x), (mesh.volumes, volumes), (mesh.cell_dofs, cell_dofs)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -47,6 +47,58 @@ def test_laplacian_rejects_disconnected_graph():
     graph = ElementGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(GraphStructureError):
         build_laplacian(graph)
+
+
+def _bfs_connected(graph):
+    """Whether a breadth-first search from DOF 0 reaches every DOF."""
+    adjacent = [[] for _ in range(graph.ndof)]
+    for a, b in graph.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, frontier = {0}, [0]
+    while frontier:
+        for nxt in adjacent[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == graph.ndof
+
+
+@st.composite
+def _element_graphs(draw):
+    """Graphs of 1 to 8 DOFs, often split into several components."""
+    ndof = draw(st.integers(1, 8))
+    if ndof == 1:
+        return ElementGraph(1, ())
+    # edges inside the blocks of a random partition, plus a few across them
+    cuts = draw(st.sets(st.integers(1, ndof - 1), max_size=3))
+    block = np.searchsorted(sorted(cuts), np.arange(ndof), side="right")
+    pairs = [(a, b) for a in range(ndof) for b in range(ndof) if a != b]
+    inside = [(a, b) for a, b in pairs if block[a] == block[b]]
+    edges = draw(st.lists(st.sampled_from(inside), max_size=12)) if inside else []
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    return ElementGraph(ndof, tuple(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_element_graphs())
+@example(ElementGraph(1, ()))
+@example(ElementGraph(2, ()))
+@example(ElementGraph(5, ((0, 1), (1, 0), (3, 4), (4, 2))))
+def test_laplacian_rejects_exactly_the_graphs_a_search_finds_disconnected(graph):
+    if _bfs_connected(graph):
+        laplacian = build_laplacian(graph)
+        A = graph.incidence
+        np.testing.assert_array_equal(laplacian.matrix, A @ A.T)
+    else:
+        with pytest.raises(GraphStructureError):
+            build_laplacian(graph)
+
+
+def test_one_dof_graph_recovers_no_fluxes():
+    laplacian = build_laplacian(ElementGraph(1, ()))
+    assert laplacian.operator.shape == (0, 1)
+    assert recover_fluxes(ElementGraph(1, ()), np.zeros((1, 2))).shape == (0, 2)
 
 
 def test_recover_segment_forced_solution():
