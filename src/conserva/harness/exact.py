@@ -183,9 +183,9 @@ def burgers_sine_exact(x, t):
         if np.abs(du).max() < SINE_TOL:
             return u
     # the rows Newton left start from [-1, 1]; the others from [u, u], kept
-    left = ~(np.abs(du) < SINE_TOL)
-    lo, hi = np.where(left, -1.0, u), np.where(left, 1.0, u)
-    if not (((g(lo) <= 0.0) & (g(hi) >= 0.0)) | ~left).all():
+    unsettled = ~(np.abs(du) < SINE_TOL)
+    lo, hi = np.where(unsettled, -1.0, u), np.where(unsettled, 1.0, u)
+    if not (((g(lo) <= 0.0) & (g(hi) >= 0.0)) | ~unsettled).all():
         raise BranchError(f"no root of the sine characteristics in [-1, 1] at t = {t}")
     for _ in range(SINE_MAX_ITER):  # 2^-99 wide: down to adjacent doubles
         mid = 0.5 * (lo + hi)
