@@ -295,5 +295,6 @@ def af_integrate(
         states=[points for points, _ in snapshots],
         ledger=ledger,
         mesh=mesh,
+        model=model,
         averages=[averages for _, averages in snapshots],
     )

@@ -26,7 +26,7 @@ ALPHA_CLAMP_FACTOR = 1e3
 
 @dataclass
 class CorrectionReport:
-    """What the entropy correction did, element by element."""
+    """What the entropy correction did per element; ``corrections`` is (2, ncell, p)."""
 
     alpha: np.ndarray
     corrections: np.ndarray
@@ -63,7 +63,10 @@ def entropy_correction(residuals, nodes, model):
     g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states, nodes.entropy), dofs)
     g_bound = g_right - g_left
 
-    production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
+    # the products are summed over one contiguous (ncell, 2, p) copy of phi:
+    # einsum's order of additions, and so its bits, follow the memory layout
+    phi = residuals.phi.transpose(1, 0, 2).copy()
+    production = np.einsum("kdp,kdp->k", v_cells, phi)
     deficit = g_bound - production
 
     # the bits of v_cells.mean(axis=1, keepdims=True), whose sum starts from
@@ -103,13 +106,13 @@ def entropy_correction(residuals, nodes, model):
             alpha = np.minimum(alpha, cap)
 
     r = alpha[:, None, None] * centered
-    corrected = replace(
-        residuals, phi=residuals.phi + r, alpha_max=float(alpha.max()) if len(alpha) else 0.0
-    )
-    post = np.einsum("kdp,kdp->k", v_cells, corrected.phi) - g_bound
+    phi += r
+    post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
+    corrected = replace(residuals, phi=np.ascontiguousarray(phi.transpose(1, 0, 2)),
+                        alpha_max=float(alpha.max()) if len(alpha) else 0.0)
     report = CorrectionReport(
         alpha=alpha,
-        corrections=r,
+        corrections=r.transpose(1, 0, 2),
         pre_defect=-deficit,
         post_defect=post,
         clamped=np.flatnonzero(clamped),
@@ -123,12 +126,13 @@ def nonconservative_energy_correction(
     """The total-energy residual of an internal-energy discretisation, made
     locally conservative.
 
-    phi_rho, phi_mom, phi_e: (ncell, 2) residual components.  v_half_sum =
-    (v_new + v_old)/2 and v_half_prod = (v_new * v_old)/2: (ncell, 2) velocity
-    weights at the element DOFs, from the velocities before and after the
-    step (the momentum/density updates do not depend on the energy residual,
-    so v_new is available first).  With E = e + rho v^2 / 2, the increment
-    between any two states is exactly
+    phi_rho, phi_mom, phi_e: (2, ncell) residual components, one row per
+    element DOF as in ``ResidualSet.phi``.  v_half_sum = (v_new + v_old)/2
+    and v_half_prod = (v_new * v_old)/2: (2, ncell) velocity weights at the
+    element DOFs, from the velocities before and after the step (the
+    momentum/density updates do not depend on the energy residual, so v_new
+    is available first).  With E = e + rho v^2 / 2, the increment between
+    any two states is exactly
 
         dE = de + (v_new + v_old)/2 * d(rho v) - (v_new v_old)/2 * d(rho),
 
@@ -146,10 +150,7 @@ def nonconservative_energy_correction(
     phi_mom = np.asarray(phi_mom, dtype=float)
     phi_e = np.asarray(phi_e, dtype=float)
     terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho
-    # column by column from +0.0: the bits of terms.sum(axis=1) for fewer than
-    # 8 DOFs per element, without numpy's slow reduction over a short axis
-    current = 0.0
-    for column in terms.T:
-        current = current + column
-    r = (np.asarray(boundary_energy_flux, dtype=float) - current) / phi_e.shape[1]
-    return terms + r[:, None], r
+    # from +0.0, so that a sum of -0.0 terms is +0.0
+    current = terms.sum(axis=0, initial=0.0)
+    r = (np.asarray(boundary_energy_flux, dtype=float) - current) / len(phi_e)
+    return terms + r, r

@@ -52,7 +52,7 @@ def _write_csv(path, header, columns):
 
 def _write_solution(path, record):
     mesh = record.mesh
-    header = ["x"] + list(record.case.model.names)
+    header = ["x"] + list(record.model.names)
     _write_csv(path, header, [mesh.dof_x, *record.conserved(-1).T])
     if record.averages is not None:
         avg_path = path.with_suffix(".averages.csv")
@@ -61,7 +61,7 @@ def _write_solution(path, record):
 
 def _write_ledger(path, record):
     led = record.ledger
-    totals = ("mass", "momentum", "energy")[: record.case.model.p]
+    totals = ("mass", "momentum", "energy")[: record.model.p]
     header = ["step", "time", *totals, "entropy", "alpha_max", "fallback_cells"]
     step = np.arange(len(led.time))
     columns = [step, led.time, *led.totals.T, led.entropy, led.alpha_max, led.fallback_cells]

@@ -86,17 +86,22 @@ def weak_residual_diagnostic(record, bumps=None):
     bumps, by default ``default_bumps`` around the case's shock path.
 
     The field is the record's conserved snapshots (``record.conserved``) on
-    its mesh, with the case model's flux.  Space is integrated cell by cell with 3-point Gauss quadrature of the
-    piecewise-linear nodal representation, time with the trapezoid rule on
-    the stored snapshots, with the flux evaluated once per snapshot for all
-    bumps together; each bump's time support must contain at least
-    MIN_TIME_SAMPLES snapshots, otherwise the record is too sparse to
-    trust and DiagnosticError is raised (rerun with snapshot_every=1).
+    its mesh, with its model's flux.  Space is integrated cell by cell with
+    3-point Gauss quadrature of the piecewise-linear nodal representation,
+    time with the trapezoid rule on the stored snapshots, with the flux
+    evaluated once per snapshot for all bumps together; each bump's time
+    support must contain at least MIN_TIME_SAMPLES snapshots, otherwise the
+    record is too sparse to trust and DiagnosticError is raised, naming the
+    snapshots found and needed and how to get more.
     """
     times = np.asarray(record.times, dtype=float)
+    # at a fixed CFL number, a later end time or more cells give more steps
+    remedy = "run to a later end time (--tend) or on more cells (--nx)"
+    if record.ledger is not None and record.ledger.nsteps >= len(times):
+        remedy = "keep a snapshot every step (snapshot_every=1)"
     if len(times) < 3:
-        raise DiagnosticError("record holds too few snapshots; rerun with snapshot_every=1")
-    model, mesh = record.case.model, record.mesh
+        raise DiagnosticError(f"record holds {len(times)} snapshots, need at least 3; {remedy}")
+    model, mesh = record.model, record.mesh
     if bumps is None:
         bumps = default_bumps(mesh, float(times[-1]), shock_path=record.case.shock_path)
 
@@ -123,8 +128,8 @@ def weak_residual_diagnostic(record, bumps=None):
         inside = np.abs(times - bump.t0) < bump.rt
         if inside.sum() < MIN_TIME_SAMPLES:
             raise DiagnosticError(
-                f"only {int(inside.sum())} snapshots inside the bump at t0={bump.t0}; "
-                f"need {MIN_TIME_SAMPLES}"
+                f"only {int(inside.sum())} snapshots inside the bump at t0={bump.t0}, "
+                f"need {MIN_TIME_SAMPLES}; {remedy}"
             )
         b_x, db_x = bump.space(xq)
         space[i] = wq * b_x

@@ -146,7 +146,7 @@ class Ledger:
 @dataclass
 class SolutionRecord:
     """Time series of states plus the conservation/entropy ledgers, with the
-    mesh they live on and, for a run of a configured case, that case.
+    mesh and model they ran on and, for a run of a configured case, that case.
 
     ``states`` holds per-DOF arrays: conserved states for a residual scheme,
     point values of the mapped variables for the two-field scheme, whose
@@ -158,6 +158,7 @@ class SolutionRecord:
     states: list
     ledger: Ledger
     mesh: object
+    model: object
     averages: list | None = None
     case: object = None
 
@@ -172,4 +173,4 @@ class SolutionRecord:
     def conserved(self, k):
         """Snapshot k's conserved states at the DOFs."""
         state = self.states[k]
-        return state if self.averages is None else self.case.model.from_aux(state)
+        return state if self.averages is None else self.model.from_aux(state)

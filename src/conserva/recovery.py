@@ -47,20 +47,23 @@ class GraphLaplacian:
         return y - y.mean(axis=0, keepdims=True)
 
     def recover(self, psi, scale):
-        """Edge fluxes R Psi_k, shape (n, nedges, p), of a Psi stack (n, ndof, p).
+        """Edge fluxes R Psi, shape (nedges, n, p), of a DOF-major Psi stack
+        (ndof, n, p): Psi[:, k] is element k's.
 
         Element k must sum to zero within SUM_TOLERANCE * scale[k]; otherwise
         ConservationError names every element that does not, including every
         element whose Psi or scale is not finite.
         """
-        defect = psi.sum(axis=1)
+        defect = psi.sum(axis=0)
         bad = np.flatnonzero(~(np.abs(defect).max(axis=1) <= SUM_TOLERANCE * scale))
         if bad.size:
             raise ConservationError(
                 f"residuals of {bad.size} element(s), first {bad[:5].tolist()}, do not sum "
                 "to zero; no flux form exists", defect=defect[bad], elements=bad,
             )
-        return self.operator @ psi
+        # one product per DOF, summed in DOF order: each element gets a lone
+        # call's bits, where BLAS and einsum order sums by shape and strides
+        return sum(self.operator[:, dof, None, None] * psi[dof] for dof in range(self.graph.ndof))
 
 
 def build_laplacian(graph):
@@ -91,7 +94,7 @@ def recover_fluxes(graph, psi):
         raise ConfigError(f"psi must be ({graph.ndof}, p), got shape {psi.shape}")
     laplacian = build_laplacian(graph)
     scale = max(float(np.abs(psi).max()), 1e-300)
-    return laplacian.recover(psi[None], np.array([scale]))[0]
+    return laplacian.recover(psi[:, None], np.array([scale]))[:, 0]
 
 
 _SEGMENT_LAPLACIAN = build_laplacian(element_graph("segment"))
@@ -110,10 +113,8 @@ def reconstruct_scheme(mesh, states, residuals):
     edge_fluxes (ncell, p).
     """
     phi, bparts = residuals.phi, residuals.boundary_parts
-    scale = np.maximum(np.abs(phi).max(axis=(1, 2)), np.abs(bparts).max(axis=(1, 2)))
-    edge_fluxes = _SEGMENT_LAPLACIAN.recover(phi - bparts, np.maximum(scale, 1e-300))[:, 0]
+    scale = np.maximum(np.abs(phi).max(axis=(0, 2)), np.abs(bparts).max(axis=(0, 2)))
+    edge_fluxes = _SEGMENT_LAPLACIAN.recover(phi - bparts, np.maximum(scale, 1e-300))[0]
 
-    increments = scatter_cell_ends(
-        edge_fluxes + bparts[:, 0], -edge_fluxes + bparts[:, 1], mesh.ndof
-    )
+    increments = scatter_cell_ends(edge_fluxes + bparts[0], -edge_fluxes + bparts[1], mesh.ndof)
     return increments, edge_fluxes

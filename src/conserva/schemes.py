@@ -89,7 +89,9 @@ class NumericalFlux:
 class ResidualSet:
     """Residuals and boundary-flux shares for every element of a 1D mesh.
 
-    phi, boundary_parts: (ncell, 2, p) arrays indexed like mesh.cell_dofs.
+    phi, boundary_parts: (2, ncell, p) arrays in the layout of
+    ``gather_cell_ends``: row d holds each cell's values at its DOF
+    mesh.cell_dofs[:, d].
     boundary_outflux: (p,), the net outward flux through the domain boundary,
     f(u_last) - f(u_first); zero on periodic meshes.
     """
@@ -102,11 +104,11 @@ class ResidualSet:
 
     @property
     def ncell(self):
-        return self.phi.shape[0]
+        return self.phi.shape[1]
 
     def scatter_to_dofs(self, ndof):
         """Sum residuals over the elements owning each DOF, shape (ndof, p)."""
-        return scatter_cell_ends(self.phi[:, 0], self.phi[:, 1], ndof)
+        return scatter_cell_ends(*self.phi, ndof)
 
 
 def _boundary_outflux(mesh, flux):
@@ -115,12 +117,9 @@ def _boundary_outflux(mesh, flux):
 
 
 def _boundary_parts(mesh, nodes, left, right):
-    """(-f(u_left), f(u_right)) per element, shape (ncell, 2, p), and the
+    """(-f(u_left), f(u_right)) per element, shape (2, ncell, p), and the
     domain's net outflux, from the node bundle and its cell ends."""
-    parts = np.empty((len(left.flux), 2) + left.flux.shape[1:])
-    np.negative(left.flux, out=parts[:, 0])
-    parts[:, 1] = right.flux
-    return parts, _boundary_outflux(mesh, nodes.flux)
+    return np.stack([-left.flux, right.flux]), _boundary_outflux(mesh, nodes.flux)
 
 
 def fv_residuals_1d(mesh, nodes, flux):
@@ -134,11 +133,7 @@ def fv_residuals_1d(mesh, nodes, flux):
     """
     left, right = nodes.cell_ends(mesh)
     fhat = flux(left, right)
-
-    # written in place: the bits of np.stack(..., axis=1) without its copies
-    phi = np.empty((len(fhat), 2) + fhat.shape[1:])
-    np.subtract(fhat, left.flux, out=phi[:, 0])
-    np.subtract(right.flux, fhat, out=phi[:, 1])
+    phi = np.stack([fhat - left.flux, right.flux - fhat])
     return ResidualSet(mesh.cell_dofs, phi, *_boundary_parts(mesh, nodes, left, right))
 
 
@@ -173,8 +168,8 @@ def supg_residuals_1d(mesh, nodes, model, tau_scale=1.0):
         advect = np.einsum("kij,kj->ki", A_q, du_dx)
         stab = np.einsum("kji,kj->ki", A_q, tau * advect)
         # volume term: -int dphi f, with dphi = -+ 1/h; measure w_q * h
-        phi[:, 0] += wq * f_q - wq * h * stab  # h_K * (w_q h) * (-1/h) * stab
-        phi[:, 1] += -wq * f_q + wq * h * stab
+        phi[0] += wq * f_q - wq * h * stab  # h_K * (w_q h) * (-1/h) * stab
+        phi[1] += -wq * f_q + wq * h * stab
 
     return ResidualSet(mesh.cell_dofs, phi, bparts, outflux)
 
@@ -258,32 +253,29 @@ class TwoFieldGasScheme:
 
     def assemble(self, base, nodes, dt):
         """The Rusanov residuals ``base`` of the states in the bundle ``nodes``,
-        with their energy column rewritten in place as the corrected
+        with their energy component rewritten in place as the corrected
         total-energy residual phi_E; the boundary parts are kept.
 
-        Each energy term is formed once, in the (2, ncell) layout of
-        ``gather_cell_ends`` so that products run along the cells.
+        Each energy term is formed once, per cell end in the (2, ncell)
+        layout of the residuals, so that products run along the cells.
         """
         mesh, model = self.mesh, self.model
         phi = base.phi
-        phi_rho, phi_mom = phi[:, :, :2].T.copy()
+        phi_rho, phi_mom = phi[..., 0], phi[..., 1]
 
         u = nodes.states
         dofs = mesh.cell_dofs
         _, vel, e_int = model.decompose(u)
-        v_old = gather_cell_ends(vel, dofs)
-        vel_l, vel_r = v_old
-        e_l, e_r = gather_cell_ends(e_int, dofs)
-        p_l, p_r = gather_cell_ends((model.gamma - 1.0) * e_int, dofs)
+        vel_l, vel_r = v_old = gather_cell_ends(vel, dofs)
+        e_l, e_r = e_ends = gather_cell_ends(e_int, dofs)
+        p_l, p_r = (model.gamma - 1.0) * e_ends
         alpha = np.maximum(*gather_cell_ends(nodes.speed, dofs))
 
         # centred total + Rusanov-type redistribution for the internal energy
         total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
         half = 0.5 * total
         damping = 0.5 * alpha * (e_r - e_l)
-        phi_e = np.empty_like(phi_rho)
-        np.subtract(half, damping, out=phi_e[0])
-        np.add(half, damping, out=phi_e[1])
+        phi_e = np.stack([half - damping, half + damping])
 
         # velocities after the density/momentum update; at dt = 0 it keeps m
         # and rho (a -0.0 momentum turns +0.0), so v_new is v_old bit for bit
@@ -296,12 +288,11 @@ class TwoFieldGasScheme:
             v_new = gather_cell_ends(mom_new / rho_new, dofs)
 
         # -f_E(u_left) + f_E(u_right): the element's boundary energy flux
-        e_flux = base.boundary_parts[:, :, 2]
-        corrected, _ = corrections.nonconservative_energy_correction(
-            phi_rho.T, phi_mom.T, phi_e.T, (0.5 * (v_new + v_old)).T, (0.5 * (v_new * v_old)).T,
-            e_flux[:, 1] + e_flux[:, 0],
+        e_flux = base.boundary_parts[..., 2]
+        phi[..., 2], _ = corrections.nonconservative_energy_correction(
+            phi_rho, phi_mom, phi_e, 0.5 * (v_new + v_old), 0.5 * (v_new * v_old),
+            e_flux[1] + e_flux[0],
         )
-        phi[:, :, 2] = corrected
         return base
 
 
@@ -470,4 +461,4 @@ def integrate(
         snapshot_every=snapshot_every,
         stop_after_steps=stop_after_steps,
     )
-    return SolutionRecord(times=times, states=snapshots, ledger=ledger, mesh=mesh)
+    return SolutionRecord(times=times, states=snapshots, ledger=ledger, mesh=mesh, model=model)

@@ -32,7 +32,7 @@ def same_bits(got, want):
 def element_defect(residuals):
     """Conservation defect per element of a ``ResidualSet``: the sum of its
     residuals minus the sum of its boundary parts, shape (ncell, p)."""
-    return residuals.phi.sum(axis=1) - residuals.boundary_parts.sum(axis=1)
+    return residuals.phi.sum(axis=0) - residuals.boundary_parts.sum(axis=0)
 
 
 def energy_identity_defect(rho0, v0, e0, rho1, v1, e1):

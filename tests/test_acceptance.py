@@ -354,3 +354,55 @@ def test_criterion_10_algebraic_identities():
         energy_worst <= 1e-14,
         f"energy identity defect {energy_worst:.2e} (<= 1e-14, 1e5 tuples)",
     )
+
+
+def _energy_shift_dropped(phi_rho, phi_mom, phi_e, v_half_sum, v_half_prod, boundary_energy_flux):
+    """``nonconservative_energy_correction`` without its per-element shift r:
+    the internal-energy scheme's total-energy residual, not in flux form."""
+    terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho
+    return terms, np.zeros(terms.shape[1])
+
+
+def test_criterion_11_lax_wendroff_control(monkeypatch):
+    # Sod, forward Euler, CFL 0.4, t = 0.2: the shipped energy correction
+    # against the same scheme with its shift dropped.  The shock is the last
+    # node whose density exceeds 0.195, the mean of the post-shock and right
+    # states; the weak defect's bumps sit on the exact shock path.
+    # Measured: shock x 0.8500 corrected, 0.8450-0.8463 uncorrected (exact
+    # 0.8504); relative energy drift <= 4.5e-14 against >= 2.7e-3; weak
+    # defect ratio per doubling 0.52-0.53 against 0.68-0.79.
+    def measure(nx):
+        config = RunConfig(case="sod", scheme="nc-energy-corrected", nx=nx, t_end=0.2,
+                           integrator="euler", cfl=0.4, snapshot_every=1)
+        record = runner.run(config)
+        shock = record.mesh.dof_x[np.flatnonzero(record.final_state[:, 0] > 0.195)[-1]]
+        ledger = record.ledger
+        energy = ledger.totals[:, 2]
+        drift = abs(energy[-1] - energy[0] + ledger.boundary_accum[-1, 2]) / abs(energy[0])
+        offset = abs(shock - record.case.shock_path(0.2))
+        return offset, drift, weak.weak_residual_diagnostic(record)
+
+    resolutions = (400, 800, 1600)
+    shipped = np.array([measure(nx) for nx in resolutions])
+    monkeypatch.setattr(corrections, "nonconservative_energy_correction", _energy_shift_dropped)
+    control = np.array([measure(nx) for nx in resolutions])
+
+    def ratios(rows):
+        return rows[1:, 2] / rows[:-1, 2]
+
+    # (what, shipped values, their upper bound, control values, their lower bound)
+    checks = [
+        ("shock offset", shipped[:, 0], 1e-3, control[:, 0], 3e-3),
+        ("relative energy drift", shipped[:, 1], 1e-12, control[:, 1], 1e-3),
+        ("weak defect ratio per doubling", ratios(shipped), 0.58, ratios(control), 0.64),
+    ]
+    _report(
+        11,
+        all(ours.max() <= upper and theirs.min() >= lower
+            for _, ours, upper, theirs, lower in checks),
+        "nx 400/800/1600, shipped vs shift dropped: " + "; ".join(
+            f"{what} {'/'.join(f'{v:.2g}' for v in ours)} (<= {upper:g}) vs "
+            f"{'/'.join(f'{v:.2g}' for v in theirs)} (>= {lower:g})"
+            for what, ours, upper, theirs, lower in checks
+        ),
+    )

@@ -17,7 +17,7 @@ from conserva.harness import case_library
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
 
-from conftest import random_euler_states
+from conftest import random_euler_states, same_bits
 
 
 def test_midpoint_recovery_constant_data():
@@ -175,6 +175,15 @@ def test_af_integrate_sod_mass_ledger():
     record = af_integrate(case.model, mesh, state0, t_end=0.1, detector=True)
     assert record.ledger.conservation_drift() <= 1e-12
     assert record.ledger.fallback_cells.sum() > 0  # the jump trips the detector
+
+
+def test_a_library_record_converts_its_points_with_its_own_model():
+    # a record made outside the harness carries no case, only the model it ran
+    case = case_library("sod")
+    mesh = uniform_mesh(0.0, 1.0, 20, boundary="transmissive")
+    record = af_integrate(case.model, mesh, initialize(case.model, mesh, case.u0), t_end=0.01)
+    assert record.case is None and record.model is case.model
+    assert same_bits(record.conserved(-1), case.model.from_aux(record.final_state))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_entropy_correction_formula_value():
     # equal end states, so its boundary entropy flux and production are zero
     g = model.entropy_flux(states)
     res.phi[...] = 0.0
-    res.phi[0, 1] = (g[1] - g[0] - 0.3) / (delta / 2)
+    res.phi[1, 0] = (g[1] - g[0] - 0.3) / (delta / 2)
 
     corrected, report = entropy_correction(res, NodeKernels.of(model, states), model)
     assert report.alpha[0] == pytest.approx(3.0)
@@ -74,7 +74,7 @@ def test_entropy_correction_formula_value():
     assert report.post_defect[0] == pytest.approx(0.0, abs=1e-12)
     # correction keeps the element conservation relation intact
     np.testing.assert_allclose(element_defect(corrected), element_defect(res), atol=1e-13)
-    np.testing.assert_allclose(corrected.phi.sum(axis=1), res.phi.sum(axis=1), atol=1e-13)
+    np.testing.assert_allclose(corrected.phi.sum(axis=0), res.phi.sum(axis=0), atol=1e-13)
 
 
 def test_entropy_correction_constant_states_alpha_zero():
@@ -92,7 +92,7 @@ def test_entropy_correction_degenerate_direction_raises():
     mesh = uniform_mesh(0.0, 1.0, 2, boundary="transmissive")
     states = np.array([[0.5], [0.5], [0.5]])
     res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
-    res.phi[0] = [[-1.0], [0.0]]
+    res.phi[:, 0] = [[-1.0], [0.0]]
 
     with pytest.raises(CorrectionError) as excinfo:
         entropy_correction(res, NodeKernels.of(model, states), model)
@@ -106,7 +106,7 @@ def test_entropy_correction_zero_sum_per_element(rng):
     nodes = NodeKernels.of(model, states)
     res = fv_residuals_1d(mesh, nodes, NumericalFlux("central"))
     corrected, report = entropy_correction(res, nodes, model)
-    np.testing.assert_allclose(report.corrections.sum(axis=1), 0.0, atol=1e-13)
+    np.testing.assert_allclose(report.corrections.sum(axis=0), 0.0, atol=1e-13)
     assert report.post_defect.min() >= -1e-12
 
 
@@ -135,10 +135,10 @@ def test_energy_identity_random_sweep(rng):
 
 
 def test_nc_energy_correction_identity_already_satisfied():
-    phi_rho = np.zeros((1, 2))
-    phi_mom = np.zeros((1, 2))
-    phi_e = np.array([[0.25, 0.75]])
-    v = np.zeros((1, 2))
+    phi_rho = np.zeros((2, 1))
+    phi_mom = np.zeros((2, 1))
+    phi_e = np.array([[0.25], [0.75]])
+    v = np.zeros((2, 1))
     corrected, r = nonconservative_energy_correction(
         phi_rho, phi_mom, phi_e, v, v, np.array([1.0])
     )
@@ -148,26 +148,26 @@ def test_nc_energy_correction_identity_already_satisfied():
 
 def test_nc_energy_correction_uniform_share():
     # three-DOF element, target - current = 0.6 -> r = 0.2 on every DOF
-    phi_rho = np.zeros((1, 3))
-    phi_mom = np.zeros((1, 3))
-    phi_e = np.array([[0.1, 0.2, 0.3]])
-    v = np.zeros((1, 3))
+    phi_rho = np.zeros((3, 1))
+    phi_mom = np.zeros((3, 1))
+    phi_e = np.array([[0.1], [0.2], [0.3]])
+    v = np.zeros((3, 1))
     corrected, r = nonconservative_energy_correction(
         phi_rho, phi_mom, phi_e, v, v, np.array([1.2])
     )
     assert r[0] == pytest.approx(0.2)
-    np.testing.assert_allclose(corrected, [[0.3, 0.4, 0.5]])
+    np.testing.assert_allclose(corrected, [[0.3], [0.4], [0.5]])
 
 
 def test_nc_energy_correction_returns_the_total_energy_residual():
     # terms = phi_e + v_half_sum * phi_mom - v_half_prod * phi_rho = (1.5, -0.5)
     # sum to 1 against a boundary flux of 3 -> r = 1 on both DOFs
     corrected, r = nonconservative_energy_correction(
-        np.array([[1.0, 1.0]]), np.array([[2.0, 0.0]]), np.zeros((1, 2)),
-        np.ones((1, 2)), np.full((1, 2), 0.5), np.array([3.0]),
+        np.array([[1.0], [1.0]]), np.array([[2.0], [0.0]]), np.zeros((2, 1)),
+        np.ones((2, 1)), np.full((2, 1), 0.5), np.array([3.0]),
     )
     np.testing.assert_array_equal(r, [1.0])
-    np.testing.assert_array_equal(corrected, [[2.5, 0.5]])
+    np.testing.assert_array_equal(corrected, [[2.5], [0.5]])
 
 
 def test_nc_scheme_total_energy_moves_only_through_boundaries():
@@ -222,16 +222,16 @@ def test_entropy_correction_sums_to_zero_in_every_element(problem, kind):
     nodes = NodeKernels.of(model, states)
     base = fv_residuals_1d(mesh, nodes, NumericalFlux(kind))
     corrected, report = entropy_correction(base, nodes, model)
-    v = model.entropy_variables(states)[mesh.cell_dofs]  # (ncell, 2, p)
+    v = model.entropy_variables(states)[mesh.cell_dofs.T]  # (2, ncell, p)
     # r = alpha (v - v_bar): each entry carries one rounding of v - v_bar
-    scale = report.alpha[:, None] * np.abs(v).sum(axis=1)
-    assert (np.abs(report.corrections.sum(axis=1)) <= 4 * EPS * scale).all()
+    scale = report.alpha[:, None] * np.abs(v).sum(axis=0)
+    assert (np.abs(report.corrections.sum(axis=0)) <= 4 * EPS * scale).all()
     # so the element sums, and with them conservation, are unchanged up to
     # that sum and the roundings of phi + r and of the defects, which
     # subtract the boundary parts
     terms = np.abs(base.phi) + np.abs(report.corrections) + np.abs(base.boundary_parts)
     shift = element_defect(corrected) - element_defect(base)
-    assert (np.abs(shift) <= 8 * EPS * terms.sum(axis=1) + 4 * EPS * scale).all()
+    assert (np.abs(shift) <= 8 * EPS * terms.sum(axis=0) + 4 * EPS * scale).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,12 +247,12 @@ def test_energy_correction_closes_every_element(problem, dt):
     v_old = states[:, 1] / states[:, 0]
     v_new = ((states[:, 1] - dt / mesh.volumes * incr[:, 1])
              / (states[:, 0] - dt / mesh.volumes * incr[:, 0]))
-    vh = np.abs(0.5 * (v_new + v_old))[mesh.cell_dofs]
-    vp = np.abs(0.5 * v_new * v_old)[mesh.cell_dofs]
+    vh = np.abs(0.5 * (v_new + v_old))[mesh.cell_dofs.T]
+    vp = np.abs(0.5 * v_new * v_old)[mesh.cell_dofs.T]
     terms = np.abs(res.phi) + np.abs(res.boundary_parts)
-    terms[:, :, 2] += (np.abs(_internal_energy_residuals(model, mesh, _to_internal(states)))
-                       + vh * np.abs(res.phi[:, :, 1]) + vp * np.abs(res.phi[:, :, 0]))
-    assert (np.abs(element_defect(res)) <= 16 * EPS * terms.sum(axis=1)).all()
+    terms[..., 2] += (np.abs(_internal_energy_residuals(model, mesh, _to_internal(states)))
+                      + vh * np.abs(res.phi[..., 1]) + vp * np.abs(res.phi[..., 0]))
+    assert (np.abs(element_defect(res)) <= 16 * EPS * terms.sum(axis=0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def _to_total(w):
 
 
 def _internal_energy_residuals(model, mesh, w):
-    """Centred residuals of e_t + (e v)_x + p v_x = 0 with Rusanov damping, (ncell, 2)."""
+    """Centred residuals of e_t + (e v)_x + p v_x = 0 with Rusanov damping, (2, ncell)."""
     left, right = mesh.cell_dofs.T
     vel = w[:, 1] / w[:, 0]
     e = w[:, 2]
@@ -284,13 +284,13 @@ def _internal_energy_residuals(model, mesh, w):
         vel[right] - vel[left]
     )
     damping = 0.5 * alpha * (e[right] - e[left])
-    return np.stack([0.5 * total - damping, 0.5 * total + damping], axis=1)
+    return np.stack([0.5 * total - damping, 0.5 * total + damping])
 
 
 def _scatter(mesh, phi):
     out = np.zeros((mesh.ndof,) + phi.shape[2:])
-    np.add.at(out, mesh.cell_dofs[:, 0], phi[:, 0])
-    np.add.at(out, mesh.cell_dofs[:, 1], phi[:, 1])
+    np.add.at(out, mesh.cell_dofs[:, 0], phi[0])
+    np.add.at(out, mesh.cell_dofs[:, 1], phi[1])
     return out
 
 
@@ -306,16 +306,16 @@ def _internal_energy_march(model, mesh, u0, cfl, t_end, steps):
         u = _to_total(w)
         dt = min(cfl * h / float(model.max_wave_speed(u).max()), t_end - times[-1])
         base = fv_residuals_1d(mesh, NodeKernels.of(model, u), flux)
-        phi_rho, phi_mom = base.phi[:, :, 0], base.phi[:, :, 1]
+        phi_rho, phi_mom = base.phi[..., 0], base.phi[..., 1]
         phi_e = _internal_energy_residuals(model, mesh, w)
-        drho_dmom = _scatter(mesh, base.phi[:, :, :2]) * (dt / mesh.volumes)[:, None]
+        drho_dmom = _scatter(mesh, base.phi[..., :2]) * (dt / mesh.volumes)[:, None]
         v_old = w[:, 1] / w[:, 0]
         v_new = (w[:, 1] - drho_dmom[:, 1]) / (w[:, 0] - drho_dmom[:, 0])
-        v_sum = (0.5 * (v_new + v_old))[mesh.cell_dofs]
-        v_prod = (0.5 * v_new * v_old)[mesh.cell_dofs]
-        e_flux = base.boundary_parts[:, :, 2].sum(axis=1)
+        v_sum = (0.5 * (v_new + v_old))[mesh.cell_dofs.T]
+        v_prod = (0.5 * v_new * v_old)[mesh.cell_dofs.T]
+        e_flux = base.boundary_parts[..., 2].sum(axis=0)
         _, r = nonconservative_energy_correction(phi_rho, phi_mom, phi_e, v_sum, v_prod, e_flux)
-        phi = np.concatenate([base.phi[:, :, :2], (phi_e + r[:, None])[:, :, None]], axis=2)
+        phi = np.concatenate([base.phi[..., :2], (phi_e + r)[..., None]], axis=2)
         w = w - (dt / mesh.volumes)[:, None] * _scatter(mesh, phi)
         times.append(times[-1] + dt)
     return np.array(times), _to_total(w)
@@ -353,7 +353,10 @@ def test_conserved_march_equals_the_corrected_internal_energy_march(case_id, bou
 
 
 def _full_entropy_correction(residuals, states, model):
-    """The whole formula, every step taken: (phi, alpha, r, pre, post, clamped, alpha_max)."""
+    """The whole formula, every step taken: (phi, alpha, r, pre, post, clamped, alpha_max).
+
+    It runs on (ncell, 2, p) rows of the residuals, whose element sums the
+    library's einsum reproduces; phi and r come back (2, ncell, p)."""
     from conserva.corrections import ALPHA_CLAMP_FACTOR, DEGENERATE_TOLERANCE
 
     dofs = residuals.cell_dofs
@@ -361,7 +364,8 @@ def _full_entropy_correction(residuals, states, model):
     v_cells = np.stack([v[dofs[:, 0]], v[dofs[:, 1]]], axis=1)
     g = model.entropy_flux(states)
     g_bound = g[dofs[:, 1]] - g[dofs[:, 0]]
-    deficit = g_bound - np.einsum("kdp,kdp->k", v_cells, residuals.phi)
+    phi_cells = np.stack([residuals.phi[0], residuals.phi[1]], axis=1)
+    deficit = g_bound - np.einsum("kdp,kdp->k", v_cells, phi_cells)
     v_bar = v_cells.mean(axis=1, keepdims=True)
     centered = v_cells - v_bar
     denom = np.einsum("kdp,kdp->k", centered, centered)
@@ -375,10 +379,11 @@ def _full_entropy_correction(residuals, states, model):
     clamped = alpha > cap
     alpha = np.minimum(alpha, cap) if clamped.any() else alpha
     r = alpha[:, None, None] * centered
-    phi = residuals.phi + r
+    phi = phi_cells + r
     post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
     alpha_max = float(alpha.max()) if len(alpha) else 0.0
-    return phi, alpha, r, -deficit, post, np.flatnonzero(clamped), alpha_max
+    return (phi.transpose(1, 0, 2), alpha, r.transpose(1, 0, 2), -deficit, post,
+            np.flatnonzero(clamped), alpha_max)
 
 
 def _no_fix_problem(model_name, seed):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -78,8 +79,22 @@ def test_weak_diagnostic_constant_solution_defect_tiny():
 def test_weak_diagnostic_needs_dense_snapshots():
     config = RunConfig(case="burgers-riemann", scheme="fv-rusanov", nx=50, t_end=0.5)
     record = run(config)  # only initial and final snapshots stored
-    with pytest.raises(DiagnosticError):
+    with pytest.raises(DiagnosticError, match=r"2 snapshots, need at least 3; .*snapshot_every=1"):
         weak_residual_diagnostic(record)
+
+
+@pytest.mark.parametrize("tend, found", [
+    ("0.001", r"record holds 2 snapshots, need at least 3; "),
+    ("0.01", r"only 0 snapshots inside the bump at t0=\S+, need 8; "),
+], ids=["too-few", "none-in-a-bump"])
+def test_cli_diagnose_weak_names_a_remedy_its_command_can_follow(tend, found, capsys):
+    # diagnose-weak already keeps every step: only more steps give more snapshots
+    argv = ["diagnose-weak", "--case", "sod", "--scheme", "fv-rusanov", "--nx-list", "20",
+            "--tend", tend]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.search(found + r"run to a later end time \(--tend\) or on more cells \(--nx\)", err)
+    assert "snapshot_every" not in err
 
 
 def test_bump_derivatives_match_finite_differences():
@@ -204,7 +219,8 @@ def _broken_advective_run(case, mesh, t_end):
         states.append(u[:, None].copy())
     assert np.isfinite(u).all()
     return SolutionRecord(
-        times=np.asarray(times), states=states, ledger=None, mesh=mesh, case=case
+        times=np.asarray(times), states=states, ledger=None, mesh=mesh, model=case.model,
+        case=case,
     )
 
 
@@ -456,7 +472,7 @@ def test_cli_diagnose_weak_reads_the_conserved_states_of_active_flux(monkeypatch
     for (_, printed), record in zip(rows, records):
         conserved = SolutionRecord(
             times=record.times, states=[record.case.model.from_aux(s) for s in record.states],
-            ledger=record.ledger, mesh=record.mesh, case=record.case,
+            ledger=record.ledger, mesh=record.mesh, model=record.model, case=record.case,
         )
         assert printed == f"{weak_residual_diagnostic(conserved):.17g}"
 

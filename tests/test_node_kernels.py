@@ -56,8 +56,8 @@ def _fv_reference(mesh, states, kind, model):
     fhat = _fhat_reference(kind, u_left, u_right, model)
     f_left = model.flux(u_left)
     f_right = model.flux(u_right)
-    phi = np.stack([fhat - f_left, f_right - fhat], axis=1)
-    bparts = np.stack([-f_left, f_right], axis=1)
+    phi = np.stack([fhat - f_left, f_right - fhat])
+    bparts = np.stack([-f_left, f_right])
     return phi, bparts, _closure_reference(mesh, states, model)
 
 
@@ -69,7 +69,7 @@ def _supg_reference(mesh, states, model, tau_scale=1.0):
     tau = tau[:, None]
     f_left = model.flux(u_left)
     f_right = model.flux(u_right)
-    phi = np.stack([-f_left, f_right], axis=1)
+    phi = np.stack([-f_left, f_right])
     du_dx = (u_right - u_left) / h
     nodes, weights = np.polynomial.legendre.leggauss(3)
     for xi, wq in zip(0.5 * (nodes + 1.0), 0.5 * weights):
@@ -78,20 +78,24 @@ def _supg_reference(mesh, states, model, tau_scale=1.0):
         A_q = model.jacobian(u_q)
         advect = np.einsum("kij,kj->ki", A_q, du_dx)
         stab = np.einsum("kji,kj->ki", A_q, tau * advect)
-        phi[:, 0] += wq * f_q - wq * h * stab
-        phi[:, 1] += -wq * f_q + wq * h * stab
-    bparts = np.stack([-f_left, f_right], axis=1)
+        phi[0] += wq * f_q - wq * h * stab
+        phi[1] += -wq * f_q + wq * h * stab
+    bparts = np.stack([-f_left, f_right])
     return phi, bparts, _closure_reference(mesh, states, model)
 
 
 def _entropy_reference(residuals, states, model):
-    """(corrected phi, alpha, r, pre_defect, post_defect, clamped elements)."""
+    """(corrected phi, alpha, r, pre_defect, post_defect, clamped elements).
+
+    The formulas run per cell on (ncell, 2, p) rows of the residuals; phi
+    and r come back (2, ncell, p) like the residuals."""
+    phi_cells = np.stack([residuals.phi[0], residuals.phi[1]], axis=1)
     v = model.entropy_variables(states)
     v_cells = v[residuals.cell_dofs]
     u_left = states[residuals.cell_dofs[:, 0]]
     u_right = states[residuals.cell_dofs[:, 1]]
     g_bound = model.entropy_flux(u_right) - model.entropy_flux(u_left)
-    production = np.einsum("kdp,kdp->k", v_cells, residuals.phi)
+    production = np.einsum("kdp,kdp->k", v_cells, phi_cells)
     deficit = g_bound - production
     v_bar = v_cells.mean(axis=1, keepdims=True)
     centered = v_cells - v_bar
@@ -106,15 +110,16 @@ def _entropy_reference(residuals, states, model):
     clamped = alpha > cap
     alpha = np.minimum(alpha, cap) if clamped.any() else alpha
     r = alpha[:, None, None] * centered
-    phi = residuals.phi + r
+    phi = phi_cells + r
     post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
-    return phi, alpha, r, -deficit, post, np.flatnonzero(clamped)
+    return (phi.transpose(1, 0, 2), alpha, r.transpose(1, 0, 2), -deficit, post,
+            np.flatnonzero(clamped))
 
 
 def _gas_reference(mesh, model, u, dt):
     phi_b, bparts, closure = _fv_reference(mesh, u, "rusanov", model)
-    phi_rho = phi_b[:, :, 0]
-    phi_mom = phi_b[:, :, 1]
+    phi_rho = phi_b[..., 0]
+    phi_mom = phi_b[..., 1]
     dofs = mesh.cell_dofs
     u_left, u_right = _ends(mesh, u)
     vel_l, vel_r = u_left[:, 1] / u_left[:, 0], u_right[:, 1] / u_right[:, 0]
@@ -125,24 +130,23 @@ def _gas_reference(mesh, model, u, dt):
     total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
     phi_e = np.stack(
         [0.5 * total - 0.5 * alpha * (e_r - e_l), 0.5 * total + 0.5 * alpha * (e_r - e_l)],
-        axis=1,
     )
     incr = np.zeros((mesh.ndof, 2))
-    np.add.at(incr, dofs[:, 0], phi_b[:, 0, :2])
-    np.add.at(incr, dofs[:, 1], phi_b[:, 1, :2])
+    np.add.at(incr, dofs[:, 0], phi_b[0, :, :2])
+    np.add.at(incr, dofs[:, 1], phi_b[1, :, :2])
     rho_new = u[:, 0] - dt / mesh.volumes * incr[:, 0]
     mom_new = u[:, 1] - dt / mesh.volumes * incr[:, 1]
     v_old = u[:, 1] / u[:, 0]
     v_new = mom_new / rho_new if dt > 0 else v_old
     f_energy = model.flux(u)[:, 2]
     target = f_energy[dofs[:, 1]] - f_energy[dofs[:, 0]]
-    vh = (0.5 * (v_new + v_old))[dofs]
-    vp = (0.5 * (v_new * v_old))[dofs]
+    vh = (0.5 * (v_new + v_old))[dofs.T]
+    vp = (0.5 * (v_new * v_old))[dofs.T]
     # the total-energy residual: the increment identity's right-hand side,
     # shifted per element to sum to the boundary energy flux
     terms = phi_e + vh * phi_mom - vp * phi_rho
-    phi_energy = terms + ((target - terms.sum(axis=1)) / phi_e.shape[1])[:, None]
-    phi = np.concatenate([phi_b[:, :, :2], phi_energy[:, :, None]], axis=2)
+    phi_energy = terms + (target - terms.sum(axis=0)) / phi_e.shape[0]
+    phi = np.concatenate([phi_b[..., :2], phi_energy[..., None]], axis=2)
     return phi, bparts, closure
 
 
@@ -253,8 +257,8 @@ def _gas_unshared_reference(mesh, model, u, dt):
     own dt / volumes."""
     nodes = model.node_kernels(u)
     base = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
-    phi_rho = base.phi[:, :, 0]
-    phi_mom = base.phi[:, :, 1]
+    phi_rho = base.phi[..., 0]
+    phi_mom = base.phi[..., 1]
     dofs = mesh.cell_dofs
     v_old = u[:, 1] / u[:, 0]
     e_int = u[:, 2] - 0.5 * u[:, 1] * v_old
@@ -267,22 +271,20 @@ def _gas_unshared_reference(mesh, model, u, dt):
     total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
     phi_e = np.stack(
         [0.5 * total - 0.5 * alpha * (e_r - e_l), 0.5 * total + 0.5 * alpha * (e_r - e_l)],
-        axis=1,
     )
-    incr = scatter_cell_ends(base.phi[:, 0, :2], base.phi[:, 1, :2], mesh.ndof)
+    incr = scatter_cell_ends(base.phi[0, :, :2], base.phi[1, :, :2], mesh.ndof)
     rho_new = u[:, 0] - dt / mesh.volumes * incr[:, 0]
     mom_new = u[:, 1] - dt / mesh.volumes * incr[:, 1]
     with np.errstate(all="ignore"):
         v_new = mom_new / rho_new if dt > 0 else v_old
-    nodal_e_flux = base.boundary_parts[:, :, 2]
-    v_old_cells = v_old_cells.T
-    v_new_cells = gather_cell_ends(v_new, dofs).T
+    nodal_e_flux = base.boundary_parts[..., 2]
+    v_new_cells = gather_cell_ends(v_new, dofs)
     vh_cells = 0.5 * (v_new_cells + v_old_cells)
     vp_cells = 0.5 * (v_new_cells * v_old_cells)
     terms = phi_e + vh_cells * phi_mom - vp_cells * phi_rho
-    r = (nodal_e_flux[:, 1] + nodal_e_flux[:, 0] - terms.sum(axis=1)) / phi_e.shape[1]
+    r = (nodal_e_flux[1] + nodal_e_flux[0] - terms.sum(axis=0)) / phi_e.shape[0]
     phi = base.phi
-    phi[:, :, 2] = terms + r[:, None]
+    phi[..., 2] = terms + r
     return phi, base.boundary_parts, base.boundary_outflux
 
 

@@ -23,7 +23,7 @@ from conserva.schemes import (
     supg_residuals_1d,
 )
 
-from conftest import element_defect
+from conftest import element_defect, same_bits
 
 def test_laplacian_segment():
     L = build_laplacian(element_graph("segment"))
@@ -215,8 +215,8 @@ def test_reconstruct_shared_face_fluxes_agree_up_to_sign():
     model, mesh, states = _burgers_setup(16, boundary="transmissive")
     residuals = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     # at the shared node of cells k and k+1 the two boundary shares cancel
-    right_shares = residuals.boundary_parts[:-1, 1]
-    left_shares = residuals.boundary_parts[1:, 0]
+    right_shares = residuals.boundary_parts[1, :-1]
+    left_shares = residuals.boundary_parts[0, 1:]
     np.testing.assert_allclose(right_shares, -left_shares, atol=1e-15)
 
 
@@ -261,7 +261,7 @@ def _with_phi(residuals, phi, bparts=None):
 def test_reconstruct_names_exactly_the_shifted_element():
     mesh, states, residuals = _supg_residuals()
     phi = residuals.phi.copy()
-    phi[5, 1] += 1e-3
+    phi[1, 5] += 1e-3
     with pytest.raises(ConservationError) as excinfo:
         reconstruct_scheme(mesh, states, _with_phi(residuals, phi))
     np.testing.assert_array_equal(excinfo.value.elements, [5])
@@ -271,7 +271,7 @@ def test_reconstruct_names_exactly_the_shifted_element():
 def test_reconstruct_names_exactly_the_non_finite_element():
     mesh, states, residuals = _supg_residuals()
     phi = residuals.phi.copy()
-    phi[7, 0] = np.nan
+    phi[0, 7] = np.nan
     with pytest.raises(ConservationError) as excinfo:
         reconstruct_scheme(mesh, states, _with_phi(residuals, phi))
     np.testing.assert_array_equal(excinfo.value.elements, [7])
@@ -281,15 +281,15 @@ def test_reconstruct_judges_each_element_against_its_own_scale():
     mesh, states, residuals = _supg_residuals()
     phi = residuals.phi.copy()
     bparts = residuals.boundary_parts.copy()
-    phi[3] *= 1e8
-    bparts[3] *= 1e8
-    big = max(np.abs(phi[3]).max(), np.abs(bparts[3]).max())
-    phi[3, 0] += 1e-14 * big  # rounding-sized on its own scale: accepted
+    phi[:, 3] *= 1e8
+    bparts[:, 3] *= 1e8
+    big = max(np.abs(phi[:, 3]).max(), np.abs(bparts[:, 3]).max())
+    phi[0, 3] += 1e-14 * big  # rounding-sized on its own scale: accepted
     reconstruct_scheme(mesh, states, _with_phi(residuals, phi, bparts))
 
     # 1e-6 is below 1e-10 of the largest element but far above the tolerance
     # of an O(1) element, so only a per-element scale catches it
-    phi[9, 0] += 1e-6
+    phi[0, 9] += 1e-6
     with pytest.raises(ConservationError) as excinfo:
         reconstruct_scheme(mesh, states, _with_phi(residuals, phi, bparts))
     np.testing.assert_array_equal(excinfo.value.elements, [9])
@@ -309,14 +309,14 @@ def connected_graphs(draw):
 
 @st.composite
 def psi_stacks(draw):
-    """A graph, a zero-sum Psi stack (k, ndof, p) and per-element scales."""
+    """A graph, a zero-sum DOF-major Psi stack (ndof, k, p) and per-element scales."""
     graph = draw(connected_graphs())
     k, p = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
-    raw = draw(hnp.arrays(float, (k, graph.ndof, p), elements=unit))
-    raw *= 10.0 ** draw(hnp.arrays(int, (k, 1, 1), elements=st.integers(-50, 50)))
-    scale = np.maximum(np.abs(raw).max(axis=(1, 2)), 1e-300)
-    return graph, raw - raw.mean(axis=1, keepdims=True), scale
+    raw = draw(hnp.arrays(float, (graph.ndof, k, p), elements=unit))
+    raw *= 10.0 ** draw(hnp.arrays(int, (1, k, 1), elements=st.integers(-50, 50)))
+    scale = np.maximum(np.abs(raw).max(axis=(0, 2)), 1e-300)
+    return graph, raw - raw.mean(axis=0, keepdims=True), scale
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +324,7 @@ def psi_stacks(draw):
 def test_property_recovered_fluxes_reproduce_psi(case):
     graph, psi, scale = case
     fhat = build_laplacian(graph).recover(psi, scale)
-    err = np.abs(graph.incidence @ fhat - psi).max(axis=(1, 2))
+    err = np.abs(np.tensordot(graph.incidence, fhat, axes=1) - psi).max(axis=(0, 2))
     assert (err <= 1e-11 * scale).all()
 
 
@@ -334,31 +334,42 @@ def test_property_operator_matches_solve_and_pseudo_inverse(case):
     graph, psi, scale = case
     laplacian = build_laplacian(graph)
     pinv = np.linalg.pinv(graph.incidence)
-    for k in range(len(psi)):
-        got = laplacian.operator @ psi[k]
-        via_solve = graph.incidence.T @ laplacian.solve(psi[k])
+    for k in range(psi.shape[1]):
+        got = laplacian.operator @ psi[:, k]
+        via_solve = graph.incidence.T @ laplacian.solve(psi[:, k])
         np.testing.assert_allclose(got, via_solve, rtol=0, atol=1e-11 * scale[k])
-        np.testing.assert_allclose(got, pinv @ psi[k], rtol=0, atol=1e-11 * scale[k])
-
-
-@settings(max_examples=150, deadline=None)
-@given(psi_stacks())
-def test_property_batched_recovery_equals_single_calls(case):
-    # a single call judges its element's sum against the size of its own Psi:
-    # it returns the element's batched row or raises ConservationError
-    graph, psi, _ = case
-    laplacian = build_laplacian(graph)
-    own = np.maximum(np.abs(psi).max(axis=(1, 2)), 1e-300)
-    closed = np.abs(psi.sum(axis=1)).max(axis=1) <= SUM_TOLERANCE * own
-    batched = laplacian.recover(psi[closed], own[closed])
-    for k, row in zip(np.flatnonzero(closed), batched):
-        np.testing.assert_array_equal(recover_fluxes(graph, psi[k]), row)
-    for k in np.flatnonzero(~closed):
-        with pytest.raises(ConservationError):
-            recover_fluxes(graph, psi[k])
+        np.testing.assert_allclose(got, pinv @ psi[:, k], rtol=0, atol=1e-11 * scale[k])
 
 
 RESIDUAL_IDS = [name for name, row in SCHEMES.items() if row.base != ACTIVE_FLUX]
+
+
+@st.composite
+def scheme_psi_stacks(draw):
+    """The segment graph and the DOF-major Psi = phi - boundary_parts stack
+    that ``reconstruct_scheme`` recovers, of a residual scheme id."""
+    model, mesh, states, dt = draw(gas_meshes_and_states())
+    assemble = residual_assembler(draw(st.sampled_from(RESIDUAL_IDS)), model, mesh)
+    residuals = assemble(NodeKernels.of(model, states), dt)
+    return element_graph("segment"), residuals.phi - residuals.boundary_parts, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(psi_stacks(), scheme_psi_stacks()))
+def test_property_batched_recovery_equals_single_calls(case):
+    # a single call judges its element's sum against the size of its own Psi:
+    # it returns the element's batched column, bit for bit, or raises
+    # ConservationError
+    graph, psi, _ = case
+    laplacian = build_laplacian(graph)
+    own = np.maximum(np.abs(psi).max(axis=(0, 2)), 1e-300)
+    closed = np.abs(psi.sum(axis=0)).max(axis=1) <= SUM_TOLERANCE * own
+    batched = laplacian.recover(psi[:, closed], own[closed])
+    for column, k in enumerate(np.flatnonzero(closed)):
+        assert same_bits(recover_fluxes(graph, psi[:, k]), batched[:, column])
+    for k in np.flatnonzero(~closed):
+        with pytest.raises(ConservationError):
+            recover_fluxes(graph, psi[:, k])
 
 
 @st.composite
@@ -389,7 +400,7 @@ def test_property_every_residual_scheme_has_a_flux_form(scheme_id, case):
 
 def _assert_flux_form(mesh, states, residuals):
     scale = np.maximum(
-        np.abs(residuals.phi).max(axis=(1, 2)), np.abs(residuals.boundary_parts).max(axis=(1, 2))
+        np.abs(residuals.phi).max(axis=(0, 2)), np.abs(residuals.boundary_parts).max(axis=(0, 2))
     )
     defect = np.abs(element_defect(residuals)).max(axis=1)
     assert (defect <= SUM_TOLERANCE * scale).all()

@@ -8,7 +8,7 @@ from conserva.errors import ConfigError, RunError
 from conserva.harness import build_problem
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler, NodeKernels
-from conserva.records import INTEGRATORS, SSP_STAGES, RunConfig
+from conserva.records import ACTIVE_FLUX, INTEGRATORS, SCHEMES, SSP_STAGES, RunConfig
 from conserva.schemes import (
     NumericalFlux,
     _ssp_combine,
@@ -77,8 +77,8 @@ def test_fv_residuals_hand_values():
     states = np.array([[1.0], [0.0], [0.0]])
     res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     assert res.phi[0, 0, 0] == pytest.approx(0.25)  # 0.75 - f(1)
-    assert res.phi[0, 1, 0] == pytest.approx(-0.75)  # f(0) - 0.75
-    assert res.phi[0].sum() == pytest.approx(-0.5)  # f(uR) - f(uL)
+    assert res.phi[1, 0, 0] == pytest.approx(-0.75)  # f(0) - 0.75
+    assert res.phi[:, 0].sum() == pytest.approx(-0.5)  # f(uR) - f(uL)
 
 
 def test_fv_residuals_conservation_defect(rng):
@@ -88,6 +88,25 @@ def test_fv_residuals_conservation_defect(rng):
     res = fv_residuals_1d(mesh, NodeKernels.of(model, states), NumericalFlux("rusanov"))
     scale = np.abs(res.phi).max()
     assert np.abs(element_defect(res)).max() <= 1e-12 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+@pytest.mark.parametrize(
+    "scheme_id", [name for name, row in SCHEMES.items() if row.base != ACTIVE_FLUX]
+)
+def test_residual_sets_hold_one_cell_end_layout(scheme_id, boundary, rng):
+    # (2, ncell, p), as gather_cell_ends returns and scatter_cell_ends takes
+    model = Euler(1.4)
+    mesh = uniform_mesh(0.0, 1.0, 17, boundary=boundary)
+    nodes = NodeKernels.of(model, random_euler_states(rng, mesh.ndof))
+    res = residual_assembler(scheme_id, model, mesh)(nodes, 1e-3)
+    for array in (res.phi, res.boundary_parts):
+        assert array.shape == (2, mesh.ncell, 3) and array.flags.c_contiguous
+    assert res.ncell == mesh.ncell
+    want = np.zeros((mesh.ndof, 3))
+    np.add.at(want, mesh.cell_dofs[:, 0], res.phi[0])
+    np.add.at(want, mesh.cell_dofs[:, 1], res.phi[1])
+    assert same_bits(res.scatter_to_dofs(mesh.ndof), want)
 
 
 def test_fv_residual_update_equals_flux_form(rng):
@@ -151,7 +170,7 @@ def test_supg_element_sum_is_boundary_flux(rng):
     res = supg_residuals_1d(mesh, NodeKernels.of(model, states), model)
     f = model.flux(states)
     expected = f[mesh.cell_dofs[:, 1]] - f[mesh.cell_dofs[:, 0]]
-    np.testing.assert_allclose(res.phi.sum(axis=1), expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(res.phi.sum(axis=0), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_supg_advection_reduces_to_upwind():
@@ -162,8 +181,8 @@ def test_supg_advection_reduces_to_upwind():
     res = supg_residuals_1d(mesh, NodeKernels.of(model, states), model)
     for cell in range(2):
         u_l, u_r = states[cell, 0], states[cell + 1, 0]
-        assert res.phi[cell, 0, 0] == pytest.approx(0.0, abs=1e-14)
-        assert res.phi[cell, 1, 0] == pytest.approx(u_r - u_l)
+        assert res.phi[0, cell, 0] == pytest.approx(0.0, abs=1e-14)
+        assert res.phi[1, cell, 0] == pytest.approx(u_r - u_l)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +449,8 @@ def test_integrate_rejects_an_inadmissible_combined_stage(target):
 
     def assemble(nodes, dt):
         u = nodes.states
-        phi = np.zeros((mesh.ncell, 2, 1))
-        phi[:, 0] = (u - target(u)) * (mesh.volumes / dt)[:, None]
+        phi = np.zeros((2, mesh.ncell, 1))
+        phi[0] = (u - target(u)) * (mesh.volumes / dt)[:, None]
         return ResidualSet(mesh.cell_dofs, phi, np.zeros_like(phi), np.zeros(1))
 
     with pytest.raises(RunError, match="inadmissible state at DOF 0") as excinfo:
