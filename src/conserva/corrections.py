@@ -54,32 +54,27 @@ def entropy_correction(residuals, nodes, model):
     skipped.
     """
     dofs = residuals.cell_dofs
-    # (ncell, 2, p) in one take, the bits of stacking both cell-end gathers
-    v_cells = np.take(model.entropy_variables(nodes.states), dofs, axis=0)
-    v_left, v_right = v_cells[:, 0], v_cells[:, 1]
+    v_cells = gather_cell_ends(model.entropy_variables(nodes.states), dofs)
 
     # element boundary entropy flux; traces at element ends are single valued,
     # so a consistent numerical entropy flux reduces to the model's there
     g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states, nodes.entropy), dofs)
     g_bound = g_right - g_left
 
-    # the products are summed over one contiguous (ncell, 2, p) copy of phi:
-    # einsum's order of additions, and so its bits, follow the memory layout
-    phi = residuals.phi.transpose(1, 0, 2).copy()
-    production = np.einsum("kdp,kdp->k", v_cells, phi)
+    production = np.einsum("dkp,dkp->k", v_cells, residuals.phi)
     deficit = g_bound - production
 
-    # the bits of v_cells.mean(axis=1, keepdims=True), whose sum starts from
-    # +0.0, at a tenth of its cost
-    v_bar = ((v_left + v_right + 0.0) / 2)[:, None, :]
+    # the bits of v_cells.mean(axis=0), whose sum starts from +0.0, at a
+    # tenth of its cost
+    v_bar = (v_cells[0] + v_cells[1] + 0.0) / 2
     centered = v_cells - v_bar
     needs_fix = deficit > 1e-12
     # without an element to fix, r = +0.0 * centered: phi + r keeps the full
     # formula's bits, which can turn a -0.0 residual into +0.0
     alpha, clamped = np.zeros(len(deficit)), needs_fix
     if needs_fix.any():
-        denom = np.einsum("kdp,kdp->k", centered, centered)
-        vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
+        denom = np.einsum("dkp,dkp->k", centered, centered)
+        vbar_scale = np.maximum(np.einsum("kp,kp->k", v_bar, v_bar), 1.0)
         degenerate = denom < DEGENERATE_TOLERANCE * vbar_scale
         impossible = needs_fix & degenerate
         if impossible.any():
@@ -105,14 +100,13 @@ def entropy_correction(residuals, nodes, model):
             )
             alpha = np.minimum(alpha, cap)
 
-    r = alpha[:, None, None] * centered
-    phi += r
-    post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
-    corrected = replace(residuals, phi=np.ascontiguousarray(phi.transpose(1, 0, 2)),
-                        alpha_max=float(alpha.max()) if len(alpha) else 0.0)
+    r = alpha[:, None] * centered
+    phi = residuals.phi + r
+    post = np.einsum("dkp,dkp->k", v_cells, phi) - g_bound
+    corrected = replace(residuals, phi=phi, alpha_max=float(alpha.max()) if len(alpha) else 0.0)
     report = CorrectionReport(
         alpha=alpha,
-        corrections=r.transpose(1, 0, 2),
+        corrections=r,
         pre_defect=-deficit,
         post_defect=post,
         clamped=np.flatnonzero(clamped),

@@ -81,8 +81,13 @@ def _parse_nx_list(text):
 
 
 def _read_config_file(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's own text repeats the path
+        raise ConfigError(f"cannot read config file {path!r}: {reason}") from None
     values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -53,6 +53,8 @@ def _run_problem(config, case, mesh, u0):
 def l1_error(record):
     """L1 distance between a finished run of a case and its exact solution."""
     case, mesh = record.case, record.mesh
+    if case is None:
+        raise ConfigError("the record carries no case, so no exact solution to compare with")
     if case.exact_solution is None:
         raise ConfigError(f"case {case.name!r} has no exact solution")
     reference = case.exact_solution(mesh.dof_x, float(record.times[-1]))

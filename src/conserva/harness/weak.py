@@ -83,7 +83,8 @@ MIN_TIME_SAMPLES = 8  # snapshots inside each bump's time support
 
 def weak_residual_diagnostic(record, bumps=None):
     """Total absolute weak-form defect of a run of a case over a family of
-    bumps, by default ``default_bumps`` around the case's shock path.
+    bumps, by default ``default_bumps`` around the case's shock path, or
+    mid-domain for a record that carries no case.
 
     The field is the record's conserved snapshots (``record.conserved``) on
     its mesh, with its model's flux.  Space is integrated cell by cell with
@@ -103,7 +104,8 @@ def weak_residual_diagnostic(record, bumps=None):
         raise DiagnosticError(f"record holds {len(times)} snapshots, need at least 3; {remedy}")
     model, mesh = record.model, record.mesh
     if bumps is None:
-        bumps = default_bumps(mesh, float(times[-1]), shock_path=record.case.shock_path)
+        shock_path = None if record.case is None else record.case.shock_path
+        bumps = default_bumps(mesh, float(times[-1]), shock_path)
 
     gp, gw = _GAUSS3
     x_left = mesh.nodes[:-1]

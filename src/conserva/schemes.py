@@ -358,7 +358,7 @@ def march(state, advance, *, speed, length, cfl, t_end, totals, entropy, snapsho
 
     t = 0.0
     step = 0
-    while t < t_end - 1e-13 * max(1.0, t_end):
+    while t < t_end - 1e-13 * t_end:
         if stop_after_steps is not None and step >= stop_after_steps:
             break
         if step >= MAX_STEPS:

@@ -3,16 +3,24 @@ over RunConfig's defaults.
 
 The oracle below is the earlier merge, which restated RunConfig's defaults in
 ``pick`` calls; the property holds the current one to the same answers.
+A config file that cannot be read is a usage error like a bad value in it.
 """
 
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conserva.errors import ConfigError
-from conserva.harness.cli import _CONFIG_KEYS, _build_run_config, _read_config_file, build_parser
+from conserva.harness.cli import (
+    _CONFIG_KEYS,
+    _build_run_config,
+    _read_config_file,
+    build_parser,
+    main,
+)
 from conserva.records import RunConfig
 
 
@@ -137,3 +145,19 @@ def test_merge_matches_the_pick_based_oracle(invocation):
         want = _outcome(_oracle_build_run_config, args)
     assert type(got) is type(want)
     assert got == want
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_an_unreadable_config_file_is_a_usage_error(tmp_path, capsys, kind):
+    # exit 2 with one error line naming the file, not a traceback and exit 1
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"case=sod\nscheme=\xff\xfe\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    assert not out.exists()

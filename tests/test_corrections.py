@@ -355,21 +355,20 @@ def test_conserved_march_equals_the_corrected_internal_energy_march(case_id, bou
 def _full_entropy_correction(residuals, states, model):
     """The whole formula, every step taken: (phi, alpha, r, pre, post, clamped, alpha_max).
 
-    It runs on (ncell, 2, p) rows of the residuals, whose element sums the
-    library's einsum reproduces; phi and r come back (2, ncell, p)."""
+    It runs on (2, ncell, p) stacks of the two cell ends, the layout of the
+    residuals."""
     from conserva.corrections import ALPHA_CLAMP_FACTOR, DEGENERATE_TOLERANCE
 
     dofs = residuals.cell_dofs
     v = model.entropy_variables(states)
-    v_cells = np.stack([v[dofs[:, 0]], v[dofs[:, 1]]], axis=1)
+    v_cells = np.stack([v[dofs[:, 0]], v[dofs[:, 1]]])
     g = model.entropy_flux(states)
     g_bound = g[dofs[:, 1]] - g[dofs[:, 0]]
-    phi_cells = np.stack([residuals.phi[0], residuals.phi[1]], axis=1)
-    deficit = g_bound - np.einsum("kdp,kdp->k", v_cells, phi_cells)
-    v_bar = v_cells.mean(axis=1, keepdims=True)
+    deficit = g_bound - np.einsum("dkp,dkp->k", v_cells, residuals.phi)
+    v_bar = v_cells.mean(axis=0)
     centered = v_cells - v_bar
-    denom = np.einsum("kdp,kdp->k", centered, centered)
-    vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
+    denom = np.einsum("dkp,dkp->k", centered, centered)
+    vbar_scale = np.maximum(np.einsum("kp,kp->k", v_bar, v_bar), 1.0)
     degenerate = denom < DEGENERATE_TOLERANCE * vbar_scale
     needs_fix = deficit > 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -378,12 +377,11 @@ def _full_entropy_correction(residuals, states, model):
     cap = ALPHA_CLAMP_FACTOR * np.maximum(np.maximum(speed[dofs[:, 0]], speed[dofs[:, 1]]), 1e-300)
     clamped = alpha > cap
     alpha = np.minimum(alpha, cap) if clamped.any() else alpha
-    r = alpha[:, None, None] * centered
-    phi = phi_cells + r
-    post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
+    r = alpha[:, None] * centered
+    phi = residuals.phi + r
+    post = np.einsum("dkp,dkp->k", v_cells, phi) - g_bound
     alpha_max = float(alpha.max()) if len(alpha) else 0.0
-    return (phi.transpose(1, 0, 2), alpha, r.transpose(1, 0, 2), -deficit, post,
-            np.flatnonzero(clamped), alpha_max)
+    return phi, alpha, r, -deficit, post, np.flatnonzero(clamped), alpha_max
 
 
 def _no_fix_problem(model_name, seed):

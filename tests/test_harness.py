@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conserva.active_flux import af_integrate, initialize
 from conserva.errors import ConfigError, DiagnosticError
 from conserva.harness import case_library, cases, runner, weak_residual_diagnostic
 from conserva.harness.cases import SHU_OSHER_LEFT
@@ -19,6 +20,7 @@ from conserva.records import (
     RunConfig,
     SolutionRecord,
 )
+from conserva.schemes import integrate, residual_assembler
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +76,27 @@ def test_weak_diagnostic_constant_solution_defect_tiny():
     record.states = [np.full_like(s, 0.7) for s in record.states]
     defect = weak_residual_diagnostic(record)
     assert defect <= 5e-5  # time-trapezoid floor; scheme defects sit near 1e-2
+
+
+@pytest.mark.parametrize("scheme", ["fv-rusanov", "active-flux"])
+def test_library_records_without_a_case(scheme):
+    # integrate and af_integrate return records whose case is None: the weak
+    # diagnostic then centres its bumps mid-domain, and there is no exact
+    # solution to measure an L1 error against
+    config = RunConfig(case="burgers-riemann", scheme=scheme, nx=50, snapshot_every=1)
+    case, mesh, u0 = build_problem(config)
+    settings = dict(cfl=config.resolved_cfl(), t_end=case.t_end, snapshot_every=1)
+    if scheme == "active-flux":
+        state0 = initialize(case.model, mesh, case.u0)
+        record = af_integrate(case.model, mesh, state0, **settings)
+    else:
+        assemble = residual_assembler(scheme, case.model, mesh)
+        record = integrate(case.model, mesh, u0, assemble, **settings)
+    assert record.case is None
+    bumps = default_bumps(mesh, float(record.times[-1]), None)
+    assert weak_residual_diagnostic(record) == weak_residual_diagnostic(record, bumps)
+    with pytest.raises(ConfigError, match="carries no case"):
+        l1_error(record)
 
 
 def test_weak_diagnostic_needs_dense_snapshots():
@@ -259,6 +282,19 @@ def test_cli_run_writes_solution_and_ledger(tmp_path):
     ledger = out.with_suffix(".ledger.csv").read_text(encoding="utf-8").splitlines()
     assert ledger[0] == "step,time,mass,momentum,energy,entropy,alpha_max,fallback_cells"
     assert len(ledger) > 2
+
+
+@pytest.mark.parametrize("tend", ["1e-14", "3e-300"])
+def test_cli_run_steps_to_a_tiny_end_time(tmp_path, tend):
+    # the loop's end test is relative to t_end: an absolute 1e-13 slack once
+    # ended these runs after zero steps, with exit 0 and a one-row ledger
+    out = tmp_path / "tiny.csv"
+    code = main(["run", "--case", "sod", "--scheme", "fv-rusanov", "--nx", "10",
+                 "--tend", tend, "--out", str(out)])
+    assert code == 0
+    ledger = out.with_suffix(".ledger.csv").read_text(encoding="utf-8").splitlines()
+    assert len(ledger) == 1 + 2
+    assert float(ledger[-1].split(",")[1]) == float(tend)
 
 
 def test_cli_unknown_case_is_usage_error(capsys):

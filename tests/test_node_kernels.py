@@ -87,20 +87,20 @@ def _supg_reference(mesh, states, model, tau_scale=1.0):
 def _entropy_reference(residuals, states, model):
     """(corrected phi, alpha, r, pre_defect, post_defect, clamped elements).
 
-    The formulas run per cell on (ncell, 2, p) rows of the residuals; phi
-    and r come back (2, ncell, p) like the residuals."""
-    phi_cells = np.stack([residuals.phi[0], residuals.phi[1]], axis=1)
+    The formulas run per cell on (2, ncell, p) stacks of the two cell ends,
+    the layout of the residuals."""
+    dofs = residuals.cell_dofs
     v = model.entropy_variables(states)
-    v_cells = v[residuals.cell_dofs]
-    u_left = states[residuals.cell_dofs[:, 0]]
-    u_right = states[residuals.cell_dofs[:, 1]]
+    v_cells = np.stack([v[dofs[:, 0]], v[dofs[:, 1]]])
+    u_left = states[dofs[:, 0]]
+    u_right = states[dofs[:, 1]]
     g_bound = model.entropy_flux(u_right) - model.entropy_flux(u_left)
-    production = np.einsum("kdp,kdp->k", v_cells, phi_cells)
+    production = np.einsum("dkp,dkp->k", v_cells, residuals.phi)
     deficit = g_bound - production
-    v_bar = v_cells.mean(axis=1, keepdims=True)
+    v_bar = v_cells.mean(axis=0)
     centered = v_cells - v_bar
-    denom = np.einsum("kdp,kdp->k", centered, centered)
-    vbar_scale = np.maximum(np.einsum("kdp,kdp->k", v_bar, v_bar), 1.0)
+    denom = np.einsum("dkp,dkp->k", centered, centered)
+    vbar_scale = np.maximum(np.einsum("kp,kp->k", v_bar, v_bar), 1.0)
     degenerate = denom < corrections.DEGENERATE_TOLERANCE * vbar_scale
     needs_fix = deficit > 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -109,11 +109,10 @@ def _entropy_reference(residuals, states, model):
     cap = corrections.ALPHA_CLAMP_FACTOR * np.maximum(speed, 1e-300)
     clamped = alpha > cap
     alpha = np.minimum(alpha, cap) if clamped.any() else alpha
-    r = alpha[:, None, None] * centered
-    phi = phi_cells + r
-    post = np.einsum("kdp,kdp->k", v_cells, phi) - g_bound
-    return (phi.transpose(1, 0, 2), alpha, r.transpose(1, 0, 2), -deficit, post,
-            np.flatnonzero(clamped))
+    r = alpha[:, None] * centered
+    phi = residuals.phi + r
+    post = np.einsum("dkp,dkp->k", v_cells, phi) - g_bound
+    return phi, alpha, r, -deficit, post, np.flatnonzero(clamped)
 
 
 def _gas_reference(mesh, model, u, dt):

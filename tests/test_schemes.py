@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conserva import corrections
 from conserva.active_flux import af_integrate, initialize
 from conserva.errors import ConfigError, RunError
 from conserva.harness import build_problem
@@ -107,6 +108,21 @@ def test_residual_sets_hold_one_cell_end_layout(scheme_id, boundary, rng):
     np.add.at(want, mesh.cell_dofs[:, 0], res.phi[0])
     np.add.at(want, mesh.cell_dofs[:, 1], res.phi[1])
     assert same_bits(res.scatter_to_dofs(mesh.ndof), want)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive"])
+def test_entropy_correction_keeps_the_cell_end_layout(boundary, rng):
+    # the corrected residuals and the report's corrections are (2, ncell, p)
+    # arrays of their own, not views of a per-cell copy
+    model = Euler(1.4)
+    mesh = uniform_mesh(0.0, 1.0, 17, boundary=boundary)
+    nodes = NodeKernels.of(model, random_euler_states(rng, mesh.ndof))
+    res = fv_residuals_1d(mesh, nodes, NumericalFlux("central"))
+    corrected, report = corrections.entropy_correction(res, nodes, model)
+    assert (report.alpha > 0).any()
+    for array in (corrected.phi, report.corrections):
+        assert array.shape == (2, mesh.ncell, 3) and array.flags.c_contiguous
+        assert array.base is None
 
 
 def test_fv_residual_update_equals_flux_form(rng):
