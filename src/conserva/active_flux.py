@@ -31,7 +31,7 @@ import numpy as np
 from .errors import StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
-from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SolutionRecord
+from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SolutionRecord, require_stable_cfl
 from .schemes import _boundary_outflux, _rusanov, _ssp_combine, march
 
 DMP_RELAX_REL = 0.05
@@ -237,8 +237,11 @@ def af_integrate(
     computed from the averages, the accumulated boundary flux makes the
     conservation check exact, and fallback_cells counts how many cells were
     flagged each step.  With the detector on, a step is re-run at most twice,
-    each time with the robust update in every cell flagged so far.
+    each time with the robust update in every cell flagged so far.  A cfl
+    above ``SCHEMES["active-flux"].cfl`` raises ConfigError before the first
+    step, as ``RunConfig.validate`` does.
     """
+    require_stable_cfl(ACTIVE_FLUX, cfl)
     sizes = mesh.cell_sizes[:, None]
 
     def accepted(state):

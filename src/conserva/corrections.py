@@ -11,7 +11,7 @@ internal energy) into a total-energy residual with that sum.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +47,17 @@ def entropy_correction(residuals, nodes, model):
     wave speed; clamping is reported and logged, never silent.  Elements that
     need a correction but have all entropy variables equal cannot be fixed
     this way and raise CorrectionError.  ``nodes`` is the checked
-    ``models.NodeKernels`` bundle of the node states: entropy variables,
-    entropy fluxes and wave speeds are evaluated at the nodes (the entropy
-    flux from the bundle's entropy, if it holds one) and gathered to the cell
-    ends.  Without an element to fix, the degeneracy and clamp tests are
-    skipped.
+    ``models.NodeKernels`` bundle of the node states: entropy variables and
+    entropy fluxes are evaluated at the nodes from the bundle's decomposition
+    and entropy, then gathered to the cell ends with the wave speeds.  Without
+    an element to fix, the degeneracy and clamp tests are skipped.
     """
     dofs = residuals.cell_dofs
-    v_cells = gather_cell_ends(model.entropy_variables(nodes.states), dofs)
+    v_cells = gather_cell_ends(model.entropy_variables(nodes.states, nodes), dofs)
 
     # element boundary entropy flux; traces at element ends are single valued,
     # so a consistent numerical entropy flux reduces to the model's there
-    g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states, nodes.entropy), dofs)
+    g_left, g_right = gather_cell_ends(model.entropy_flux(nodes.states, nodes), dofs)
     g_bound = g_right - g_left
 
     production = np.einsum("dkp,dkp->k", v_cells, residuals.phi)
@@ -69,9 +68,10 @@ def entropy_correction(residuals, nodes, model):
     v_bar = (v_cells[0] + v_cells[1] + 0.0) / 2
     centered = v_cells - v_bar
     needs_fix = deficit > 1e-12
-    # without an element to fix, r = +0.0 * centered: phi + r keeps the full
-    # formula's bits, which can turn a -0.0 residual into +0.0
-    alpha, clamped = np.zeros(len(deficit)), needs_fix
+    # without an element to fix, r = centered * 0.0, the bits of
+    # alpha[:, None] * centered at alpha = 0: phi + r keeps the full formula's
+    # bits, which can turn a -0.0 residual into +0.0
+    alpha, clamped, r = np.zeros(len(deficit)), needs_fix, centered * 0.0
     if needs_fix.any():
         denom = np.einsum("dkp,dkp->k", centered, centered)
         vbar_scale = np.maximum(np.einsum("kp,kp->k", v_bar, v_bar), 1.0)
@@ -99,11 +99,11 @@ def entropy_correction(residuals, nodes, model):
                 float(alpha.max()),
             )
             alpha = np.minimum(alpha, cap)
+        r = alpha[:, None] * centered
 
-    r = alpha[:, None] * centered
     phi = residuals.phi + r
     post = np.einsum("dkp,dkp->k", v_cells, phi) - g_bound
-    corrected = replace(residuals, phi=phi, alpha_max=float(alpha.max()) if len(alpha) else 0.0)
+    corrected = residuals.with_phi(phi, float(alpha.max()) if len(alpha) else 0.0)
     report = CorrectionReport(
         alpha=alpha,
         corrections=r,

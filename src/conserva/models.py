@@ -12,6 +12,7 @@ requires density and internal energy above ``ADMISSIBLE_FLOOR``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class PhysicsModel:
         u = np.asarray(u, dtype=float)
         return 0.5 * u[..., 0] ** 2
 
-    def entropy_variables(self, u):
+    def entropy_variables(self, u, nodes=None):
+        """The entropy gradient at states u; ``nodes``, the ``NodeKernels`` of u,
+        lends a model what its bundle already holds."""
         return np.array(u, dtype=float, copy=True)
 
     # -- admissibility ------------------------------------------------
@@ -100,8 +103,8 @@ class Advection(PhysicsModel):
         u = np.asarray(u, dtype=float)
         return np.full(u.shape[:-1] + (1, 1), self.a)
 
-    def entropy_flux(self, u, entropy=None):
-        """The entropy flux; a closed form in u, so a known ``entropy`` is not read."""
+    def entropy_flux(self, u, nodes=None):
+        """The entropy flux; a closed form in u, so the bundle ``nodes`` is not read."""
         u = np.asarray(u, dtype=float)
         return 0.5 * self.a * u[..., 0] ** 2
 
@@ -122,14 +125,27 @@ class Burgers(PhysicsModel):
         u = np.asarray(u, dtype=float)
         return u[..., None]
 
-    def entropy_flux(self, u, entropy=None):
-        """The entropy flux; a closed form in u, so a known ``entropy`` is not read."""
+    def entropy_flux(self, u, nodes=None):
+        """The entropy flux; a closed form in u, so the bundle ``nodes`` is not read."""
         u = np.asarray(u, dtype=float)
         return u[..., 0] ** 3 / 3.0
 
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
         return np.abs(u[..., 0])
+
+
+class GasParts(NamedTuple):
+    """The decomposition of gas states that ``Euler.node_kernels`` keeps in its
+    bundle: density, velocity m/rho, internal energy e per unit volume,
+    pressure (gamma - 1) e and, with the entropy, the log ratio
+    gamma log(rho) - log(p), so that eta = rho * log_ratio (else None)."""
+
+    rho: np.ndarray
+    vel: np.ndarray
+    e_int: np.ndarray
+    pres: np.ndarray
+    log_ratio: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -150,7 +166,7 @@ class Euler(PhysicsModel):
         if not 1.0 < self.gamma < np.inf:
             raise ConfigError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
-    def decompose(self, u):
+    def _decompose(self, u):
         """(rho, v, e) of conserved states u: the density, the velocity m/rho and
         the internal energy e = E - m v/2 per unit volume, so p = (gamma - 1) e.
 
@@ -177,20 +193,33 @@ class Euler(PhysicsModel):
         # a zero density or an overflowing mom/rho makes e_int -inf or nan,
         # which compares False: an answer, not a warning
         with np.errstate(all="ignore"):
-            rho, _, e_int = self.decompose(u)
+            rho, _, e_int = self._decompose(u)
         return self._admissible(u, rho, e_int)
 
     def node_kernels(self, u, entropy=False):
-        """Mask, flux and wave speed from one ``decompose``, bit for bit those of
-        the separate methods, and like the mask silent on inadmissible rows."""
+        """Mask, flux and wave speed from one ``_decompose``, bit for bit those of
+        the separate methods, and like the mask silent on inadmissible rows;
+        the bundle keeps that decomposition as its ``GasParts``."""
         u = np.asarray(u, dtype=float)
         with np.errstate(all="ignore"):
-            rho, vel, e_int = self.decompose(u)
-            pres = (self.gamma - 1.0) * e_int
+            parts = self._parts(u, entropy)
+            rho, vel, e_int, pres, log_ratio = parts
             flux = self._flux(u, vel, pres)
             speed = self._speed(rho, vel, pres)
-            eta = self._entropy(rho, pres) if entropy else None
-        return NodeKernels(u, flux, speed, self._admissible(u, rho, e_int), eta)
+            eta = rho * log_ratio if entropy else None
+        return NodeKernels(u, flux, speed, self._admissible(u, rho, e_int), eta, parts)
+
+    def _parts(self, u, entropy, nodes=None):
+        """The ``GasParts`` of states u, with their log ratio if ``entropy``;
+        read off ``nodes``, the bundle of u, when the caller has it."""
+        if nodes is None:
+            rho, vel, e_int = self._decompose(u)
+            parts = GasParts(rho, vel, e_int, (self.gamma - 1.0) * e_int, None)
+        else:
+            parts = nodes.parts
+        if entropy and parts.log_ratio is None:
+            parts = parts._replace(log_ratio=self.gamma * np.log(parts.rho) - np.log(parts.pres))
+        return parts
 
     # -- physics --------------------------------------------------------
     @staticmethod
@@ -203,13 +232,13 @@ class Euler(PhysicsModel):
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
-        _, vel, e_int = self.decompose(u)
+        _, vel, e_int = self._decompose(u)
         return self._flux(u, vel, (self.gamma - 1.0) * e_int)
 
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self.decompose(u)
+        rho, vel, _ = self._decompose(u)
         ene = u[..., 2]
         J = np.zeros(u.shape[:-1] + (3, 3))
         J[..., 0, 1] = 1.0
@@ -222,34 +251,34 @@ class Euler(PhysicsModel):
         return J
 
     def entropy(self, u):
-        u = np.asarray(u, dtype=float)
-        rho, _, e_int = self.decompose(u)
-        return self._entropy(rho, (self.gamma - 1.0) * e_int)
+        parts = self._parts(np.asarray(u, dtype=float), True)
+        return parts.rho * parts.log_ratio
 
-    def _entropy(self, rho, pres):
-        return rho * (self.gamma * np.log(rho) - np.log(pres))
-
-    def entropy_variables(self, u):
+    def entropy_variables(self, u, nodes=None):
+        """The entropy gradient at states u, reading their decomposition off
+        ``nodes``, the bundle of u, when the caller has it."""
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, e_int = self.decompose(u)
-        pres = (g - 1.0) * e_int
-        s = np.log(pres) - g * np.log(rho)
+        rho, vel, _, pres, log_ratio = self._parts(u, True, nodes)
         v = np.empty_like(u)
-        v[..., 0] = g - s - 0.5 * (g - 1.0) * rho * vel**2 / pres
+        # g - s for the specific entropy s = log p - g log rho = -log_ratio,
+        # bit for bit, as rounding is symmetric and g - (+-0.0) is g
+        v[..., 0] = g + log_ratio - 0.5 * (g - 1.0) * rho * vel**2 / pres
         v[..., 1] = (g - 1.0) * rho * vel / pres
         v[..., 2] = -(g - 1.0) * rho / pres
         return v
 
-    def entropy_flux(self, u, entropy=None):
-        """v * eta, reading eta from ``entropy`` when the caller already has it."""
-        u = np.asarray(u, dtype=float)
-        vel = u[..., 1] / u[..., 0]
-        return vel * (self.entropy(u) if entropy is None else entropy)
+    def entropy_flux(self, u, nodes=None):
+        """v * eta, reading v and eta off ``nodes``, the bundle of u, when the
+        caller has it."""
+        if nodes is not None and nodes.entropy is not None:
+            return nodes.parts.vel * nodes.entropy
+        rho, vel, _, _, log_ratio = self._parts(np.asarray(u, dtype=float), True, nodes)
+        return vel * (rho * log_ratio)
 
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self.decompose(u)
+        rho, vel, e_int = self._decompose(u)
         return self._speed(rho, vel, (self.gamma - 1.0) * e_int)
 
     def _speed(self, rho, vel, pres):
@@ -259,7 +288,7 @@ class Euler(PhysicsModel):
     # -- primitive map ---------------------------------------------------
     def to_aux(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self.decompose(u)
+        rho, vel, e_int = self._decompose(u)
         w = np.empty_like(u)
         w[..., 0] = rho
         w[..., 1] = vel
@@ -280,7 +309,7 @@ class Euler(PhysicsModel):
     def aux_jacobian(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self.decompose(u)
+        rho, vel, _ = self._decompose(u)
         P = np.zeros(u.shape[:-1] + (3, 3))
         P[..., 0, 0] = 1.0
         P[..., 1, 0] = -vel / rho
@@ -333,11 +362,13 @@ class NodeKernels:
     """The model kernels read on a set of states, evaluated once at its nodes.
 
     states (n, p), their fluxes f(states) (n, p) and wave speed bounds (n,);
-    ``model.node_kernels`` adds the admissibility mask and, if asked, the
-    entropy (n,).  Every kernel is elementwise, so a row gathered from the
-    bundle equals the kernel of the gathered state bit for bit: residuals
-    gather cell ends from one bundle instead of evaluating the model on
-    every cell end.
+    ``model.node_kernels`` adds the admissibility mask, if asked the entropy
+    (n,), and ``parts``, the model's own decomposition of the states (the
+    ``GasParts`` of ``Euler``, None for a scalar law), which its entropy
+    methods and the gas scheme read instead of forming it again.  Every
+    kernel is elementwise, so a row gathered from the bundle equals the
+    kernel of the gathered state bit for bit: residuals gather cell ends
+    from one bundle instead of evaluating the model on every cell end.
 
     Raw states enter through ``of``, which checks them once; residuals and
     corrections take a bundle and check nothing.
@@ -348,6 +379,7 @@ class NodeKernels:
     speed: np.ndarray
     admissible: np.ndarray | None = None
     entropy: np.ndarray | None = None
+    parts: tuple | None = None
 
     @classmethod
     def of(cls, model, states, entropy=False):

@@ -50,6 +50,14 @@ SCHEMES = {
 }
 
 
+def require_stable_cfl(scheme_id, cfl):
+    """Raise ConfigError for a cfl above the largest that the scheme id
+    accepts: active flux's default CFL number is also its stability limit."""
+    row = SCHEMES[scheme_id]
+    if row.base == ACTIVE_FLUX and cfl > row.cfl:
+        raise ConfigError(f"{scheme_id} is stable up to cfl {row.cfl} only, got {cfl}")
+
+
 @dataclass
 class RunConfig:
     """Everything needed to reproduce one run."""
@@ -77,8 +85,8 @@ class RunConfig:
             raise ConfigError(f"nx must be at least 2, got {self.nx}")
         if self.cfl is not None and not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if row.base == ACTIVE_FLUX and self.cfl is not None and self.cfl > row.cfl:
-            raise ConfigError(f"{self.scheme} is stable up to cfl {row.cfl} only, got {self.cfl}")
+        if self.cfl is not None:
+            require_stable_cfl(self.scheme, self.cfl)
         if self.t_end is not None and not 0.0 < self.t_end < np.inf:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.boundary is not None and self.boundary not in ("periodic", "transmissive"):

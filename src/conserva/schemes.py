@@ -87,24 +87,38 @@ class NumericalFlux:
 
 @dataclass
 class ResidualSet:
-    """Residuals and boundary-flux shares for every element of a 1D mesh.
+    """Residuals for every element of a 1D mesh, with the cell ends they were
+    built from.
 
-    phi, boundary_parts: (2, ncell, p) arrays in the layout of
-    ``gather_cell_ends``: row d holds each cell's values at its DOF
-    mesh.cell_dofs[:, d].
+    phi: (2, ncell, p) in the layout of ``gather_cell_ends``: row d holds
+    each cell's values at its DOF mesh.cell_dofs[:, d].
+    ends: the (left, right) ``NodeKernels`` bundles at the cell ends, from
+    which ``boundary_parts`` are formed where they are read.
     boundary_outflux: (p,), the net outward flux through the domain boundary,
     f(u_last) - f(u_first); zero on periodic meshes.
     """
 
     cell_dofs: np.ndarray
     phi: np.ndarray
-    boundary_parts: np.ndarray
+    ends: tuple
     boundary_outflux: np.ndarray
     alpha_max: float = 0.0
 
     @property
     def ncell(self):
         return self.phi.shape[1]
+
+    @property
+    def boundary_parts(self):
+        """The element boundary-flux shares (-f(u_left), f(u_right)), shape
+        (2, ncell, p) like phi; a new array on every read."""
+        left, right = self.ends
+        return np.stack([-left.flux, right.flux])
+
+    def with_phi(self, phi, alpha_max):
+        """The set of corrected residuals phi, whose largest correction
+        coefficient is alpha_max, on the same cell ends."""
+        return ResidualSet(self.cell_dofs, phi, self.ends, self.boundary_outflux, alpha_max)
 
     def scatter_to_dofs(self, ndof):
         """Sum residuals over the elements owning each DOF, shape (ndof, p)."""
@@ -114,12 +128,6 @@ class ResidualSet:
 def _boundary_outflux(mesh, flux):
     """Net outward flux f(u_last) - f(u_first) of the node fluxes; zero if periodic."""
     return np.zeros(flux.shape[1]) if mesh.periodic else flux[-1] - flux[0]
-
-
-def _boundary_parts(mesh, nodes, left, right):
-    """(-f(u_left), f(u_right)) per element, shape (2, ncell, p), and the
-    domain's net outflux, from the node bundle and its cell ends."""
-    return np.stack([-left.flux, right.flux]), _boundary_outflux(mesh, nodes.flux)
 
 
 def fv_residuals_1d(mesh, nodes, flux):
@@ -133,8 +141,10 @@ def fv_residuals_1d(mesh, nodes, flux):
     """
     left, right = nodes.cell_ends(mesh)
     fhat = flux(left, right)
-    phi = np.stack([fhat - left.flux, right.flux - fhat])
-    return ResidualSet(mesh.cell_dofs, phi, *_boundary_parts(mesh, nodes, left, right))
+    phi = np.empty((2,) + fhat.shape)
+    np.subtract(fhat, left.flux, out=phi[0])
+    np.subtract(right.flux, fhat, out=phi[1])
+    return ResidualSet(mesh.cell_dofs, phi, (left, right), _boundary_outflux(mesh, nodes.flux))
 
 
 def supg_residuals_1d(mesh, nodes, model, tau_scale=1.0):
@@ -156,8 +166,7 @@ def supg_residuals_1d(mesh, nodes, model, tau_scale=1.0):
     tau = np.divide(tau_scale, 2.0 * speed, out=np.zeros_like(speed), where=speed > 1e-300)
     tau = tau[:, None]
 
-    bparts, outflux = _boundary_parts(mesh, nodes, left, right)
-    phi = bparts.copy()  # boundary terms of each test function
+    phi = np.stack([-left.flux, right.flux])  # boundary terms of each test function
 
     du_dx = (u_right - u_left) / h
     nodes_q, weights = _GAUSS3
@@ -171,7 +180,7 @@ def supg_residuals_1d(mesh, nodes, model, tau_scale=1.0):
         phi[0] += wq * f_q - wq * h * stab  # h_K * (w_q h) * (-1/h) * stab
         phi[1] += -wq * f_q + wq * h * stab
 
-    return ResidualSet(mesh.cell_dofs, phi, bparts, outflux)
+    return ResidualSet(mesh.cell_dofs, phi, (left, right), _boundary_outflux(mesh, nodes.flux))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,7 @@ def _entropy_corrected(model, mesh):
 # other corrections lists it first.
 _CORRECTIONS = {
     "entropy": _entropy_corrected,
-    "energy": lambda model, mesh: TwoFieldGasScheme(model, mesh).assemble,
+    "energy": lambda model, mesh: TwoFieldGasScheme(mesh).assemble,
 }
 
 
@@ -247,35 +256,39 @@ class TwoFieldGasScheme:
     combines its stages in conserved variables.
     """
 
-    def __init__(self, model, mesh):
-        self.model = model
+    def __init__(self, mesh):
         self.mesh = mesh
 
     def assemble(self, base, nodes, dt):
         """The Rusanov residuals ``base`` of the states in the bundle ``nodes``,
         with their energy component rewritten in place as the corrected
-        total-energy residual phi_E; the boundary parts are kept.
+        total-energy residual phi_E; the cell ends are kept.
 
         Each energy term is formed once, per cell end in the (2, ncell)
-        layout of the residuals, so that products run along the cells.
+        layout of the residuals, so that products run along the cells.  The
+        velocity, internal energy and pressure are the bundle's ``GasParts``;
+        the wave speeds and energy fluxes at the cell ends are those of ``base``.
         """
-        mesh, model = self.mesh, self.model
+        mesh = self.mesh
         phi = base.phi
         phi_rho, phi_mom = phi[..., 0], phi[..., 1]
+        left, right = base.ends
 
         u = nodes.states
         dofs = mesh.cell_dofs
-        _, vel, e_int = model.decompose(u)
-        vel_l, vel_r = v_old = gather_cell_ends(vel, dofs)
-        e_l, e_r = e_ends = gather_cell_ends(e_int, dofs)
-        p_l, p_r = (model.gamma - 1.0) * e_ends
-        alpha = np.maximum(*gather_cell_ends(nodes.speed, dofs))
+        gas = nodes.parts
+        vel_l, vel_r = v_old = gather_cell_ends(gas.vel, dofs)
+        e_l, e_r = gather_cell_ends(gas.e_int, dofs)
+        p_l, p_r = gather_cell_ends(gas.pres, dofs)
+        alpha = np.maximum(left.speed, right.speed)
 
         # centred total + Rusanov-type redistribution for the internal energy
         total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
         half = 0.5 * total
         damping = 0.5 * alpha * (e_r - e_l)
-        phi_e = np.stack([half - damping, half + damping])
+        phi_e = np.empty(phi.shape[:2])
+        np.subtract(half, damping, out=phi_e[0])
+        np.add(half, damping, out=phi_e[1])
 
         # velocities after the density/momentum update; at dt = 0 it keeps m
         # and rho (a -0.0 momentum turns +0.0), so v_new is v_old bit for bit
@@ -287,11 +300,10 @@ class TwoFieldGasScheme:
             # the integrator then rejects and retries it with a smaller dt
             v_new = gather_cell_ends(mom_new / rho_new, dofs)
 
-        # -f_E(u_left) + f_E(u_right): the element's boundary energy flux
-        e_flux = base.boundary_parts[..., 2]
+        # f_E(u_right) - f_E(u_left): the element's boundary energy flux
         phi[..., 2], _ = corrections.nonconservative_energy_correction(
             phi_rho, phi_mom, phi_e, 0.5 * (v_new + v_old), 0.5 * (v_new * v_old),
-            e_flux[1] + e_flux[0],
+            right.flux[:, 2] - left.flux[:, 2],
         )
         return base
 
@@ -304,8 +316,8 @@ class TwoFieldGasScheme:
 def rd_step(mesh, states, residuals, dt):
     """One forward-Euler residual-distribution update of the (ndof, p) states,
     unchecked: ``integrate`` admits what it makes of the result."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     increments = residuals.scatter_to_dofs(mesh.ndof)
     return states - (dt / mesh.volumes)[:, None] * increments
 

@@ -12,10 +12,11 @@ from conserva.active_flux import (
     point_update,
     recover_midpoint,
 )
-from conserva.errors import RunError
+from conserva.errors import ConfigError, RunError
 from conserva.harness import case_library
 from conserva.mesh import uniform_mesh
 from conserva.models import Advection, Burgers, Euler
+from conserva.records import RunConfig
 
 from conftest import random_euler_states, same_bits
 
@@ -352,3 +353,27 @@ def test_each_ssp_run_admits_its_candidate_once(case_id, detector, monkeypatch):
     assert calls["node_kernels"] == calls["ssp3"] + 2
     # with the detector on, each of these runs re-runs some step
     assert (calls["ssp3"] > steps) if detector else (calls["ssp3"] == steps)
+
+
+def test_af_integrate_rejects_a_cfl_above_the_scheme_limit_before_the_first_step(monkeypatch):
+    # the library call used to accept any positive CFL: at 0.415 advection-sine
+    # nx=100 ran 1928 steps to t = 16 and returned an L1 error of ~1e18
+    import conserva.active_flux as active_flux
+
+    case = case_library("advection-sine")
+    mesh = uniform_mesh(*case.domain, 100, boundary=case.boundary)
+    state0 = initialize(case.model, mesh, case.u0)
+    steps = []
+    ssp3_step = active_flux._ssp3_step
+    monkeypatch.setattr(active_flux, "_ssp3_step",
+                        lambda *args: steps.append(1) or ssp3_step(*args))
+    with pytest.raises(ConfigError) as excinfo:
+        af_integrate(case.model, mesh, state0, cfl=0.415, t_end=16.0)
+    assert steps == []
+    # one rule with the run configuration, which says the same
+    with pytest.raises(ConfigError) as config_error:
+        RunConfig(case="advection-sine", scheme="active-flux", cfl=0.415).validate()
+    assert str(excinfo.value) == str(config_error.value)
+
+    record = af_integrate(case.model, mesh, state0, cfl=0.4, t_end=16.0, stop_after_steps=20)
+    assert record.ledger.nsteps == 20 and len(steps) == 20

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from conserva import corrections
 from conserva.errors import DomainError
+from conserva.harness import build_problem
 from conserva.mesh import gather_cell_ends, scatter_cell_ends, uniform_mesh
 from conserva.models import ADMISSIBLE_FLOOR, Burgers, Euler, NodeKernels
+from conserva.records import RunConfig
 from conserva.schemes import (
     NumericalFlux,
     fv_residuals_1d,
@@ -124,7 +126,7 @@ def _gas_reference(mesh, model, u, dt):
     vel_l, vel_r = u_left[:, 1] / u_left[:, 0], u_right[:, 1] / u_right[:, 0]
     e_l = u_left[:, 2] - 0.5 * u_left[:, 1] * vel_l
     e_r = u_right[:, 2] - 0.5 * u_right[:, 1] * vel_r
-    p_l, p_r = ((model.gamma - 1.0) * model.decompose(ends)[2] for ends in (u_left, u_right))
+    p_l, p_r = (model.gamma - 1.0) * e_l, (model.gamma - 1.0) * e_r
     alpha = np.maximum(model.max_wave_speed(u_left), model.max_wave_speed(u_right))
     total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
     phi_e = np.stack(
@@ -264,7 +266,7 @@ def _gas_unshared_reference(mesh, model, u, dt):
     v_old_cells = gather_cell_ends(v_old, dofs)
     vel_l, vel_r = v_old_cells
     e_l, e_r = gather_cell_ends(e_int, dofs)
-    p_l, p_r = gather_cell_ends((model.gamma - 1.0) * model.decompose(nodes.states)[2], dofs)
+    p_l, p_r = gather_cell_ends((model.gamma - 1.0) * e_int, dofs)
     speed_l, speed_r = gather_cell_ends(nodes.speed, dofs)
     alpha = np.maximum(speed_l, speed_r)
     total = (e_r * vel_r - e_l * vel_l) + 0.5 * (p_l + p_r) * (vel_r - vel_l)
@@ -287,24 +289,85 @@ def _gas_unshared_reference(mesh, model, u, dt):
     return phi, base.boundary_parts, base.boundary_outflux
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    boundary=st.sampled_from(BOUNDARIES),
-    dt=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
-)
-def test_gas_assembly_equals_its_unshared_formulas_bitwise(seed, boundary, dt):
-    # large dt drives the new density negative somewhere: the nan path too
-    rng = np.random.default_rng(seed)
+@st.composite
+def _gas_problems(draw):
+    """(mesh, model, states): random admissible gas states, some at rest with
+    a signed zero momentum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boundary = draw(st.sampled_from(BOUNDARIES))
     mesh = uniform_mesh(-1.0, 1.0, int(rng.integers(2, 60)), boundary=boundary)
-    model = Euler(1.4)
-    states = random_euler_states(rng, mesh.ndof)
+    model = Euler(draw(st.floats(1.1, 3.0)))
+    states = random_euler_states(rng, mesh.ndof, model.gamma)
     resting = rng.random(mesh.ndof) < 0.3
     states[resting, 1] = np.copysign(0.0, rng.choice([1.0, -1.0], size=resting.sum()))
+    return mesh, model, states
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=_gas_problems(), dt=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+def test_gas_assembly_equals_its_unshared_formulas_bitwise(problem, dt):
+    # large dt drives the new density negative somewhere: the nan path too
+    mesh, model, states = problem
     assemble = residual_assembler("nc-energy-corrected", model, mesh)
     with np.errstate(all="ignore"):
         want = _gas_unshared_reference(mesh, model, states, dt)
         _assert_residuals_equal(assemble(NodeKernels.of(model, states), dt), want)
+
+
+def _entropy_pair_from_states(model, u):
+    """The entropy variables and entropy flux of gas states u, each formed from
+    the states alone, as the model did before its bundle kept its decomposition."""
+    g = model.gamma
+    rho = u[:, 0]
+    vel = u[:, 1] / rho
+    pres = (g - 1.0) * (u[:, 2] - 0.5 * u[:, 1] * vel)
+    s = np.log(pres) - g * np.log(rho)
+    v = np.empty_like(u)
+    v[:, 0] = g - s - 0.5 * (g - 1.0) * rho * vel**2 / pres
+    v[:, 1] = (g - 1.0) * rho * vel / pres
+    v[:, 2] = -(g - 1.0) * rho / pres
+    return v, vel * (rho * (g * np.log(rho) - np.log(pres)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=_gas_problems(), dt=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)))
+def test_property_bundle_fed_kernels_equal_their_from_states_formulas(problem, dt):
+    # what the entropy correction and the gas assembly read off the bundle,
+    # with and without its entropy, against formulas from the states alone
+    mesh, model, u = problem
+    v_want, g_want = _entropy_pair_from_states(model, u)
+    for nodes in (NodeKernels.of(model, u, entropy=True), NodeKernels.of(model, u)):
+        assert same_bits(model.entropy_variables(u, nodes), v_want)
+        assert same_bits(model.entropy_flux(u, nodes), g_want)
+        with np.errstate(all="ignore"):
+            got = residual_assembler("nc-energy-corrected", model, mesh)(nodes, dt)
+            want = _gas_reference(mesh, model, u, dt)
+        _assert_residuals_equal(got, want)
+
+    # the boundary parts that FV and SUPG sets form where they are read
+    u_left, u_right = _ends(mesh, u)
+    bparts = np.stack([-model.flux(u_left), model.flux(u_right)])
+    nodes = NodeKernels.of(model, u)
+    for residuals in (fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov")),
+                      supg_residuals_1d(mesh, nodes, model)):
+        assert same_bits(residuals.boundary_parts, bparts)
+
+
+@pytest.mark.parametrize("scheme_id", ["fv-rusanov", "fv-entropy-corrected", "nc-energy-corrected"])
+def test_a_residual_stage_decomposes_its_states_once(scheme_id, monkeypatch):
+    # the rd-sod schemes: the stage bundle's decomposition is the only one, as
+    # the entropy correction and the gas assembly read theirs off the bundle
+    case, mesh, u0 = build_problem(RunConfig(case="sod", scheme=scheme_id, nx=50))
+    model = case.model
+    assemble = residual_assembler(scheme_id, model, mesh)
+    calls = []
+    decompose = Euler._decompose
+    monkeypatch.setattr(Euler, "_decompose",
+                        lambda self, u: calls.append(np.shape(u)) or decompose(self, u))
+    record = integrate(model, mesh, u0, assemble, cfl=0.4, t_end=case.t_end, stop_after_steps=1)
+    assert record.ledger.nsteps == 1
+    # the initial states' admission, then one forward-Euler stage
+    assert calls == [(mesh.ndof, 3)] * 2
 
 
 @pytest.mark.parametrize(

@@ -254,8 +254,13 @@ def _supg_residuals(n=24):
 
 
 def _with_phi(residuals, phi, bparts=None):
-    bparts = residuals.boundary_parts if bparts is None else bparts
-    return ResidualSet(residuals.cell_dofs, phi, bparts, residuals.boundary_outflux)
+    """The residuals with phi, on cell ends whose boundary parts are bparts if given."""
+    ends = residuals.ends
+    if bparts is not None:
+        # boundary parts are (-f(u_left), f(u_right)), and -(-x) is x bit for bit
+        ends = tuple(NodeKernels(end.states, flux, end.speed)
+                     for end, flux in zip(ends, (-bparts[0], bparts[1])))
+    return ResidualSet(residuals.cell_dofs, phi, ends, residuals.boundary_outflux)
 
 
 def test_reconstruct_names_exactly_the_shifted_element():

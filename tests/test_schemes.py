@@ -240,6 +240,17 @@ def test_rd_step_single_riemann_cell_matches_hand_update():
     assert updated[2, 0] == pytest.approx(0.0 - 0.1 / 0.5 * (0.0 - 0.75))
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf"), -float("inf")],
+                         ids=["zero", "negative", "nan", "inf", "minus-inf"])
+def test_rd_step_rejects_a_dt_that_is_not_positive_and_finite(dt):
+    # nan and inf used to pass the dt <= 0 test and return non-finite states
+    case, mesh, u0 = build_problem(RunConfig(case="sod", scheme="fv-rusanov", nx=16))
+    nodes = NodeKernels.of(case.model, u0)
+    res = fv_residuals_1d(mesh, nodes, NumericalFlux("rusanov"))
+    with pytest.raises(ConfigError, match="dt must be positive and finite"):
+        rd_step(mesh, u0, res, dt)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
