@@ -32,7 +32,7 @@ from .errors import StepRejectedError
 from .mesh import gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
 from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SolutionRecord, require_stable_cfl
-from .schemes import _boundary_outflux, _rusanov, _ssp_combine, march
+from .schemes import _boundary_outflux, _rusanov, _ssp_combine, _totals, march
 
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
@@ -242,7 +242,8 @@ def af_integrate(
     step, as ``RunConfig.validate`` does.
     """
     require_stable_cfl(ACTIVE_FLUX, cfl)
-    sizes = mesh.cell_sizes[:, None]
+    # C-contiguous averages, so that every ledger total adds its rows in one order
+    state0 = AfState(np.ascontiguousarray(state0.averages, dtype=float), state0.points)
 
     def accepted(state):
         # march's state: the points' one bundle, which the CFL speed, the next
@@ -287,7 +288,7 @@ def af_integrate(
         length=float(mesh.cell_sizes.min()),
         cfl=cfl,
         t_end=t_end,
-        totals=lambda s: (sizes * s[0].averages).sum(axis=0),
+        totals=lambda s: _totals(mesh.cell_sizes, s[0].averages),
         entropy=entropy,
         snapshot=lambda s: (s[0].points.copy(), s[0].averages.copy()),
         snapshot_every=snapshot_every,

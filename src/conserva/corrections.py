@@ -31,7 +31,6 @@ class CorrectionReport:
     alpha: np.ndarray
     corrections: np.ndarray
     pre_defect: np.ndarray
-    post_defect: np.ndarray
     clamped: np.ndarray
 
 
@@ -101,17 +100,8 @@ def entropy_correction(residuals, nodes, model):
             alpha = np.minimum(alpha, cap)
         r = alpha[:, None] * centered
 
-    phi = residuals.phi + r
-    post = np.einsum("dkp,dkp->k", v_cells, phi) - g_bound
-    corrected = residuals.with_phi(phi, float(alpha.max()) if len(alpha) else 0.0)
-    report = CorrectionReport(
-        alpha=alpha,
-        corrections=r,
-        pre_defect=-deficit,
-        post_defect=post,
-        clamped=np.flatnonzero(clamped),
-    )
-    return corrected, report
+    corrected = residuals.with_phi(residuals.phi + r, float(alpha.max()) if len(alpha) else 0.0)
+    return corrected, CorrectionReport(alpha, r, -deficit, np.flatnonzero(clamped))
 
 
 def nonconservative_energy_correction(

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh import gather_cell_ends
 
 ADMISSIBLE_FLOOR = 1e-12
 
@@ -398,12 +397,13 @@ class NodeKernels:
         return nodes
 
     def cell_ends(self, mesh):
-        """(left, right) bundles at the two end nodes of every cell of mesh;
+        """(left, right) bundles at the two end nodes of every cell of mesh, the
+        slices [:-1] and [1:] of the node arrays (row 0 appended if periodic);
         a bundle that does not hold one state per DOF raises ConfigError."""
         if len(self.states) != mesh.ndof:
             raise ConfigError(f"expected {mesh.ndof} states, got {len(self.states)}")
-        states, flux, speed = (
-            gather_cell_ends(values, mesh.cell_dofs)
-            for values in (self.states, self.flux, self.speed)
-        )
-        return NodeKernels(states[0], flux[0], speed[0]), NodeKernels(states[1], flux[1], speed[1])
+        states, flux, speed = self.states, self.flux, self.speed
+        if mesh.periodic:
+            states, flux, speed = (np.concatenate([a, a[:1]]) for a in (states, flux, speed))
+        return (NodeKernels(states[:-1], flux[:-1], speed[:-1]),
+                NodeKernels(states[1:], flux[1:], speed[1:]))

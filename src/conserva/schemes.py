@@ -329,6 +329,15 @@ def _reject_inadmissible(mask):
         raise StepRejectedError(f"inadmissible state at DOF {where} after step", location=where)
 
 
+def _totals(weights, states):
+    """sum_k weights[k] * states[k] of C-contiguous (n, p) states, bit for bit
+    (weights[:, None] * states).sum(axis=0): einsum adds the rows in the same
+    order without the product; numpy sums an (n, 1) product pairwise, so p = 1 keeps it."""
+    if states.shape[1] == 1:
+        return (weights[:, None] * states).sum(axis=0)
+    return np.einsum("k,kp->p", weights, states)
+
+
 def _ssp_combine(a, u, b, x):
     """a * u + b * x; a (0, 1) stage returns x itself, with the same bits, as
     x = u -+ c * r (c >= 0) is -0.0 only where the finite u is, like 0.0 * u."""
@@ -435,7 +444,7 @@ def integrate(
     alpha_max is the largest correction coefficient reported by the
     assembler.  See ``march`` for steps, retries and errors.
     """
-    states = np.asarray(u0, dtype=float)
+    states = np.ascontiguousarray(u0, dtype=float)  # one order of additions in every total
     if states.ndim != 2 or states.shape[0] != mesh.ndof:
         raise ConfigError(f"u0 must be ({mesh.ndof}, p)")
 
@@ -467,7 +476,7 @@ def integrate(
         length=float(mesh.volumes.min()),
         cfl=cfl,
         t_end=t_end,
-        totals=lambda b: (mesh.volumes[:, None] * b.states).sum(axis=0),
+        totals=lambda b: _totals(mesh.volumes, b.states),
         entropy=lambda b: float((mesh.volumes * b.entropy).sum()),
         snapshot=lambda b: np.copy(b.states),
         snapshot_every=snapshot_every,

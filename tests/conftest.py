@@ -35,6 +35,19 @@ def element_defect(residuals):
     return residuals.phi.sum(axis=0) - residuals.boundary_parts.sum(axis=0)
 
 
+def post_defect(corrected, states, model):
+    """Each element's entropy production on the corrected residuals minus its
+    boundary entropy flux, sum_sigma v_sigma . Phi~_sigma - g_bound, shape
+    (ncell,); by the per-cell formula on (2, ncell, p) stacks of the two cell
+    ends of the (ndof, p) node states."""
+    dofs = corrected.cell_dofs
+    v = model.entropy_variables(states)
+    v_cells = np.stack([v[dofs[:, 0]], v[dofs[:, 1]]])
+    g = model.entropy_flux(states)
+    g_bound = g[dofs[:, 1]] - g[dofs[:, 0]]
+    return np.einsum("dkp,dkp->k", v_cells, corrected.phi) - g_bound
+
+
 def energy_identity_defect(rho0, v0, e0, rho1, v1, e1):
     """|dE - rhs| of the total-energy increment identity, E = e + rho v^2 / 2:
 

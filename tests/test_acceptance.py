@@ -16,7 +16,7 @@ from conserva.models import Burgers, Euler, NodeKernels
 from conserva.records import RunConfig
 from conserva.schemes import NumericalFlux, fv_residuals_1d, rd_step, supg_residuals_1d
 
-from conftest import energy_identity_defect
+from conftest import energy_identity_defect, post_defect
 
 
 def _report(number, ok, detail):
@@ -206,8 +206,8 @@ def test_criterion_5_entropy_correction_and_negative_control():
         )
         nodes = NodeKernels.of(model, states)
         base = fv_residuals_1d(mesh, nodes, flux)
-        corrected, report = corrections.entropy_correction(base, nodes, model)
-        worst_post = min(worst_post, float(report.post_defect.min()))
+        corrected, _ = corrections.entropy_correction(base, nodes, model)
+        worst_post = min(worst_post, float(post_defect(corrected, states, model).min()))
         states = rd_step(mesh, states, corrected, dt)
         entropy_now = float((mesh.volumes * model.entropy(states)).sum())
         max_rise = max(max_rise, entropy_now - entropy_prev)

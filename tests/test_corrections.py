@@ -14,7 +14,7 @@ from conserva.schemes import (
     residual_assembler,
 )
 
-from conftest import element_defect, energy_identity_defect, random_euler_states
+from conftest import element_defect, energy_identity_defect, post_defect, random_euler_states
 
 
 def _burgers_residuals(states, boundary="transmissive"):
@@ -70,7 +70,7 @@ def test_entropy_correction_formula_value():
     corrected, report = entropy_correction(res, NodeKernels.of(model, states), model)
     assert report.alpha[0] == pytest.approx(3.0)
     assert report.alpha[1] == 0.0
-    assert report.post_defect[0] == pytest.approx(0.0, abs=1e-12)
+    assert post_defect(corrected, states, model)[0] == pytest.approx(0.0, abs=1e-12)
     # correction keeps the element conservation relation intact
     np.testing.assert_allclose(element_defect(corrected), element_defect(res), atol=1e-13)
     np.testing.assert_allclose(corrected.phi.sum(axis=0), res.phi.sum(axis=0), atol=1e-13)
@@ -106,7 +106,7 @@ def test_entropy_correction_zero_sum_per_element(rng):
     res = fv_residuals_1d(mesh, nodes, NumericalFlux("central"))
     corrected, report = entropy_correction(res, nodes, model)
     np.testing.assert_allclose(report.corrections.sum(axis=0), 0.0, atol=1e-13)
-    assert report.post_defect.min() >= -1e-12
+    assert post_defect(corrected, states, model).min() >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +411,11 @@ def test_entropy_correction_early_exit_keeps_the_full_formula_bits(model_name, s
     for nodes in (NodeKernels.of(model, states), NodeKernels.of(model, states, entropy=True)):
         corrected, report = entropy_correction(res, nodes, model)
         # residuals and both defects keep the full formula's bits, signed zeros
-        # included: post_defect is measured on the corrected residuals, so a
-        # zero there carries the sign the full formula gives it
+        # included: the post-correction defect is measured on the corrected
+        # residuals, so a zero there carries the sign the full formula gives it
         assert same_bits(corrected.phi, phi)
         assert same_bits(report.pre_defect, pre)
-        assert same_bits(report.post_defect, post)
+        assert same_bits(post_defect(corrected, states, model), post)
         assert same_bits(report.corrections, r)
         assert same_bits(report.alpha, alpha) and not report.alpha.any()
         assert report.clamped.size == 0 and same_bits(report.clamped, clamped)

@@ -6,6 +6,8 @@ the residuals did before ``NodeKernels``; every kernel is elementwise, so the
 bundle path must agree with them bit for bit, not just to rounding.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from conserva.schemes import (
     supg_residuals_1d,
 )
 
-from conftest import random_euler_states, same_bits
+from conftest import post_defect, random_euler_states, same_bits
 
 BOUNDARIES = ("periodic", "transmissive")
 SEEDS = range(6)
@@ -223,7 +225,7 @@ def test_entropy_correction_matches_per_cell_formulas_bitwise(kind, model_name, 
     assert same_bits(report.alpha, alpha)
     assert same_bits(report.corrections, r)
     assert same_bits(report.pre_defect, pre)
-    assert same_bits(report.post_defect, post)
+    assert same_bits(post_defect(corrected, states, model), post)
     assert same_bits(report.clamped, clamped)
     assert corrected.alpha_max == (float(alpha.max()) if len(alpha) else 0.0)
 
@@ -368,6 +370,26 @@ def test_a_residual_stage_decomposes_its_states_once(scheme_id, monkeypatch):
     assert record.ledger.nsteps == 1
     # the initial states' admission, then one forward-Euler stage
     assert calls == [(mesh.ndof, 3)] * 2
+
+
+def test_an_unfired_entropy_correction_makes_one_einsum_reduction(monkeypatch):
+    # the production v . phi and nothing else: without an element to fix there
+    # is no denominator, and the report holds no post-correction defect
+    case, mesh, u0 = build_problem(RunConfig(case="sod", scheme="fv-entropy-corrected", nx=50))
+    model = case.model
+    assemble = residual_assembler("fv-entropy-corrected", model, mesh)
+    calls = []
+    einsum, correction = np.einsum, corrections.entropy_correction.__code__
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_code is correction:
+            calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    record = integrate(model, mesh, u0, assemble, cfl=0.4, t_end=case.t_end, stop_after_steps=1)
+    assert record.ledger.nsteps == 1 and record.ledger.alpha_max[1] == 0.0
+    assert calls == ["dkp,dkp->k"]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conserva import corrections
-from conserva.active_flux import af_integrate, initialize
+from conserva.active_flux import AfState, af_integrate, initialize
 from conserva.errors import ConfigError, RunError
 from conserva.harness import build_problem
 from conserva.mesh import uniform_mesh
@@ -13,6 +13,7 @@ from conserva.records import ACTIVE_FLUX, INTEGRATORS, SCHEMES, SSP_STAGES, RunC
 from conserva.schemes import (
     NumericalFlux,
     _ssp_combine,
+    _totals,
     fv_residuals_1d,
     integrate,
     rd_step,
@@ -269,6 +270,67 @@ def test_a_zero_one_stage_is_its_new_states_bitwise(u, r, c):
         for x in (u - c * r, u + c * r):
             assert same_bits(0.0 * u + 1.0 * x, x)
             assert _ssp_combine(0.0, u, 1.0, x) is x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    n=st.integers(min_value=2, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decades=st.integers(min_value=0, max_value=8),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+@example(p=1, n=2, seed=0, decades=0, zero_share=1.0)
+@example(p=3, n=2, seed=0, decades=0, zero_share=1.0)
+def test_ledger_totals_are_the_bits_of_the_weighted_row_sum(p, n, seed, decades, zero_share):
+    # _totals(w, x) books every ledger row; it must keep the bits of
+    # (w[:, None] * x).sum(axis=0), the row-by-row sum for p > 1 and the
+    # pairwise one numpy takes for p = 1, signed zeros included
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-decades, decades + 1, n)
+    states = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-decades, decades + 1, (n, p))
+    zeros = rng.random((n, p)) < zero_share
+    states[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    assert same_bits(_totals(weights, states), (weights[:, None] * states).sum(axis=0))
+
+
+def _layouts(u0):
+    """u0 C-ordered, Fortran-ordered and as a view of every other row."""
+    return [np.ascontiguousarray(u0), np.asfortranarray(u0), np.repeat(u0, 2, axis=0)[::2]]
+
+
+def _assert_same_runs(records):
+    first, *others = records
+    for record in others:
+        for name, want in vars(first.ledger).items():
+            assert same_bits(getattr(record.ledger, name), want), name
+        assert len(record.states) == len(first.states)
+        assert all(same_bits(got, want) for got, want in zip(record.states, first.states))
+        assert record.averages is None or all(
+            same_bits(got, want) for got, want in zip(record.averages, first.averages)
+        )
+
+
+@pytest.mark.parametrize("nx", [200, 333, 1000])
+def test_the_ledger_does_not_depend_on_the_memory_layout_of_u0(nx):
+    # numpy sums an F-ordered (ndof, 3) product pairwise and a C-ordered one
+    # row by row, so the first ledger row used to follow the layout of u0
+    case, mesh, u0 = build_problem(RunConfig(case="sod", scheme="fv-rusanov", nx=nx))
+    u0 = u0 * (1.0 + 1e-3 * np.random.default_rng(nx).standard_normal(u0.shape))
+    assemble = residual_assembler("fv-rusanov", case.model, mesh)
+    _assert_same_runs([integrate(case.model, mesh, u, assemble, cfl=0.4, t_end=0.01)
+                       for u in _layouts(u0)])
+
+
+def test_the_two_field_ledger_does_not_depend_on_the_memory_layout_of_the_state():
+    case, mesh, _ = build_problem(RunConfig(case="sod", scheme="active-flux", nx=333))
+    state0 = initialize(case.model, mesh, case.u0)
+    rng = np.random.default_rng(333)
+    averages = state0.averages * (1.0 + 1e-3 * rng.standard_normal(state0.averages.shape))
+    _assert_same_runs([
+        af_integrate(case.model, mesh, AfState(a, v), t_end=0.01, detector=True)
+        for a, v in zip(_layouts(averages), _layouts(state0.points))
+    ])
 
 
 def _shu_osher_flux_weights(stages):
