@@ -29,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepRejectedError
-from .mesh import gather_cell_ends, scatter_cell_ends
+from .mesh import GAUSS_LEGENDRE, gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels
 from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SolutionRecord, require_stable_cfl
 from .schemes import _boundary_outflux, _rusanov, _ssp_combine, _totals, march
 
 DMP_RELAX_REL = 0.05
 DMP_RELAX_ABS = 1e-3
-_GAUSS5 = np.polynomial.legendre.leggauss(5)  # for the initial cell averages
 
 
 @dataclass
@@ -52,7 +51,7 @@ def initialize(model, mesh, u0_of_x):
     states pass ``NodeKernels.of``, which names an inadmissible node."""
     mids = mesh.cell_centers
     half = 0.5 * mesh.cell_sizes
-    gp, gw = _GAUSS5
+    gp, gw = GAUSS_LEGENDRE[5]
     averages = np.zeros((mesh.ncell, model.p))
     for xi, w in zip(gp, gw):
         averages += 0.5 * w * u0_of_x(mids + half * xi)

@@ -6,15 +6,19 @@ Subcommands:
   recover-fluxes  dump the per-element recovered edge fluxes at t = 0
   diagnose-weak   weak-form residual defect across resolutions
 
-Exit codes: 0 success, 1 run failure (blow-up and friends), 2 usage error.
+Exit codes: 0 success, 1 run failure (blow-up and friends), 2 usage error;
+an --out that cannot be a file is a usage error before any run starts.
 CSV files are UTF-8 with LF line endings, %d integer columns and %.17g
-numbers, so identical configurations produce byte-identical output.
+numbers, so identical configurations produce byte-identical output.  Rows
+are formatted and written in blocks of CSV_BLOCK_ROWS, so a large file is
+never held whole in memory; the bytes are those of a single write.
 Relative --out paths land in $CONSERVA_OUT_DIR when that is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -25,29 +29,48 @@ import numpy as np
 from .. import recovery, schemes
 from ..errors import ConfigError, ConservaError
 from ..models import NodeKernels
-from ..records import INTEGRATORS, RunConfig
+from ..records import ACTIVE_FLUX, INTEGRATORS, SCHEMES, RunConfig
 from . import runner, weak
+
+CSV_BLOCK_ROWS = 4096  # rows held as Python objects at a time
+
+
+def _check_file(path):
+    if path.is_dir():
+        raise ConfigError(f"cannot write {str(path)!r}: it is a directory")
+    return path
 
 
 def _out_path(name):
+    """An output's path, relative ones under $CONSERVA_OUT_DIR, with its
+    directory made; ConfigError when no file can be written there."""
     path = Path(name)
     if not path.is_absolute():
         base = os.environ.get("CONSERVA_OUT_DIR", "")
         if base:
             path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {str(path)!r}: cannot make {str(path.parent)!r} ({exc.strerror})"
+        ) from None
+    return _check_file(path)
 
 
 def _write_csv(path, header, columns):
-    """One line per row: integer columns as %d, the others as %.17g floats."""
+    """One line per row: integer columns as %d, the others as %.17g floats,
+    formatted and written CSV_BLOCK_ROWS rows at a time."""
     columns = [np.asarray(c) for c in columns]
     ints = [c.dtype.kind in "iu" for c in columns]
-    row = ",".join("%d" if i else "%.17g" for i in ints)
-    values = [c.tolist() if i else c.astype(float).tolist() for c, i in zip(columns, ints)]
-    lines = [",".join(header)]
-    lines.extend(row % r for r in zip(*values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    row = ",".join("%d" if i else "%.17g" for i in ints) + "\n"
+    nrows = min((len(c) for c in columns), default=0)
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, nrows, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            values = [b.tolist() if i else b.astype(float).tolist() for b, i in zip(block, ints)]
+            out.write("".join(row % r for r in zip(*values)))
 
 
 def _write_solution(path, record):
@@ -174,39 +197,41 @@ def build_parser():
 
 
 def _cmd_run(config):
+    path = _out_path(config.out or f"{config.case}-{config.scheme}.csv")
+    ledger = _check_file(path.with_suffix(".ledger.csv"))
+    if SCHEMES[config.scheme].base == ACTIVE_FLUX:
+        _check_file(path.with_suffix(".averages.csv"))
     record = runner.run(config)
-    out = config.out or f"{config.case}-{config.scheme}.csv"
-    path = _out_path(out)
     _write_solution(path, record)
-    _write_ledger(path.with_suffix(".ledger.csv"), record)
-    print(f"wrote {path} and {path.with_suffix('.ledger.csv')}")
+    _write_ledger(ledger, record)
+    print(f"wrote {path} and {ledger}")
     return 0
 
 
-def _print_table(config, lines):
-    """Write the table's lines to stdout, and to --out when it is set."""
+def _print_table(out, lines):
+    """Write the table's lines to stdout, and to the path ``out`` unless it is None."""
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if config.out:
-        _out_path(config.out).write_text(text, encoding="utf-8", newline="\n")
+    if out is not None:
+        out.write_text(text, encoding="utf-8", newline="\n")
     return 0
 
 
 def _cmd_convergence(config, nx_list):
+    out = _out_path(config.out) if config.out else None
     rows = runner.convergence_study(config, nx_list)
     lines = [f"{'nx':>6s} {'L1_error':>24s} {'order':>8s}"]
     for nx, err, order in rows:
         lines.append(f"{nx:6d} {err:24.16e} {'' if order is None else f'{order:8.3f}'}")
-    return _print_table(config, lines)
+    return _print_table(out, lines)
 
 
 def _cmd_recover_fluxes(config):
+    path = _out_path(config.out or f"{config.case}-{config.scheme}-fluxes.csv")
     case, mesh, u0 = runner.build_problem(config)
     assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)
     residuals = assemble(NodeKernels.of(case.model, u0), 0.0)
     _, edge_fluxes = recovery.reconstruct_scheme(mesh, u0, residuals)
-    out = config.out or f"{config.case}-{config.scheme}-fluxes.csv"
-    path = _out_path(out)
     header = ["element", "dof_a", "dof_b"] + [f"fhat_{n}" for n in case.model.names]
     columns = [np.arange(len(edge_fluxes)), *mesh.cell_dofs.T, *edge_fluxes.T]
     _write_csv(path, header, columns)
@@ -215,18 +240,21 @@ def _cmd_recover_fluxes(config):
 
 
 def _cmd_diagnose_weak(config, nx_list):
+    out = _out_path(config.out) if config.out else None
     lines = ["nx,defect"]
     for nx in nx_list:
         record = runner.run(replace(config, nx=int(nx), snapshot_every=1))
         lines.append(f"{nx},{weak.weak_residual_diagnostic(record):.17g}")
         del record  # its snapshots go before the next resolution runs
-    return _print_table(config, lines)
+    return _print_table(out, lines)
+
+
+_parser = functools.cache(build_parser)  # one argparse tree per process
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

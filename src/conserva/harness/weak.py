@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DiagnosticError
-from ..mesh import gather_cell_ends
+from ..mesh import GAUSS_LEGENDRE, gather_cell_ends
 
 BUMP_TIME_FRACTIONS = (0.35, 0.55, 0.75)  # bump time levels, as fractions of t_final
 BUMP_OFFSETS = 3  # bumps per time level
@@ -77,7 +77,6 @@ def default_bumps(mesh, t_final, shock_path=None):
     return bumps
 
 
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
 MIN_TIME_SAMPLES = 8  # snapshots inside each bump's time support
 
 
@@ -107,7 +106,7 @@ def weak_residual_diagnostic(record, bumps=None):
         shock_path = None if record.case is None else record.case.shock_path
         bumps = default_bumps(mesh, float(times[-1]), shock_path)
 
-    gp, gw = _GAUSS3
+    gp, gw = GAUSS_LEGENDRE[3]
     x_left = mesh.nodes[:-1]
     x_right = mesh.nodes[1:]
     xq = (0.5 * (x_left + x_right)[:, None] + 0.5 * (x_right - x_left)[:, None] * gp).ravel()

@@ -1,4 +1,5 @@
-"""1D meshes with dual control volumes, and per-element DOF graphs.
+"""1D meshes with dual control volumes, per-element DOF graphs, and the
+Gauss-Legendre rules that integrate over their cells.
 
 Meshes and graphs are immutable after construction and freely shareable.
 """
@@ -10,6 +11,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+
+# Gauss-Legendre (nodes, weights) on [-1, 1] by point count, written out with
+# the bits of numpy.polynomial.legendre.leggauss(n), +0.0 middle node
+# included, so that no import loads numpy.polynomial or runs its eigensolver
+GAUSS_LEGENDRE = {
+    3: (np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
+        np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])),
+    5: (np.array([-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+                  0.906179845938664]),
+        np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                  0.4786286704993663, 0.23692688505618928])),
+}
 
 
 @dataclass

@@ -35,11 +35,9 @@ import numpy as np
 
 from . import corrections
 from .errors import ConfigError, RunError, StepRejectedError
-from .mesh import gather_cell_ends, scatter_cell_ends
+from .mesh import GAUSS_LEGENDRE, gather_cell_ends, scatter_cell_ends
 from .models import NodeKernels, _first_rejected
 from .records import ACTIVE_FLUX, SCHEMES, SSP_STAGES, SUPG, Ledger, SolutionRecord
-
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def supg_residuals_1d(mesh, nodes, model, tau_scale=1.0):
     phi = np.stack([-left.flux, right.flux])  # boundary terms of each test function
 
     du_dx = (u_right - u_left) / h
-    nodes_q, weights = _GAUSS3
+    nodes_q, weights = GAUSS_LEGENDRE[3]
     for xi, wq in zip(0.5 * (nodes_q + 1.0), 0.5 * weights):
         u_q = u_left + xi * (u_right - u_left)
         f_q = model.flux(u_q)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conserva import recovery, schemes
-from conserva.harness.cli import _write_csv, main
+from conserva.harness.cli import CSV_BLOCK_ROWS, _write_csv, main
 from conserva.harness.runner import build_problem, run
 from conserva.models import NodeKernels
 from conserva.records import RunConfig
@@ -63,6 +63,22 @@ def test_property_column_writer_matches_per_value_writer(tmp_path_factory, colum
     _write_csv(tmp / "new.csv", header, columns)
     _write_csv_per_value(tmp / "old.csv", header, _rows(columns))
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "nrows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
+)
+def test_block_writer_matches_per_value_writer_at_block_edges(tmp_path, nrows):
+    # every row lands once, in order, the last partial block included
+    awkward = np.resize(np.array(_AWKWARD), nrows)
+    columns = [np.arange(nrows) - 7, awkward, np.arange(nrows, dtype=float) / 3.0,
+               np.full(nrows, -2**62), awkward[::-1].copy()]
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    _write_csv_per_value(tmp_path / "old.csv", header, _rows(columns))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new.count(b"\n") == nrows + 1
+    assert new == (tmp_path / "old.csv").read_bytes()
 
 
 def _old_solution_files(path, mesh, model, record):

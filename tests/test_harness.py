@@ -699,3 +699,44 @@ def test_runconfig_validation():
     ):
         with pytest.raises(ConfigError):
             bad.validate()
+
+
+_OUT_COMMANDS = {
+    "run": ["run", "--case", "sod", "--scheme", "fv-rusanov", "--nx", "10", "--tend", "0.01"],
+    "recover-fluxes": ["recover-fluxes", "--case", "sod", "--scheme", "supg", "--nx", "10"],
+    "convergence": ["convergence", "--case", "advection-sine", "--scheme", "fv-rusanov",
+                    "--nx-list", "8,16", "--tend", "0.05"],
+    "diagnose-weak": ["diagnose-weak", "--case", "burgers-riemann", "--scheme", "fv-rusanov",
+                      "--nx-list", "40"],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_an_out_path_that_cannot_be_a_file_is_a_usage_error(tmp_path, capsys, command, kind):
+    # exit 2 with one error line naming the path, before any run prints or writes
+    if kind == "directory":
+        out = tmp_path / "out.csv"
+        out.mkdir()
+    else:
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        out = tmp_path / "afile" / "out.csv"
+    assert main(_OUT_COMMANDS[command] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv" if kind == "directory" else "afile"]
+
+
+@pytest.mark.parametrize("scheme, suffix", [("fv-rusanov", ".ledger.csv"),
+                                            ("active-flux", ".averages.csv")])
+def test_a_run_whose_other_output_is_a_directory_is_a_usage_error(tmp_path, capsys, scheme,
+                                                                  suffix):
+    out = tmp_path / "out.csv"
+    (tmp_path / f"out{suffix}").mkdir()
+    argv = ["run", "--case", "sod", "--scheme", scheme, "--nx", "10", "--tend", "0.01"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(tmp_path / f"out{suffix}") in captured.err
+    assert not out.exists()

@@ -6,12 +6,15 @@ from hypothesis.extra import numpy as hnp
 
 from conserva.errors import ConfigError
 from conserva.mesh import (
+    GAUSS_LEGENDRE,
     Mesh1D,
     element_graph,
     gather_cell_ends,
     scatter_cell_ends,
     uniform_mesh,
 )
+
+from conftest import same_bits
 
 
 def test_uniform_mesh_nodes_and_volumes():
@@ -217,3 +220,13 @@ def test_mesh_dual_volumes_equal_the_two_branch_construction_bitwise(nodes, boun
         assert got.dtype == want.dtype
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_gauss_legendre_table_has_the_bits_of_leggauss(n):
+    # the table stands in for leggauss so that importing conserva loads no
+    # numpy.polynomial; +0.0 middle node included
+    nodes, weights = GAUSS_LEGENDRE[n]
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert same_bits(nodes, want_nodes)
+    assert same_bits(weights, want_weights)

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conserva import corrections
+from conserva import corrections, recovery
 from conserva.errors import ConfigError, ConservationError, GraphStructureError
 from conserva.mesh import ElementGraph, element_graph, uniform_mesh
 from conserva.models import Burgers, Euler, NodeKernels
@@ -24,6 +29,38 @@ from conserva.schemes import (
 )
 
 from conftest import element_defect, same_bits
+
+
+def test_importing_conserva_loads_no_polynomial_module_and_builds_no_laplacian():
+    # no Gauss rule is computed and no LAPACK solve runs in a process that
+    # only imports the package and the entry points
+    src = str(Path(recovery.__file__).resolve().parents[1])
+    code = (
+        "import sys, conserva, conserva.harness.cli, conserva.active_flux\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
+        "size = conserva.recovery._segment_laplacian.cache_info().currsize\n"
+        "assert size == 0, f'{size} segment Laplacian(s) built at import'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_reconstruct_scheme_builds_one_segment_operator():
+    recovery._segment_laplacian.cache_clear()
+    model = Burgers()
+    mesh = uniform_mesh(0.0, 1.0, 8, boundary="transmissive")
+    u = np.linspace(1.0, 2.0, mesh.ndof)[:, None]
+    residuals = fv_residuals_1d(mesh, NodeKernels.of(model, u), NumericalFlux("rusanov"))
+    first = reconstruct_scheme(mesh, u, residuals)
+    second = reconstruct_scheme(mesh, u, residuals)
+    info = recovery._segment_laplacian.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    want = build_laplacian(element_graph("segment")).operator
+    assert same_bits(recovery._segment_laplacian().operator, want)
+    for got, again in zip(first, second):
+        assert same_bits(got, again)
+
 
 def test_laplacian_segment():
     L = build_laplacian(element_graph("segment"))
