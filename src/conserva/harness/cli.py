@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 run failure (blow-up and friends), 2 usage error;
 an --out that cannot be a file is a usage error before any run starts.
 CSV files are UTF-8 with LF line endings, %d integer columns and %.17g
 numbers, so identical configurations produce byte-identical output.  Rows
-are formatted and written in blocks of CSV_BLOCK_ROWS, so a large file is
-never held whole in memory; the bytes are those of a single write.
+are formatted and written in blocks of CSV_BLOCK_ROWS, one % format per
+block, so a large file is never held whole in memory; the bytes are those
+of one % per row and a single write.
 Relative --out paths land in $CONSERVA_OUT_DIR when that is set.
 """
 
@@ -59,18 +60,28 @@ def _out_path(name):
 
 
 def _write_csv(path, header, columns):
-    """One line per row: integer columns as %d, the others as %.17g floats,
-    formatted and written CSV_BLOCK_ROWS rows at a time."""
+    """One line per row: integer columns as %d, the others as %.17g floats.
+
+    Each block of up to CSV_BLOCK_ROWS rows is one % of the row format
+    repeated per row, applied to the block's values in row-major order.
+    ValueError, before the file is opened, when the columns differ in length.
+    """
     columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
     ints = [c.dtype.kind in "iu" for c in columns]
     row = ",".join("%d" if i else "%.17g" for i in ints) + "\n"
-    nrows = min((len(c) for c in columns), default=0)
+    nrows, ncol = (lengths[0] if lengths else 0), len(columns)
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(",".join(header) + "\n")
         for start in range(0, nrows, CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            values = [b.tolist() if i else b.astype(float).tolist() for b, i in zip(block, ints)]
-            out.write("".join(row % r for r in zip(*values)))
+            m = min(CSV_BLOCK_ROWS, nrows - start)
+            cells = [None] * (m * ncol)
+            for j, (c, i) in enumerate(zip(columns, ints)):
+                block = c[start:start + m]
+                cells[j::ncol] = block.tolist() if i else block.astype(float).tolist()
+            out.write(row * m % tuple(cells))
 
 
 def _write_solution(path, record):
@@ -227,6 +238,10 @@ def _cmd_convergence(config, nx_list):
 
 
 def _cmd_recover_fluxes(config):
+    for flag, value in (("--tend", config.t_end), ("--cfl", config.cfl),
+                        ("--integrator", config.integrator)):
+        if value is not None:  # the t = 0 fluxes depend on none of them
+            raise ConfigError(f"{flag} (or its config key) does not apply to recover-fluxes")
     path = _out_path(config.out or f"{config.case}-{config.scheme}-fluxes.csv")
     case, mesh, u0 = runner.build_problem(config)
     assemble = schemes.residual_assembler(config.scheme, case.model, mesh, config.tau_scale)

@@ -51,12 +51,13 @@ class GraphLaplacian:
         """Edge fluxes R Psi, shape (nedges, n, p), of a DOF-major Psi stack
         (ndof, n, p): Psi[:, k] is element k's.
 
-        Element k must sum to zero within SUM_TOLERANCE * scale[k]; otherwise
-        ConservationError names every element that does not, including every
-        element whose Psi or scale is not finite.
+        Element k's largest |defect| over the p columns must be at most
+        SUM_TOLERANCE * scale[k]; otherwise ConservationError names every
+        element that is not, every element with a NaN defect or scale included
+        (an infinite scale passes any defect but NaN).
         """
         defect = psi.sum(axis=0)
-        bad = np.flatnonzero(~(np.abs(defect).max(axis=1) <= SUM_TOLERANCE * scale))
+        bad = np.flatnonzero(~(_row_max(np.abs(defect)) <= SUM_TOLERANCE * scale))
         if bad.size:
             raise ConservationError(
                 f"residuals of {bad.size} element(s), first {bad[:5].tolist()}, do not sum "
@@ -65,6 +66,22 @@ class GraphLaplacian:
         # one product per DOF, summed in DOF order: each element gets a lone
         # call's bits, where BLAS and einsum order sums by shape and strides
         return sum(self.operator[:, dof, None, None] * psi[dof] for dof in range(self.graph.ndof))
+
+
+def _row_max(a):
+    """a.max(axis=1) of an (n, p) array as np.maximum over its columns, the
+    same bits, NaN included, without numpy's slow short-axis reduction."""
+    out = a[:, 0]
+    for j in range(1, a.shape[1]):
+        out = np.maximum(out, a[:, j])
+    return out
+
+
+def _end_scale(x):
+    """np.abs(x).max(axis=(0, 2)) of a (2, n, p) cell-end stack, as
+    np.maximum over the two ends, then over the columns."""
+    ends = np.abs(x)
+    return _row_max(np.maximum(ends[0], ends[1], out=ends[0]))
 
 
 def build_laplacian(graph):
@@ -111,13 +128,15 @@ def reconstruct_scheme(mesh, states, residuals):
     per-DOF increments as sum over owning elements of (signed edge fluxes +
     boundary shares).  The result equals residuals.scatter_to_dofs up to the
     recovery tolerance; each returned interface flux is shared by the two
-    adjacent elements up to sign through the boundary parts.
+    adjacent elements up to sign through the boundary parts.  Each element's
+    recovery scale is its largest |phi| or |boundary part|, as elementwise
+    maxima over the cell ends and components.
 
     Returns (increments, edge_fluxes) with increments shaped (ndof, p) and
     edge_fluxes (ncell, p).
     """
     phi, bparts = residuals.phi, residuals.boundary_parts
-    scale = np.maximum(np.abs(phi).max(axis=(0, 2)), np.abs(bparts).max(axis=(0, 2)))
+    scale = np.maximum(_end_scale(phi), _end_scale(bparts))
     edge_fluxes = _segment_laplacian().recover(phi - bparts, np.maximum(scale, 1e-300))[0]
 
     increments = scatter_cell_ends(edge_fluxes + bparts[0], -edge_fluxes + bparts[1], mesh.ndof)

@@ -1,9 +1,11 @@
 """The column CSV writer against the per-value writer it replaced.
 
-``_write_csv`` formats each row with one ``%`` format (``%d`` for integer
-columns, ``%.17g`` otherwise); the oracle below formats every value on its
-own with ``format(float(v), ".17g")`` and takes strings as they are, as the
-command line did before.  Every file must come out byte for byte the same.
+``_write_csv`` formats each block of up to ``CSV_BLOCK_ROWS`` rows with one
+``%``: the row format (``%d`` for integer columns, ``%.17g`` otherwise)
+repeated once per row, applied to the block's values in row-major order.
+The oracle below formats every value on its own with
+``format(float(v), ".17g")`` and takes strings as they are, as the command
+line did before.  Every file must come out byte for byte the same.
 """
 
 import numpy as np
@@ -66,19 +68,32 @@ def test_property_column_writer_matches_per_value_writer(tmp_path_factory, colum
 
 
 @pytest.mark.parametrize(
-    "nrows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]
+    "nrows, picked",
+    [pytest.param(n, range(5), id=str(n)) for n in
+     (0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1)]
+    + [pytest.param(0, (), id="zero-column"),
+       pytest.param(2 * CSV_BLOCK_ROWS + 1, (1,), id="one-column"),
+       pytest.param(1, (3, 1), id="one-row")],
 )
-def test_block_writer_matches_per_value_writer_at_block_edges(tmp_path, nrows):
+def test_block_writer_matches_per_value_writer_at_block_edges(tmp_path, nrows, picked):
     # every row lands once, in order, the last partial block included
     awkward = np.resize(np.array(_AWKWARD), nrows)
-    columns = [np.arange(nrows) - 7, awkward, np.arange(nrows, dtype=float) / 3.0,
-               np.full(nrows, -2**62), awkward[::-1].copy()]
+    table = [np.arange(nrows) - 7, awkward, np.arange(nrows, dtype=float) / 3.0,
+             np.full(nrows, -2**62), awkward[::-1].copy()]
+    columns = [table[j] for j in picked]
     header = [f"c{j}" for j in range(len(columns))]
     _write_csv(tmp_path / "new.csv", header, columns)
     _write_csv_per_value(tmp_path / "old.csv", header, _rows(columns))
     new = (tmp_path / "new.csv").read_bytes()
     assert new.count(b"\n") == nrows + 1
     assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def test_columns_of_unequal_length_are_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match=r"\[3, 3, 2\]"):
+        _write_csv(path, ["a", "b", "c"], [np.arange(3), np.zeros(3), np.zeros(2)])
+    assert not path.exists()
 
 
 def _old_solution_files(path, mesh, model, record):

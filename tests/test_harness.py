@@ -617,6 +617,29 @@ def test_cli_rejects_settings_the_scheme_ignores(tmp_path, capsys, command, sche
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config-key"])
+@pytest.mark.parametrize("flag, value", [("--tend", "0.5"), ("--cfl", "0.3"),
+                                         ("--integrator", "ssprk3")])
+def test_recover_fluxes_rejects_time_marching_settings(tmp_path, capsys, flag, value, source):
+    # the command writes the t = 0 fluxes, which no end time, CFL number or
+    # integrator changes: each is a usage error naming the flag, not a no-op
+    out = tmp_path / "never.csv"
+    argv = ["recover-fluxes", "--case", "sod", "--scheme", "supg", "--nx", "10",
+            "--out", str(out)]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+    assert list(tmp_path.iterdir()) == ([] if source == "flag" else [tmp_path / "run.cfg"])
+
+
 @pytest.mark.parametrize("key, value", [("nx", "0"), ("gamma", "0")])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_zero_values_are_not_replaced_by_defaults(tmp_path, capsys, key, value, source):

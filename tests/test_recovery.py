@@ -337,6 +337,68 @@ def test_reconstruct_judges_each_element_against_its_own_scale():
     np.testing.assert_array_equal(excinfo.value.elements, [9])
 
 
+# sign-flipped zeros, subnormals, the extremes, infinities and NaN
+_MAX_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan]
+_max_entries = st.one_of(st.sampled_from(_MAX_AWKWARD), st.floats(allow_nan=False))
+
+
+@st.composite
+def _end_stacks(draw):
+    """(2, n, p) stacks, p = 1, 2 or 3, as phi and the boundary parts are laid out."""
+    shape = (2, draw(st.integers(0, 12)), draw(st.sampled_from([1, 2, 3])))
+    return draw(hnp.arrays(float, shape, elements=_max_entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_end_stacks())
+@example(np.array([[[np.nan, 1.0, -0.0]], [[np.inf, -0.0, 5e-324]]]))
+def test_property_elementwise_maxima_have_the_bits_of_the_reductions(x):
+    assert same_bits(recovery._end_scale(x), np.abs(x).max(axis=(0, 2)))
+    for d in x:
+        assert same_bits(recovery._row_max(np.abs(d)), np.abs(d).max(axis=1))
+
+
+def _old_closure_verdict(psi, scale):
+    """The elements, and their defect rows, that GraphLaplacian.recover
+    refused when its closure test was a reduction over the p columns."""
+    defect = psi.sum(axis=0)
+    bad = np.flatnonzero(~(np.abs(defect).max(axis=1) <= SUM_TOLERANCE * scale))
+    return bad, defect[bad]
+
+
+@st.composite
+def _unclosed_stacks(draw):
+    """Closing (2, n, p) Psi stacks with some entries shifted, by amounts
+    from rounding-sized to non-finite, and the old per-element scale."""
+    n, p = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3]))
+    half = draw(hnp.arrays(float, (n, p), elements=st.floats(-1e3, 1e3)))
+    psi = np.stack([half, -half])
+    for _ in range(draw(st.integers(1, 2 * n))):
+        at = (draw(st.integers(0, 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi[at] += draw(st.one_of(_max_entries, st.floats(-1e-6, 1e-6)))
+    scale = np.maximum(np.abs(psi).max(axis=(0, 2)), 1e-300)
+    return psi, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unclosed_stacks())
+def test_property_closure_test_refuses_the_elements_the_old_test_refused(case):
+    psi, scale = case
+    laplacian = build_laplacian(element_graph("segment"))
+    # sums may overflow, and an accepted infinite Psi makes NaN fluxes
+    with np.errstate(over="ignore", invalid="ignore"):
+        elements, defect = _old_closure_verdict(psi, scale)
+        if not elements.size:
+            laplacian.recover(psi, scale)
+            return
+        with pytest.raises(ConservationError) as excinfo:
+            laplacian.recover(psi, scale)
+    assert same_bits(excinfo.value.elements, elements)
+    assert same_bits(excinfo.value.defect, defect)
+
+
 @st.composite
 def connected_graphs(draw):
     """Random spanning tree plus extra edges, random orientation and order."""
