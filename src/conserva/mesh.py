@@ -121,9 +121,9 @@ def uniform_mesh(a, b, n, boundary="periodic"):
 class ElementGraph:
     """DOF set of one element plus its directed-edge incidence structure.
 
-    ``edges`` lists the direct edges (tail, head); the incidence matrix has
-    one row per DOF and one column per direct edge, +1 at the tail and -1 at
-    the head.
+    ``edges`` lists the direct edges (tail, head); the read-only incidence
+    matrix has one row per DOF and one column per direct edge, +1 at the tail
+    and -1 at the head.
     """
 
     ndof: int
@@ -138,22 +138,6 @@ class ElementGraph:
                 raise ConfigError(f"bad edge ({a}, {b}) for {self.ndof} DOFs")
             A[a, k] = 1.0
             A[b, k] = -1.0
+        A.setflags(write=False)
         self.incidence = A
-
-
-def element_graph(kind, n=None):
-    """Build one of the supported element graphs.
-
-    kind: "segment" (2 DOFs, 1 edge), "path" (n DOFs chained, pass n >= 2),
-    or "triangle" (3 DOFs, cyclic edges 0->1, 1->2, 2->0).
-    """
-    if kind == "segment":
-        return ElementGraph(2, ((0, 1),))
-    if kind == "path":
-        if n is None or n < 2:
-            raise ConfigError("path graphs need n >= 2 DOFs")
-        return ElementGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-    if kind == "triangle":
-        return ElementGraph(3, ((0, 1), (1, 2), (2, 0)))
-    raise ConfigError(f"unknown element graph kind {kind!r}")
 

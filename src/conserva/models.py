@@ -166,8 +166,9 @@ class Euler(PhysicsModel):
             raise ConfigError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
     def _decompose(self, u):
-        """(rho, v, e) of conserved states u: the density, the velocity m/rho and
-        the internal energy e = E - m v/2 per unit volume, so p = (gamma - 1) e.
+        """The ``GasParts`` of conserved states u, without the log ratio: the
+        density, the velocity m/rho, the internal energy e = E - m v/2 per unit
+        volume and the pressure p = (gamma - 1) e.
 
         Unchecked and elementwise: inadmissible rows give nonpositive, infinite
         or nan entries, which callers mask or silence.
@@ -177,7 +178,7 @@ class Euler(PhysicsModel):
         ene = u[..., 2]
         vel = mom / rho
         e_int = ene - 0.5 * mom * vel
-        return rho, vel, e_int
+        return GasParts(rho, vel, e_int, (self.gamma - 1.0) * e_int, None)
 
     @staticmethod
     def _admissible(u, rho, e_int):
@@ -192,8 +193,8 @@ class Euler(PhysicsModel):
         # a zero density or an overflowing mom/rho makes e_int -inf or nan,
         # which compares False: an answer, not a warning
         with np.errstate(all="ignore"):
-            rho, _, e_int = self._decompose(u)
-        return self._admissible(u, rho, e_int)
+            parts = self._decompose(u)
+        return self._admissible(u, parts.rho, parts.e_int)
 
     def node_kernels(self, u, entropy=False):
         """Mask, flux and wave speed from one ``_decompose``, bit for bit those of
@@ -211,11 +212,7 @@ class Euler(PhysicsModel):
     def _parts(self, u, entropy, nodes=None):
         """The ``GasParts`` of states u, with their log ratio if ``entropy``;
         read off ``nodes``, the bundle of u, when the caller has it."""
-        if nodes is None:
-            rho, vel, e_int = self._decompose(u)
-            parts = GasParts(rho, vel, e_int, (self.gamma - 1.0) * e_int, None)
-        else:
-            parts = nodes.parts
+        parts = self._decompose(u) if nodes is None else nodes.parts
         if entropy and parts.log_ratio is None:
             parts = parts._replace(log_ratio=self.gamma * np.log(parts.rho) - np.log(parts.pres))
         return parts
@@ -231,13 +228,13 @@ class Euler(PhysicsModel):
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
-        _, vel, e_int = self._decompose(u)
-        return self._flux(u, vel, (self.gamma - 1.0) * e_int)
+        parts = self._decompose(u)
+        return self._flux(u, parts.vel, parts.pres)
 
     def jacobian(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self._decompose(u)
+        rho, vel = self._decompose(u)[:2]
         ene = u[..., 2]
         J = np.zeros(u.shape[:-1] + (3, 3))
         J[..., 0, 1] = 1.0
@@ -277,8 +274,8 @@ class Euler(PhysicsModel):
 
     def max_wave_speed(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self._decompose(u)
-        return self._speed(rho, vel, (self.gamma - 1.0) * e_int)
+        rho, vel, _, pres, _ = self._decompose(u)
+        return self._speed(rho, vel, pres)
 
     def _speed(self, rho, vel, pres):
         """|v| + c, the wave speed bound, with c^2 = gamma p / rho."""
@@ -287,11 +284,11 @@ class Euler(PhysicsModel):
     # -- primitive map ---------------------------------------------------
     def to_aux(self, u):
         u = np.asarray(u, dtype=float)
-        rho, vel, e_int = self._decompose(u)
+        rho, vel, _, pres, _ = self._decompose(u)
         w = np.empty_like(u)
         w[..., 0] = rho
         w[..., 1] = vel
-        w[..., 2] = (self.gamma - 1.0) * e_int
+        w[..., 2] = pres
         return w
 
     def from_aux(self, w):
@@ -308,7 +305,7 @@ class Euler(PhysicsModel):
     def aux_jacobian(self, u):
         u = np.asarray(u, dtype=float)
         g = self.gamma
-        rho, vel, _ = self._decompose(u)
+        rho, vel = self._decompose(u)[:2]
         P = np.zeros(u.shape[:-1] + (3, 3))
         P[..., 0, 0] = 1.0
         P[..., 1, 0] = -vel / rho

@@ -17,21 +17,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConservationError, GraphStructureError
-from .mesh import ElementGraph, element_graph, scatter_cell_ends
+from .mesh import ElementGraph, scatter_cell_ends
 
 SUM_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """L = A A^T with its recovery operator R = A^T L^+ (read-only)."""
+    """L = A A^T of a connected element graph and its recovery operator
+    R = A^T L^+, both read-only.  L != 0 is the adjacency plus each DOF with an
+    edge, so the graph is connected, and L of rank ndof-1 (Fiedler 1973), when
+    row 0 of the boolean power (L != 0)^(ndof-1) is all true; otherwise
+    GraphStructureError."""
 
     graph: ElementGraph
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False)
     operator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        operator = self.graph.incidence.T @ self.solve(np.eye(self.graph.ndof))
+        A = self.graph.incidence
+        L = A @ A.T
+        reach = np.eye(self.graph.ndof, dtype=bool)[0]
+        for _ in range(self.graph.ndof - 1):
+            reach = reach @ (L != 0)
+        if not reach.all():
+            raise GraphStructureError("flux recovery needs a connected element graph")
+        L.setflags(write=False)
+        object.__setattr__(self, "matrix", L)
+        operator = A.T @ self.solve(np.eye(self.graph.ndof))
         operator.setflags(write=False)
         object.__setattr__(self, "operator", operator)
 
@@ -51,13 +64,15 @@ class GraphLaplacian:
         """Edge fluxes R Psi, shape (nedges, n, p), of a DOF-major Psi stack
         (ndof, n, p): Psi[:, k] is element k's.
 
-        Element k's largest |defect| over the p columns must be at most
-        SUM_TOLERANCE * scale[k]; otherwise ConservationError names every
-        element that is not, every element with a NaN defect or scale included
-        (an infinite scale passes any defect but NaN).
+        Element k's scale must be finite and its largest |defect| over the p
+        columns at most SUM_TOLERANCE * scale[k]; otherwise ConservationError
+        names every element that is not, every element with a NaN defect or
+        scale included.
         """
-        defect = psi.sum(axis=0)
-        bad = np.flatnonzero(~(_row_max(np.abs(defect)) <= SUM_TOLERANCE * scale))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are refused
+            defect = psi.sum(axis=0)
+        closed = (_row_max(np.abs(defect)) <= SUM_TOLERANCE * scale) & np.isfinite(scale)
+        bad = np.flatnonzero(~closed)
         if bad.size:
             raise ConservationError(
                 f"residuals of {bad.size} element(s), first {bad[:5].tolist()}, do not sum "
@@ -84,20 +99,6 @@ def _end_scale(x):
     return _row_max(np.maximum(ends[0], ends[1], out=ends[0]))
 
 
-def build_laplacian(graph):
-    """Graph Laplacian L = A A^T of an element graph, of rank ndof-1 when it is
-    connected (Fiedler 1973): L != 0 is the adjacency plus each DOF that has an
-    edge, so connected means row 0 of the boolean power (L != 0)^(ndof-1) is all true."""
-    A = graph.incidence
-    L = A @ A.T
-    reach = np.eye(graph.ndof, dtype=bool)[0]
-    for _ in range(graph.ndof - 1):
-        reach = reach @ (L != 0)
-    if not reach.all():
-        raise GraphStructureError("flux recovery needs a connected element graph")
-    return GraphLaplacian(graph, L)
-
-
 def recover_fluxes(graph, psi):
     """Minimum-norm edge fluxes (nedges, p) with A fhat = Psi, componentwise,
     of one element's Psi = Phi - fhat^b, shape (graph.ndof, p).
@@ -109,16 +110,15 @@ def recover_fluxes(graph, psi):
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != graph.ndof:
         raise ConfigError(f"psi must be ({graph.ndof}, p), got shape {psi.shape}")
-    laplacian = build_laplacian(graph)
     scale = max(float(np.abs(psi).max()), 1e-300)
-    return laplacian.recover(psi[:, None], np.array([scale]))[:, 0]
+    return GraphLaplacian(graph).recover(psi[:, None], np.array([scale]))[:, 0]
 
 
 @functools.cache
 def _segment_laplacian():
     """The 1D elements' Laplacian, built on first use, so that a process that
     never recovers fluxes makes no LAPACK call."""
-    return build_laplacian(element_graph("segment"))
+    return GraphLaplacian(ElementGraph(2, ((0, 1),)))
 
 
 def reconstruct_scheme(mesh, states, residuals):
@@ -137,7 +137,9 @@ def reconstruct_scheme(mesh, states, residuals):
     """
     phi, bparts = residuals.phi, residuals.boundary_parts
     scale = np.maximum(_end_scale(phi), _end_scale(bparts))
-    edge_fluxes = _segment_laplacian().recover(phi - bparts, np.maximum(scale, 1e-300))[0]
+    # recover refuses a non-finite Psi, and a closed finite one's fluxes are finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge_fluxes = _segment_laplacian().recover(phi - bparts, np.maximum(scale, 1e-300))[0]
 
     increments = scatter_cell_ends(edge_fluxes + bparts[0], -edge_fluxes + bparts[1], mesh.ndof)
     return increments, edge_fluxes

@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+from conserva.mesh import ElementGraph
+
+# element graphs: the 1D element, the cyclic triangle and n-DOF chains
+SEGMENT = ElementGraph(2, ((0, 1),))
+TRIANGLE = ElementGraph(3, ((0, 1), (1, 2), (2, 0)))
+
+
+def path_graph(n):
+    """n DOFs chained by the edges i -> i + 1."""
+    return ElementGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
 
 @pytest.fixture
 def rng():

@@ -11,12 +11,12 @@ import pytest
 
 from conserva import active_flux, corrections, recovery, schemes
 from conserva.harness import case_library, runner, weak
-from conserva.mesh import element_graph, uniform_mesh
+from conserva.mesh import uniform_mesh
 from conserva.models import Burgers, Euler, NodeKernels
 from conserva.records import RunConfig
 from conserva.schemes import NumericalFlux, fv_residuals_1d, rd_step, supg_residuals_1d
 
-from conftest import energy_identity_defect, post_defect
+from conftest import SEGMENT, TRIANGLE, energy_identity_defect, path_graph, post_defect
 
 
 def _report(number, ok, detail):
@@ -72,9 +72,7 @@ def test_criterion_1_fv_residual_form_equals_flux_form():
 def test_criterion_2_flux_recovery_lemma():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    graphs = [element_graph("segment")] + [
-        element_graph("path", n) for n in (3, 4, 5, 6)
-    ] + [element_graph("triangle")]
+    graphs = [SEGMENT] + [path_graph(n) for n in (3, 4, 5, 6)] + [TRIANGLE]
     worst = 0.0
     for graph in graphs:
         for _ in range(1000):
@@ -84,10 +82,9 @@ def test_criterion_2_flux_recovery_lemma():
             err = np.abs(graph.incidence @ fluxes - psi).max()
             worst = max(worst, err / np.abs(psi).max())
 
-    triangle = element_graph("triangle")
     psi0 = np.array([[1.0], [-1.0], [0.0]])
-    got = recovery.recover_fluxes(triangle, psi0)[:, 0]
-    oracle = (np.linalg.pinv(triangle.incidence) @ psi0)[:, 0]
+    got = recovery.recover_fluxes(TRIANGLE, psi0)[:, 0]
+    oracle = (np.linalg.pinv(TRIANGLE.incidence) @ psi0)[:, 0]
     ref_err = np.abs(got - np.array([2 / 3, -1 / 3, -1 / 3])).max()
     oracle_err = np.abs(got - oracle).max()
     elapsed = time.perf_counter() - t0

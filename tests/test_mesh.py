@@ -8,13 +8,12 @@ from conserva.errors import ConfigError
 from conserva.mesh import (
     GAUSS_LEGENDRE,
     Mesh1D,
-    element_graph,
     gather_cell_ends,
     scatter_cell_ends,
     uniform_mesh,
 )
 
-from conftest import same_bits
+from conftest import SEGMENT, TRIANGLE, path_graph, same_bits
 
 
 def test_uniform_mesh_nodes_and_volumes():
@@ -41,26 +40,23 @@ def test_mesh_validation():
 
 
 def test_segment_graph_incidence():
-    g = element_graph("segment")
-    np.testing.assert_array_equal(g.incidence, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(SEGMENT.incidence, [[1.0], [-1.0]])
 
 
 def test_triangle_graph_rows_sum_to_zero():
-    g = element_graph("triangle")
-    assert g.incidence.shape == (3, 3)
-    np.testing.assert_array_equal(g.incidence.sum(axis=1), 0.0)
+    assert TRIANGLE.incidence.shape == (3, 3)
+    np.testing.assert_array_equal(TRIANGLE.incidence.sum(axis=1), 0.0)
 
 
 def test_path_graph_middle_node_touches_both_edges():
-    g = element_graph("path", 3)
+    g = path_graph(3)
     assert len(g.edges) == 2
     assert np.count_nonzero(g.incidence[1]) == 2
 
 
 @pytest.mark.parametrize(
     "graph",
-    [element_graph("segment"), element_graph("triangle")]
-    + [element_graph("path", n) for n in range(2, 9)],
+    [SEGMENT, TRIANGLE] + [path_graph(n) for n in range(2, 9)],
 )
 def test_incidence_columns_sum_to_zero(graph):
     np.testing.assert_array_equal(graph.incidence.sum(axis=0), 0.0)
@@ -68,21 +64,13 @@ def test_incidence_columns_sum_to_zero(graph):
 
 @pytest.mark.parametrize(
     "graph",
-    [element_graph("segment"), element_graph("triangle")]
-    + [element_graph("path", n) for n in range(2, 9)],
+    [SEGMENT, TRIANGLE] + [path_graph(n) for n in range(2, 9)],
 )
 def test_laplacian_has_one_zero_eigenvalue(graph):
     L = graph.incidence @ graph.incidence.T
     eig = np.sort(np.abs(np.linalg.eigvalsh(L)))
     assert eig[0] <= 1e-10
     assert eig[1] > 1e-10  # connected: single zero mode
-
-
-def test_path_needs_two_dofs():
-    with pytest.raises(ConfigError):
-        element_graph("path", 1)
-    with pytest.raises(ConfigError):
-        element_graph("hexagon")
 
 
 def _add_at_reference(mesh, left, right):

@@ -11,12 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from conserva import corrections, recovery
 from conserva.errors import ConfigError, ConservationError, GraphStructureError
-from conserva.mesh import ElementGraph, element_graph, uniform_mesh
+from conserva.mesh import ElementGraph, uniform_mesh
 from conserva.models import Burgers, Euler, NodeKernels
 from conserva.records import ACTIVE_FLUX, SCHEMES
 from conserva.recovery import (
     SUM_TOLERANCE,
-    build_laplacian,
+    GraphLaplacian,
     recover_fluxes,
     reconstruct_scheme,
 )
@@ -28,7 +28,7 @@ from conserva.schemes import (
     supg_residuals_1d,
 )
 
-from conftest import element_defect, same_bits
+from conftest import SEGMENT, TRIANGLE, element_defect, path_graph, same_bits
 
 
 def test_importing_conserva_loads_no_polynomial_module_and_builds_no_laplacian():
@@ -56,24 +56,24 @@ def test_reconstruct_scheme_builds_one_segment_operator():
     second = reconstruct_scheme(mesh, u, residuals)
     info = recovery._segment_laplacian.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    want = build_laplacian(element_graph("segment")).operator
+    want = GraphLaplacian(SEGMENT).operator
     assert same_bits(recovery._segment_laplacian().operator, want)
     for got, again in zip(first, second):
         assert same_bits(got, again)
 
 
 def test_laplacian_segment():
-    L = build_laplacian(element_graph("segment"))
+    L = GraphLaplacian(SEGMENT)
     np.testing.assert_array_equal(L.matrix, [[1, -1], [-1, 1]])
 
 
 def test_laplacian_triangle():
-    L = build_laplacian(element_graph("triangle"))
+    L = GraphLaplacian(TRIANGLE)
     np.testing.assert_array_equal(L.matrix, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
 def test_laplacian_path3_degrees_minus_adjacency():
-    L = build_laplacian(element_graph("path", 3)).matrix
+    L = GraphLaplacian(path_graph(3)).matrix
     expected = np.diag([1.0, 2.0, 1.0]) - np.array(
         [[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float
     )
@@ -83,7 +83,9 @@ def test_laplacian_path3_degrees_minus_adjacency():
 def test_laplacian_rejects_disconnected_graph():
     graph = ElementGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(GraphStructureError):
-        build_laplacian(graph)
+        GraphLaplacian(graph)
+    with pytest.raises(TypeError):  # nor can a matrix be handed in unchecked
+        GraphLaplacian(graph, np.eye(4))
 
 
 def _bfs_connected(graph):
@@ -124,23 +126,22 @@ def _element_graphs(draw):
 @example(ElementGraph(5, ((0, 1), (1, 0), (3, 4), (4, 2))))
 def test_laplacian_rejects_exactly_the_graphs_a_search_finds_disconnected(graph):
     if _bfs_connected(graph):
-        laplacian = build_laplacian(graph)
+        laplacian = GraphLaplacian(graph)
         A = graph.incidence
         np.testing.assert_array_equal(laplacian.matrix, A @ A.T)
     else:
         with pytest.raises(GraphStructureError):
-            build_laplacian(graph)
+            GraphLaplacian(graph)
 
 
 def test_one_dof_graph_recovers_no_fluxes():
-    laplacian = build_laplacian(ElementGraph(1, ()))
+    laplacian = GraphLaplacian(ElementGraph(1, ()))
     assert laplacian.operator.shape == (0, 1)
     assert recover_fluxes(ElementGraph(1, ()), np.zeros((1, 2))).shape == (0, 2)
 
 
 def test_recover_segment_forced_solution():
-    graph = element_graph("segment")
-    fluxes = recover_fluxes(graph, np.array([[3.5], [-3.5]]))
+    fluxes = recover_fluxes(SEGMENT, np.array([[3.5], [-3.5]]))
     np.testing.assert_allclose(fluxes, [[3.5]])
 
 
@@ -149,10 +150,10 @@ def test_recover_segment_forced_solution():
     [
         # unchecked, these end in numpy's AxisError, a matmul ValueError and
         # a misleading ConservationError
-        (element_graph("segment"), [3.5, -3.5]),
-        (element_graph("segment"), [[1.0], [-1.0], [0.0]]),
-        (element_graph("segment"), [[[1.0], [-1.0]], [[0.0], [0.0]]]),
-        (element_graph("triangle"), np.zeros((2, 1))),
+        (SEGMENT, [3.5, -3.5]),
+        (SEGMENT, [[1.0], [-1.0], [0.0]]),
+        (SEGMENT, [[[1.0], [-1.0]], [[0.0], [0.0]]]),
+        (TRIANGLE, np.zeros((2, 1))),
     ],
     ids=["1d", "rows", "stack", "triangle-rows"],
 )
@@ -161,31 +162,37 @@ def test_recover_fluxes_names_the_expected_psi_shape(graph, psi):
         recover_fluxes(graph, np.array(psi))
 
 
-def test_recover_fluxes_rejects_non_finite_psi():
-    graph = element_graph("segment")
+@pytest.mark.parametrize(
+    "psi",
+    # an infinite Psi whose sum is infinite passes the closure test against
+    # its own infinite scale, so the scale itself must be refused
+    [[[np.nan], [1.0]], [[np.inf], [np.inf]], [[np.inf], [1.0]], [[-np.inf], [-np.inf]],
+     [[np.inf], [-np.inf]], [[1e308], [1e308]]],
+    ids=["nan", "inf-inf", "inf-finite", "minus-inf", "inf-minus-inf", "overflowing-sum"],
+)
+def test_recover_fluxes_rejects_non_finite_psi(psi):
     with pytest.raises(ConservationError) as excinfo:
-        recover_fluxes(graph, np.array([[np.nan], [1.0]]))
+        recover_fluxes(SEGMENT, np.array(psi))
     np.testing.assert_array_equal(excinfo.value.elements, [0])
 
 
 def test_recover_path3_tree_telescoping():
-    graph = element_graph("path", 3)
+    graph = path_graph(3)
     a, b = 1.25, -0.5
     fluxes = recover_fluxes(graph, np.array([[a], [b], [-a - b]]))
     np.testing.assert_allclose(fluxes[:, 0], [a, a + b], atol=1e-14)
 
 
 def test_recover_triangle_reference_values():
-    graph = element_graph("triangle")
     psi = np.array([[1.0], [-1.0], [0.0]])
-    fluxes = recover_fluxes(graph, psi)
+    fluxes = recover_fluxes(TRIANGLE, psi)
     np.testing.assert_allclose(fluxes[:, 0], [2 / 3, -1 / 3, -1 / 3], atol=1e-12)
-    np.testing.assert_allclose(graph.incidence @ fluxes, psi, atol=1e-13)
+    np.testing.assert_allclose(TRIANGLE.incidence @ fluxes, psi, atol=1e-13)
 
 
 def test_recover_matches_dense_pseudo_inverse(rng):
     # independent oracle: full Moore-Penrose solve of A fhat = psi
-    for graph in (element_graph("triangle"), element_graph("path", 5)):
+    for graph in (TRIANGLE, path_graph(5)):
         psi = rng.normal(size=(graph.ndof, 3))
         psi -= psi.mean(axis=0, keepdims=True)
         fluxes = recover_fluxes(graph, psi)
@@ -195,8 +202,7 @@ def test_recover_matches_dense_pseudo_inverse(rng):
 
 @pytest.mark.parametrize(
     "graph",
-    [element_graph("segment"), element_graph("triangle")]
-    + [element_graph("path", n) for n in (3, 4, 6)],
+    [SEGMENT, TRIANGLE] + [path_graph(n) for n in (3, 4, 6)],
 )
 def test_recovery_residual_property(graph, rng):
     for _ in range(200):
@@ -208,7 +214,7 @@ def test_recovery_residual_property(graph, rng):
 
 
 def test_recover_rejects_shifted_residuals(rng):
-    graph = element_graph("path", 4)
+    graph = path_graph(4)
     psi = rng.normal(size=(graph.ndof, 1))
     psi -= psi.mean(axis=0, keepdims=True)
     with pytest.raises(ConservationError) as excinfo:
@@ -218,8 +224,7 @@ def test_recover_rejects_shifted_residuals(rng):
 
 
 def test_zero_residuals_give_zero_fluxes():
-    graph = element_graph("triangle")
-    fluxes = recover_fluxes(graph, np.zeros((3, 2)))
+    fluxes = recover_fluxes(TRIANGLE, np.zeros((3, 2)))
     np.testing.assert_array_equal(fluxes, 0.0)
 
 
@@ -271,17 +276,19 @@ def test_reconstruct_zero_residuals_zero_fluxes():
 # ---------------------------------------------------------------------------
 
 
-def test_laplacian_operator_is_read_only():
-    laplacian = build_laplacian(element_graph("segment"))
-    np.testing.assert_array_equal(laplacian.operator, [[0.5, -0.5]])
-    with pytest.raises(ValueError):
-        laplacian.operator[0, 0] = 1.0
+def test_laplacian_arrays_and_graph_incidence_are_read_only():
+    # the cached segment Laplacian is shared by every reconstruct_scheme call
+    # in the process, and its solve reads the matrix
+    for laplacian in (GraphLaplacian(SEGMENT), recovery._segment_laplacian()):
+        np.testing.assert_array_equal(laplacian.operator, [[0.5, -0.5]])
+        for array in (laplacian.matrix, laplacian.operator, laplacian.graph.incidence):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 def test_recover_fluxes_error_names_element_zero():
-    graph = element_graph("triangle")
     with pytest.raises(ConservationError) as excinfo:
-        recover_fluxes(graph, np.array([[1.0], [0.0], [0.0]]))
+        recover_fluxes(TRIANGLE, np.array([[1.0], [0.0], [0.0]]))
     np.testing.assert_array_equal(excinfo.value.elements, [0])
 
 
@@ -310,12 +317,20 @@ def test_reconstruct_names_exactly_the_shifted_element():
     assert excinfo.value.defect.shape == (1, 1)
 
 
-def test_reconstruct_names_exactly_the_non_finite_element():
+@pytest.mark.parametrize(
+    "phi_value,bpart_value",
+    [(np.nan, None), (np.inf, None), (-np.inf, None), (np.inf, np.inf), (1e308, -1e308)],
+    ids=["nan", "inf", "minus-inf", "inf-minus-inf", "overflowing-psi"],
+)
+def test_reconstruct_names_exactly_the_non_finite_element(phi_value, bpart_value):
     mesh, states, residuals = _supg_residuals()
     phi = residuals.phi.copy()
-    phi[0, 7] = np.nan
+    bparts = residuals.boundary_parts.copy()
+    phi[0, 7] = phi_value
+    if bpart_value is not None:
+        bparts[0, 7] = bpart_value
     with pytest.raises(ConservationError) as excinfo:
-        reconstruct_scheme(mesh, states, _with_phi(residuals, phi))
+        reconstruct_scheme(mesh, states, _with_phi(residuals, phi, bparts))
     np.testing.assert_array_equal(excinfo.value.elements, [7])
 
 
@@ -361,9 +376,11 @@ def test_property_elementwise_maxima_have_the_bits_of_the_reductions(x):
 
 def _old_closure_verdict(psi, scale):
     """The elements, and their defect rows, that GraphLaplacian.recover
-    refused when its closure test was a reduction over the p columns."""
+    refused when its closure test was a reduction over the p columns, and
+    every element whose scale is infinite."""
     defect = psi.sum(axis=0)
-    bad = np.flatnonzero(~(np.abs(defect).max(axis=1) <= SUM_TOLERANCE * scale))
+    closed = np.abs(defect).max(axis=1) <= SUM_TOLERANCE * scale
+    bad = np.flatnonzero(~closed | np.isinf(scale))
     return bad, defect[bad]
 
 
@@ -386,15 +403,15 @@ def _unclosed_stacks(draw):
 @given(_unclosed_stacks())
 def test_property_closure_test_refuses_the_elements_the_old_test_refused(case):
     psi, scale = case
-    laplacian = build_laplacian(element_graph("segment"))
-    # sums may overflow, and an accepted infinite Psi makes NaN fluxes
-    with np.errstate(over="ignore", invalid="ignore"):
+    laplacian = GraphLaplacian(SEGMENT)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle's sums may overflow
         elements, defect = _old_closure_verdict(psi, scale)
-        if not elements.size:
-            laplacian.recover(psi, scale)
-            return
-        with pytest.raises(ConservationError) as excinfo:
-            laplacian.recover(psi, scale)
+    # recover itself lets no RuntimeWarning escape
+    if not elements.size:
+        laplacian.recover(psi, scale)
+        return
+    with pytest.raises(ConservationError) as excinfo:
+        laplacian.recover(psi, scale)
     assert same_bits(excinfo.value.elements, elements)
     assert same_bits(excinfo.value.defect, defect)
 
@@ -427,7 +444,7 @@ def psi_stacks(draw):
 @given(psi_stacks())
 def test_property_recovered_fluxes_reproduce_psi(case):
     graph, psi, scale = case
-    fhat = build_laplacian(graph).recover(psi, scale)
+    fhat = GraphLaplacian(graph).recover(psi, scale)
     err = np.abs(np.tensordot(graph.incidence, fhat, axes=1) - psi).max(axis=(0, 2))
     assert (err <= 1e-11 * scale).all()
 
@@ -436,7 +453,7 @@ def test_property_recovered_fluxes_reproduce_psi(case):
 @given(psi_stacks())
 def test_property_operator_matches_solve_and_pseudo_inverse(case):
     graph, psi, scale = case
-    laplacian = build_laplacian(graph)
+    laplacian = GraphLaplacian(graph)
     pinv = np.linalg.pinv(graph.incidence)
     for k in range(psi.shape[1]):
         got = laplacian.operator @ psi[:, k]
@@ -455,7 +472,7 @@ def scheme_psi_stacks(draw):
     model, mesh, states, dt = draw(gas_meshes_and_states())
     assemble = residual_assembler(draw(st.sampled_from(RESIDUAL_IDS)), model, mesh)
     residuals = assemble(NodeKernels.of(model, states), dt)
-    return element_graph("segment"), residuals.phi - residuals.boundary_parts, None
+    return SEGMENT, residuals.phi - residuals.boundary_parts, None
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,7 +482,7 @@ def test_property_batched_recovery_equals_single_calls(case):
     # it returns the element's batched column, bit for bit, or raises
     # ConservationError
     graph, psi, _ = case
-    laplacian = build_laplacian(graph)
+    laplacian = GraphLaplacian(graph)
     own = np.maximum(np.abs(psi).max(axis=(0, 2)), 1e-300)
     closed = np.abs(psi.sum(axis=0)).max(axis=1) <= SUM_TOLERANCE * own
     batched = laplacian.recover(psi[:, closed], own[closed])
